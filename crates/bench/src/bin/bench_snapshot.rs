@@ -1,46 +1,45 @@
-//! Performance snapshot: fixed-seed small-scale Fig. 4 / Fig. 5 workloads,
-//! timing the pre-optimization code paths (reference-heap scheduler,
-//! per-cell routing-state rebuild, serial Fig. 5 grid, full-scan fluid
-//! solver, serial heap-Dijkstra routing builds, from-scratch failure
+//! Performance snapshot: fixed-seed small-scale workloads timing each
+//! layer's retained reference path (reference-heap scheduler, full-scan
+//! fluid solver, serial heap-Dijkstra routing builds, from-scratch failure
 //! recompute, nested next-hop tables, reference per-packet datapath)
-//! against the current defaults (delay-lane scheduler, shared routing cache,
-//! parallel grid, active-list solver, parallel bucket-queue CSR builds,
-//! incremental failure recompute, fast datapath: FIB hot-cache + RTO
-//! timer wheel + terminal-TxDone elision + zero-alloc TCP turnaround).
-//! Writes `BENCH_sim.json` (wall time, events/sec, pkt-hops/sec,
-//! cells/sec, speedups) and prints a summary. Tier sections add the
-//! at-scale sharded engine, the hybrid open-loop regime, and the
-//! design-search envelope sweep (per-cell cold rebuilds vs structural
-//! memoization + dominance pruning).
+//! against the current default (delay-lane scheduler, active-list solver,
+//! pooled bucket-queue CSR builds, incremental failure recompute, fast
+//! datapath: FIB hot-cache + RTO timer wheel + terminal-TxDone elision).
+//! The Fig. 4 grid runs through `run_fig4` under both schedulers; the
+//! Fig. 5 panel is timed on its own. Writes `BENCH_sim.json` (wall time,
+//! events/sec, pkt-hops/sec, cells/sec, speedups) and prints a summary.
+//! Tier sections add the at-scale sharded engine, the hybrid open-loop
+//! regime, and the design-search envelope sweep (per-cell cold rebuilds
+//! vs structural memoization + dominance pruning).
 //!
 //! Build with `--features count-allocs` to additionally report measured
 //! allocations per packet-hop for both datapaths (a counting global
-//! allocator; the field is `null` otherwise).
+//! allocator; the field is omitted otherwise).
 //!
 //! Both paths are measured in one invocation on the same machine, so the
 //! speedup figures are self-contained. The "before" paths are the real
-//! shipped implementations (`Scheduler::ReferenceHeap`, `run_cell`,
-//! `run_fig5_panel_serial`, `max_min_rates_reference`), not simulations of
-//! old code. Every before/after pair is asserted byte-identical before the
-//! ratio is reported.
+//! shipped implementations (`Scheduler::ReferenceHeap`,
+//! `Datapath::Reference`, `max_min_rates_reference`,
+//! `ForwardingState::build_reference`), not simulations of old code.
+//! Every before/after pair is asserted byte-identical before the ratio is
+//! reported.
 //!
 //! `cargo run -p spineless-bench --release --bin bench_snapshot [-- --seed N]`
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use spineless_bench::{parse_args_quick, warn_if_serial_fallback};
-use spineless_core::fct::{
-    generate_workload, paper_combos, run_cell, run_cell_with, FctCell, FctConfig, TmKind,
-};
+use spineless_core::fct::{generate_workload, run_fig4, FctCell, FctConfig, TmKind};
 use spineless_core::search::{run_search, run_search_reference, SearchResult, SearchSpec};
-use spineless_core::throughput::{cs_axis_values, run_fig5_panel, run_fig5_panel_serial};
-use spineless_core::{EvalTopos, RoutingCache, Scale};
+use spineless_core::throughput::{cs_axis_values, run_fig5_panel};
+use spineless_core::{EvalTopos, Scale};
 use spineless_fluid::{max_min_rates, max_min_rates_reference, LinkSpace};
+use spineless_graph::par;
 use spineless_routing::failures::{incremental_rebuild, FailurePlan};
 use spineless_routing::{Forwarding, ForwardingState, RoutingScheme};
 use spineless_sim::{
-    estimate_events, Datapath, EngineChoice, FailureSchedule, HybridConfig, HybridSimulation,
-    Scheduler, SimConfig, Simulation,
+    estimate_events, Datapath, FailureSchedule, HybridConfig, HybridSimulation, Scheduler,
+    SimConfig, Simulation,
 };
 use spineless_topo::dring::DRing;
 use spineless_workload::pareto::ParetoFlowSizes;
@@ -65,59 +64,6 @@ fn alloc_reading() -> Option<u64> {
     {
         None
     }
-}
-
-/// The Fig. 4 grid exactly as `run_fig4` runs it, minus the two
-/// optimizations: `scheduler` selects the event queue and each cell
-/// rebuilds its forwarding state (`use_cache = false`) or shares the
-/// prebuilt one (`use_cache = true`). Seeds match `run_fig4` so all
-/// variants produce the identical grid.
-fn run_fig4_grid(cfg: &FctConfig, scheduler: Scheduler, use_cache: bool) -> Vec<FctCell> {
-    let sim_cfg = SimConfig { scheduler, ..cfg.sim };
-    let topos = EvalTopos::build(cfg.scale, cfg.seed);
-    let offered = cfg.offered_bytes(&topos);
-    let cache = use_cache.then(|| RoutingCache::build(&topos, &paper_combos()));
-    let mut jobs = Vec::new();
-    for (ti, tm) in TmKind::all().into_iter().enumerate() {
-        for (tk, rs) in paper_combos() {
-            jobs.push((ti, tm, tk, rs));
-        }
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(jobs.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results_mx = std::sync::Mutex::new(Vec::<(usize, FctCell)>::new());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let (ti, tm, tk, rs) = jobs[i];
-                let topo = tk.of(&topos);
-                let tm_seed = cfg
-                    .seed
-                    .wrapping_mul(0x100000001B3)
-                    .wrapping_add((ti as u64) << 20);
-                let sim_seed = tm_seed.wrapping_add(1 + i as u64);
-                let flows = generate_workload(tm, topo, offered, cfg.window_ns, tm_seed);
-                let cell = match &cache {
-                    Some(cache) => {
-                        let fs = cache.get(tk, rs);
-                        run_cell_with(topo, rs, &fs, &flows, tm.label(), sim_cfg, sim_seed)
-                    }
-                    None => run_cell(topo, rs, &flows, tm.label(), sim_cfg, sim_seed),
-                };
-                results_mx.lock().expect("a worker panicked").push((i, cell));
-            });
-        }
-    });
-    let mut results = results_mx.into_inner().expect("a worker panicked");
-    results.sort_by_key(|&(i, _)| i);
-    results.into_iter().map(|(_, c)| c).collect()
 }
 
 fn assert_grids_identical(a: &[FctCell], b: &[FctCell], what: &str) {
@@ -160,7 +106,7 @@ fn run_scale_tier(scale: Scale, quick: bool, seed: u64, threads: usize) -> Strin
     let flows = generate_workload(TmKind::Uniform, &topo, offered, window_ns, seed);
     let nflows = flows.flows.len();
     let cfg = SimConfig::default();
-    let est = estimate_events(flows.flows.iter().map(|f| f.bytes), cfg.mss_bytes);
+    let est = estimate_events(flows.flows.iter().map(|f| f.bytes), cfg.mss_bytes, false);
     eprintln!(
         "scale={label}: dring {} racks / {} servers, {nflows} flows over {window_ns} ns, ~{est} est events"
     , topo.num_racks(), topo.num_servers());
@@ -239,19 +185,14 @@ fn run_scale_tier(scale: Scale, quick: bool, seed: u64, threads: usize) -> Strin
         heap_out,
         "scale={label}: the adaptive run diverged from the serial loop"
     );
-    let choice = match sim.shards() {
-        1 => EngineChoice::Serial,
-        shards => EngineChoice::Sharded { shards },
-    };
+    let shards = sim.shards();
     eprintln!(
-        "scale={label}: adaptive {choice:?} {adaptive_s:.2}s ({:.2}x vs best serial)",
+        "scale={label}: adaptive {shards} shard(s) {adaptive_s:.2}s ({:.2}x vs best serial)",
         best_serial / adaptive_s
     );
-    warn_if_serial_fallback(scale, choice, &format!("bench_snapshot/scale_{label}"));
-    let choice_label = match choice {
-        EngineChoice::Serial => "serial".to_owned(),
-        EngineChoice::Sharded { shards } => format!("sharded_{shards}"),
-    };
+    warn_if_serial_fallback(scale, shards, &format!("bench_snapshot/scale_{label}"));
+    let choice_label =
+        if shards == 1 { "serial".to_owned() } else { format!("sharded_{shards}") };
     let speedup_4 = shard_walls
         .iter()
         .find(|&&(k, _)| k == 4)
@@ -479,11 +420,10 @@ fn frontier_fingerprint(r: &SearchResult) -> Vec<(String, u64, u64, u64)> {
 /// switch budget) once through the cold reference (every cell builds its
 /// forwarding state from scratch) and once through the accelerated engine
 /// (structural memo + dominance pruning), each on one row worker. Each
-/// row's `ForwardingState::build` still fans its DAG builds out over
-/// `available_parallelism` threads, and the cold reference builds far
-/// more states than the memoized sweep, so the ratio mixes the
-/// algorithmic layers with thread scaling; the tier prints the build
-/// thread count beside it. Both sweeps must agree on every frontier bit,
+/// row's `ForwardingState::build` still fans its DAG builds out over the
+/// host's threads, and the cold reference builds far more states than the
+/// memoized sweep, so the ratio mixes the algorithmic layers with thread
+/// scaling; the tier prints the build thread count beside it. Both sweeps must agree on every frontier bit,
 /// and the frontier must not move across 1/2/4 workers. The full tier
 /// asserts the >=2x cells/sec bar; quick mode just records.
 fn run_design_search_tier(quick: bool, seed: u64) -> String {
@@ -543,7 +483,7 @@ fn run_design_search_tier(quick: bool, seed: u64) -> String {
     let cells = accel.stats.cells;
     let speedup = cold_s / accel_s;
     // `build_dags` threads inside every forwarding-state build.
-    let build_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let build_threads = par::host_threads();
     let s = accel.stats;
     eprintln!(
         "design_search: {cells} cells — cold {:.2} cells/s, accelerated {:.2} cells/s \
@@ -596,7 +536,7 @@ fn run_design_search_tier(quick: bool, seed: u64) -> String {
 /// pause counter, and asserts the lossless invariant: zero tail drops.
 fn run_lossless_tier(quick: bool, seed: u64) -> String {
     use spineless_sim::types::Transport;
-    use spineless_sim::{estimate_events_detailed, PfcConfig};
+    use spineless_sim::PfcConfig;
     let topo = DRing::uniform(6, 2, 24).build();
     let scheme = RoutingScheme::ShortestUnion(2);
     let fs = Arc::new(ForwardingState::build(&topo.graph, scheme));
@@ -639,10 +579,9 @@ fn run_lossless_tier(quick: bool, seed: u64) -> String {
     assert_eq!(fast_hops, ref_hops, "lossless: datapaths diverged: packet-hops");
     assert_eq!(fast_r.congestion_drops, 0, "lossless: PFC tail-dropped a data packet");
     assert_eq!(fast_r.unfinished(), 0, "lossless: incast must complete");
-    // The control-plane-aware estimate the adaptive selector uses under
-    // PFC (satellite of the same PR: plain estimate_events ignores
-    // pause/resume events and mis-selects at lossless incast scale).
-    let est = estimate_events_detailed(flow_bytes.iter().copied(), cfg.mss_bytes, true);
+    // The estimate the adaptive selector uses under PFC: it adds the
+    // pause/resume events a lossy estimate ignores.
+    let est = estimate_events(flow_bytes.iter().copied(), cfg.mss_bytes, true);
     let speedup = ref_s / fast_s;
     eprintln!(
         "lossless: {} incast flows x {bytes} B — {} pauses over {} links, 0 tail drops; \
@@ -656,7 +595,7 @@ fn run_lossless_tier(quick: bool, seed: u64) -> String {
   "lossless": {{
     "topology": "dring(6,2) su2, pfc xoff 20 kB / xon 8 kB",
     "workload": "synchronized incast, 2 senders per remote rack x {bytes} B, go-back-N cwnd 32",
-    "estimated_events_detailed": {est},
+    "estimated_events": {est},
     "pause_frames": {pauses},
     "resume_frames": {resumes},
     "links_ever_paused": {lep},
@@ -682,7 +621,7 @@ fn run_lossless_tier(quick: bool, seed: u64) -> String {
 fn main() {
     let args = parse_args_quick();
     let (scale_req, seed, quick) = (args.scale, args.seed, args.quick);
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let threads = par::host_threads();
     let scale_label = match scale_req {
         Scale::Small => "small",
         Scale::Paper => "paper",
@@ -716,8 +655,8 @@ fn main() {
     );
 
     // --- Per-packet datapath: fast (FIB hot-cache, RTO timer wheel,
-    // terminal-TxDone elision, zero-alloc TCP turnaround) vs the retained
-    // reference path, on the same workload as the scheduler microbench.
+    // terminal-TxDone elision) vs the retained reference path, on the same
+    // workload as the scheduler microbench.
     // The hot-cache is built once *outside* the timed region (the same
     // pollution class fixed for routing-state builds in P1) and handed to
     // both runs' constructor via `with_fib_cache`; the reference run
@@ -825,46 +764,33 @@ fn main() {
         rec_fast_r.unfinished()
     );
 
-    // --- Fig. 4 grid end-to-end: before (heap + per-cell builds) vs
-    // after (delay lanes + shared cache). ---
-    let cfg = FctConfig::quick(seed);
-    let t0 = Instant::now();
-    let before = run_fig4_grid(&cfg, Scheduler::ReferenceHeap, false);
-    let fig4_before_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
+    // --- Fig. 4 grid end-to-end through `run_fig4`: the reference heap
+    // vs the default scheduler, so the ratio is the scheduler's alone. ---
+    let fig4_cfg = FctConfig::quick(seed);
+    let run_grid = |scheduler| {
+        let cfg = FctConfig { sim: SimConfig { scheduler, ..fig4_cfg.sim }, ..fig4_cfg };
+        let t0 = Instant::now();
+        let grid = run_fig4(&cfg);
+        (t0.elapsed().as_secs_f64(), grid)
+    };
+    let (fig4_heap_s, heap_grid) = run_grid(Scheduler::ReferenceHeap);
     // `Auto` is the shipped default, so this measures what users get.
-    let after = run_fig4_grid(&cfg, Scheduler::Auto, true);
-    let fig4_after_s = t0.elapsed().as_secs_f64();
-    assert_grids_identical(&before, &after, "fig4");
-    let fig4_cells = after.len();
-    let fig4_speedup = fig4_before_s / fig4_after_s;
+    let (fig4_lanes_s, lanes_grid) = run_grid(Scheduler::Auto);
+    assert_grids_identical(&heap_grid, &lanes_grid, "fig4");
+    let fig4_cells = lanes_grid.len();
+    let fig4_speedup = fig4_heap_s / fig4_lanes_s;
     eprintln!(
-        "fig4: {fig4_cells} cells — before {fig4_before_s:.2}s, after {fig4_after_s:.2}s ({fig4_speedup:.2}x)"
+        "fig4: {fig4_cells} cells — reference heap {fig4_heap_s:.2}s, delay lanes {fig4_lanes_s:.2}s ({fig4_speedup:.2}x)"
     );
 
-    // --- Fig. 5 panel: serial reference vs parallel grid (both on the
-    // active-list fluid solver; the solver itself is timed below). ---
+    // --- Fig. 5 panel on the worker pool (the fluid solver itself is
+    // timed below). ---
     let values = cs_axis_values(Scale::Small, false);
-    let max_pairs = 60_000;
     let t0 = Instant::now();
-    let serial =
-        run_fig5_panel_serial(&topos, RoutingScheme::ShortestUnion(2), &values, max_pairs, seed);
-    let fig5_serial_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let parallel =
-        run_fig5_panel(&topos, RoutingScheme::ShortestUnion(2), &values, max_pairs, seed);
-    let fig5_parallel_s = t0.elapsed().as_secs_f64();
-    assert_eq!(serial.len(), parallel.len(), "fig5 grids differ");
-    for (x, y) in serial.iter().zip(&parallel) {
-        assert_eq!(x.ratio.to_bits(), y.ratio.to_bits(), "fig5 cells diverged");
-    }
-    let fig5_cells = parallel.len();
-    let fig5_speedup = fig5_serial_s / fig5_parallel_s;
-    eprintln!(
-        "fig5: {fig5_cells} cells — serial {:.2} cells/s, parallel {:.2} cells/s ({fig5_speedup:.2}x)",
-        fig5_cells as f64 / fig5_serial_s,
-        fig5_cells as f64 / fig5_parallel_s
-    );
+    let panel = run_fig5_panel(&topos, RoutingScheme::ShortestUnion(2), &values, 60_000, seed);
+    let fig5_s = t0.elapsed().as_secs_f64();
+    let fig5_cells = panel.len();
+    eprintln!("fig5: {fig5_cells} cells — {:.2} cells/s", fig5_cells as f64 / fig5_s);
 
     // --- Fluid solver: active-list vs full-scan on a dense C-S instance. ---
     let space = LinkSpace::new(&topos.dring);
@@ -1052,17 +978,15 @@ fn main() {
   }},
   "fig4_small_grid": {{
     "cells": {fig4_cells},
-    "before": {{ "scheduler": "reference_heap", "routing_state": "per-cell rebuild", "wall_s": {fig4_before_s:.3}, "cells_per_sec": {fig4_before_cps:.3} }},
-    "after": {{ "scheduler": "delay_lanes", "routing_state": "shared cache", "wall_s": {fig4_after_s:.3}, "cells_per_sec": {fig4_after_cps:.3} }},
+    "reference_heap": {{ "wall_s": {fig4_heap_s:.3}, "cells_per_sec": {fig4_heap_cps:.3} }},
+    "delay_lanes": {{ "wall_s": {fig4_lanes_s:.3}, "cells_per_sec": {fig4_lanes_cps:.3} }},
     "speedup": {fig4_speedup:.3},
     "results_identical": true
   }},
   "fig5_small_panel": {{
     "cells": {fig5_cells},
-    "serial": {{ "wall_s": {fig5_serial_s:.3}, "cells_per_sec": {fig5_serial_cps:.3} }},
-    "parallel": {{ "wall_s": {fig5_parallel_s:.3}, "cells_per_sec": {fig5_parallel_cps:.3} }},
-    "speedup": {fig5_speedup:.3},
-    "results_identical": true
+    "wall_s": {fig5_s:.3},
+    "cells_per_sec": {fig5_cps:.3}
   }},
   "fluid_solver": {{
     "flows": {fluid_flows},
@@ -1111,10 +1035,9 @@ fn main() {
         rec_unfinished = rec_fast_r.unfinished(),
         rec_fast_hps = rec_hops as f64 / rec_fast_s,
         rec_ref_hps = rec_hops as f64 / rec_ref_s,
-        fig4_before_cps = fig4_cells as f64 / fig4_before_s,
-        fig4_after_cps = fig4_cells as f64 / fig4_after_s,
-        fig5_serial_cps = fig5_cells as f64 / fig5_serial_s,
-        fig5_parallel_cps = fig5_cells as f64 / fig5_parallel_s,
+        fig4_heap_cps = fig4_cells as f64 / fig4_heap_s,
+        fig4_lanes_cps = fig4_cells as f64 / fig4_lanes_s,
+        fig5_cps = fig5_cells as f64 / fig5_s,
         fluid_flows = fl.len(),
         fluid_links = space.num_links(),
     );

@@ -11,7 +11,8 @@
 //! * `path_diversity` — §4's (n+1)-disjoint-paths claim;
 //! * `bgp_convergence` — §4's BGP/VRF realization check.
 //!
-//! Plus Criterion micro-benchmarks per substrate in `benches/`.
+//! `bench_snapshot` times each layer against its retained reference path
+//! and writes `BENCH_sim.json`.
 
 /// Allocation counting for `bench_snapshot`'s `sim_datapath` section
 /// (feature `count-allocs`): a [`GlobalAlloc`](std::alloc::GlobalAlloc)
@@ -76,22 +77,18 @@ pub fn warn_if_slow_path(
     degraded
 }
 
-/// Warns on stderr when a production-tier run ended up on a serial
-/// engine: the adaptive selector ([`spineless_sim::choose_engine`]) falls
-/// back to serial whenever the host exposes a single hardware thread or
-/// the workload is too small to amortize windows — correct, but a
+/// Warns on stderr when a production-tier run ended up on one shard:
+/// the adaptive selector ([`spineless_sim::choose_engine`]) picks the
+/// serial loop whenever the host exposes a single hardware thread or the
+/// workload is too small to amortize windows — correct, but a
 /// production-tier measurement taken that way does not reflect the
-/// sharding the tier exists to measure. Returns whether it warned.
-pub fn warn_if_serial_fallback(
-    scale: spineless_core::Scale,
-    choice: spineless_sim::EngineChoice,
-    context: &str,
-) -> bool {
-    let fallback = scale == spineless_core::Scale::Production
-        && !matches!(choice, spineless_sim::EngineChoice::Sharded { .. });
+/// sharding the tier exists to measure. `shards` is the count the run
+/// used. Returns whether it warned.
+pub fn warn_if_serial_fallback(scale: spineless_core::Scale, shards: u32, context: &str) -> bool {
+    let fallback = scale == spineless_core::Scale::Production && shards <= 1;
     if fallback {
         eprintln!(
-            "warning[{context}]: adaptive selector fell back to {choice:?} on a \
+            "warning[{context}]: adaptive selector fell back to one shard on a \
              production-tier run (single hardware thread or sub-threshold \
              workload); timings reflect serial execution, not sharding"
         );

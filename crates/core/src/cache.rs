@@ -11,6 +11,7 @@
 
 use crate::fct::TopoKind;
 use crate::topos::EvalTopos;
+use spineless_graph::par;
 use spineless_routing::{ForwardingState, RoutingScheme};
 use std::sync::Arc;
 
@@ -25,7 +26,7 @@ pub struct RoutingCache {
 
 impl RoutingCache {
     /// Builds the forwarding state of every *distinct* combo in `combos`
-    /// over the given topologies, one builder thread per state.
+    /// over the given topologies, on the [`par`] pool.
     ///
     /// Deterministic: `ForwardingState::build` depends only on its inputs,
     /// so the parallel build order cannot influence any result.
@@ -36,24 +37,11 @@ impl RoutingCache {
                 distinct.push(c);
             }
         }
-        let states = std::thread::scope(|scope| {
-            let handles: Vec<_> = distinct
-                .iter()
-                .map(|&(tk, rs)| {
-                    let topo = tk.of(topos);
-                    scope.spawn(move || ForwardingState::build(&topo.graph, rs))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("builder thread"))
-                .collect::<Vec<_>>()
+        let states = par::map_ordered(&distinct, par::host_threads(), || (), |_, &(tk, rs)| {
+            Arc::new(ForwardingState::build(&tk.of(topos).graph, rs))
         });
         RoutingCache {
-            entries: distinct
-                .into_iter()
-                .zip(states.into_iter().map(Arc::new))
-                .collect(),
+            entries: distinct.into_iter().zip(states).collect(),
         }
     }
 

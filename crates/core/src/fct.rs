@@ -12,6 +12,7 @@ use crate::stats::FctSummary;
 use crate::topos::{EvalTopos, Scale};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use spineless_graph::par;
 use spineless_routing::{ForwardingState, RoutingScheme};
 use spineless_sim::{SimConfig, Simulation};
 use spineless_topo::Topology;
@@ -310,58 +311,35 @@ fn cell_simulation<'a>(
     sim
 }
 
-/// Runs the full Fig. 4 grid (7 TMs × 5 combos = 35 cells), cells in
-/// parallel across available cores. Deterministic despite the parallelism:
-/// every cell's seed derives from `(cfg.seed, tm, combo)` alone.
+/// Runs the full Fig. 4 grid (7 TMs × 5 combos = 35 cells), cells on the
+/// [`par`] pool. Deterministic despite the parallelism: every cell's seed
+/// derives from `(cfg.seed, tm, combo)` alone.
 pub fn run_fig4(cfg: &FctConfig) -> Vec<FctCell> {
     let topos = EvalTopos::build(cfg.scale, cfg.seed);
     let offered = cfg.offered_bytes(&topos);
     // The grid has 35 cells but only 5 distinct (topology, scheme) pairs:
     // build each forwarding state once and share it across the pool.
     let cache = crate::cache::RoutingCache::build(&topos, &paper_combos());
-    let mut jobs: Vec<(usize, TmKind, TopoKind, RoutingScheme)> = Vec::new();
+    let mut jobs: Vec<(usize, usize, TmKind, TopoKind, RoutingScheme)> = Vec::new();
     for (ti, tm) in TmKind::all().into_iter().enumerate() {
         for (tk, rs) in paper_combos() {
-            jobs.push((ti, tm, tk, rs));
+            jobs.push((jobs.len(), ti, tm, tk, rs));
         }
     }
-    // Worker pool bounded by the host's parallelism: paper-scale cells
-    // hold substantial live state (flow tables, event queues), so running
-    // all 35 at once would thrash memory on small machines.
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(jobs.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results_mx = std::sync::Mutex::new(Vec::<(usize, FctCell)>::new());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let (ti, tm, tk, rs) = jobs[i];
-                let topo = tk.of(&topos);
-                let fs = cache.get(tk, rs);
-                // The workload seed depends on the TM only, so all five
-                // combos of one column face the *same* drawn workload
-                // (paired comparison, like the paper's shared measured
-                // matrices); the sim seed varies per cell.
-                let tm_seed = cfg
-                    .seed
-                    .wrapping_mul(0x100000001B3)
-                    .wrapping_add((ti as u64) << 20);
-                let sim_seed = tm_seed.wrapping_add(1 + i as u64);
-                let flows = generate_workload(tm, topo, offered, cfg.window_ns, tm_seed);
-                let cell = run_cell_with(topo, rs, &fs, &flows, tm.label(), cfg.sim, sim_seed);
-                results_mx.lock().expect("a worker panicked").push((i, cell));
-            });
-        }
-    });
-    let mut results = results_mx.into_inner().expect("a worker panicked");
-    results.sort_by_key(|&(i, _)| i);
-    results.into_iter().map(|(_, c)| c).collect()
+    // Paper-scale cells hold substantial live state (flow tables, event
+    // queues), so the pool runs one per host thread, not all 35 at once.
+    par::map_ordered(&jobs, par::host_threads(), || (), |_, &(i, ti, tm, tk, rs)| {
+        let topo = tk.of(&topos);
+        let fs = cache.get(tk, rs);
+        // The workload seed depends on the TM only, so all five combos of
+        // one column face the *same* drawn workload (paired comparison,
+        // like the paper's shared measured matrices); the sim seed varies
+        // per cell.
+        let tm_seed = cfg.seed.wrapping_mul(0x100000001B3).wrapping_add((ti as u64) << 20);
+        let sim_seed = tm_seed.wrapping_add(1 + i as u64);
+        let flows = generate_workload(tm, topo, offered, cfg.window_ns, tm_seed);
+        run_cell_with(topo, rs, &fs, &flows, tm.label(), cfg.sim, sim_seed)
+    })
 }
 
 impl FctConfig {
@@ -438,7 +416,7 @@ mod tests {
         for f in &flows.flows {
             unpinned.add_flow(f.src, f.dst, f.bytes, f.start_ns).unwrap();
         }
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = par::host_threads();
         assert_eq!(unpinned.shards() > 1, threads > 1, "{threads} threads");
         assert_eq!(cell_simulation(&topo, &fs, &flows, cfg, 3).shards(), 1);
         // And a cell that runs reports the one shard it used.
@@ -456,7 +434,7 @@ mod tests {
         // really processes: a small all-to-all and a small lossless
         // incast, the shapes of the benchmark's two packet workloads.
         use spineless_sim::types::Transport;
-        use spineless_sim::{estimate_events_detailed, PfcConfig};
+        use spineless_sim::{estimate_events, PfcConfig};
         let topo = EvalTopos::dring_config(Scale::Small).build();
         let fs = ForwardingState::build(&topo.graph, RoutingScheme::ShortestUnion(2));
         let a2a = generate_workload(TmKind::Uniform, &topo, 40_000_000, 200_000, 42).flows;
@@ -484,7 +462,7 @@ mod tests {
                 sim.add_flow(f.src, f.dst, f.bytes, f.start_ns).unwrap();
             }
             let actual = sim.run().events as f64;
-            let est = estimate_events_detailed(flows.iter().map(|f| f.bytes), cfg.mss_bytes, cfg.pfc.is_some());
+            let est = estimate_events(flows.iter().map(|f| f.bytes), cfg.mss_bytes, cfg.pfc.is_some());
             let ratio = est as f64 / actual;
             assert!((0.5..=2.0).contains(&ratio), "{name}: estimated {est}, actual {actual}");
         }

@@ -12,6 +12,7 @@
 //! the expander's linearly growing one — is measured alongside.
 
 use crate::fct::{generate_workload, run_cell, TmKind};
+use spineless_graph::par;
 use spineless_routing::RoutingScheme;
 use spineless_sim::SimConfig;
 use spineless_topo::dring::DRing;
@@ -90,10 +91,10 @@ pub fn equivalent_rrg(dring: &Topology, seed: u64) -> Topology {
 /// point is the paper's setup; we use ECMP for both (the figure's caption
 /// compares the topologies, not routing schemes).
 ///
-/// Cells — one per (scale point, topology) — run in parallel across
-/// available cores. Deterministic despite the parallelism: every cell
-/// rebuilds its topology, workload and forwarding state from seeds that
-/// derive from `(cfg.seed, m)` alone, exactly as the old serial loop did.
+/// Cells — one per (scale point, topology) — run on the [`par`] pool.
+/// Deterministic despite the parallelism: every cell rebuilds its
+/// topology, workload and forwarding state from seeds that derive from
+/// `(cfg.seed, m)` alone.
 /// (Unlike Fig. 4, no forwarding state recurs here — each of the sweep's
 /// topologies is simulated once — so there is nothing for a
 /// [`crate::cache::RoutingCache`] to share and the win is pure
@@ -101,54 +102,33 @@ pub fn equivalent_rrg(dring: &Topology, seed: u64) -> Topology {
 pub fn run_fig6(cfg: &ScaleStudyConfig) -> Vec<ScalePoint> {
     assert!(cfg.supernodes_from >= 5, "DRing supergraph needs >= 5 supernodes");
     assert!(cfg.supernodes_from <= cfg.supernodes_to);
-    // One job per (point, topology): (job index, supernodes, is_rrg).
+    // One job per (point, topology): (supernodes, is_rrg).
     let jobs: Vec<(u32, bool)> = (cfg.supernodes_from..=cfg.supernodes_to)
         .flat_map(|m| [(m, false), (m, true)])
         .collect();
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(jobs.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results_mx = std::sync::Mutex::new(Vec::<(usize, f64, f64)>::new());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let (m, is_rrg) = jobs[i];
-                let dring = DRing::scale_config(m).build();
-                // Same per-server injected load on both topologies.
-                let servers = dring.num_servers() as f64;
-                let bytes_per_ns = cfg.sim.link_rate_gbps / 8.0;
-                let offered =
-                    (cfg.host_load * servers * bytes_per_ns * cfg.window_ns as f64) as u64;
-                let seed = cfg.seed.wrapping_mul(31).wrapping_add(m as u64);
-                let topo = if is_rrg {
-                    equivalent_rrg(&dring, cfg.seed.wrapping_add(m as u64))
-                } else {
-                    dring
-                };
-                let flows =
-                    generate_workload(TmKind::Uniform, &topo, offered, cfg.window_ns, seed);
-                let cell =
-                    run_cell(&topo, RoutingScheme::Ecmp, &flows, "A2A", cfg.sim, seed);
-                let row = (i, cell.p99_ms, cell.median_ms);
-                results_mx.lock().expect("a worker panicked").push(row);
-            });
-        }
+    let results = par::map_ordered(&jobs, par::host_threads(), || (), |_, &(m, is_rrg)| {
+        let dring = DRing::scale_config(m).build();
+        // Same per-server injected load on both topologies.
+        let servers = dring.num_servers() as f64;
+        let bytes_per_ns = cfg.sim.link_rate_gbps / 8.0;
+        let offered = (cfg.host_load * servers * bytes_per_ns * cfg.window_ns as f64) as u64;
+        let seed = cfg.seed.wrapping_mul(31).wrapping_add(m as u64);
+        let topo = if is_rrg {
+            equivalent_rrg(&dring, cfg.seed.wrapping_add(m as u64))
+        } else {
+            dring
+        };
+        let flows = generate_workload(TmKind::Uniform, &topo, offered, cfg.window_ns, seed);
+        let cell = run_cell(&topo, RoutingScheme::Ecmp, &flows, "A2A", cfg.sim, seed);
+        (cell.p99_ms, cell.median_ms)
     });
-    let mut results = results_mx.into_inner().expect("a worker panicked");
-    results.sort_by_key(|&(i, _, _)| i);
     // Jobs interleave (dring, rrg) per point; stitch adjacent pairs.
     results
         .chunks_exact(2)
         .zip(cfg.supernodes_from..=cfg.supernodes_to)
         .map(|(pair, m)| {
-            let (_, d_p99, d_med) = pair[0];
-            let (_, r_p99, r_med) = pair[1];
+            let (d_p99, d_med) = pair[0];
+            let (r_p99, r_med) = pair[1];
             ScalePoint {
                 racks: DRing::scale_config(m).build().num_racks(),
                 dring_p99_ms: d_p99,

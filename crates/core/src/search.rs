@@ -45,6 +45,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use spineless_fluid::solve;
+use spineless_graph::par;
 use spineless_routing::{ForwardingState, RoutingScheme};
 use spineless_topo::debruijn::DeBruijn;
 use spineless_topo::dring::DRing;
@@ -499,42 +500,15 @@ fn run_search_with(spec: &SearchSpec, accelerated: bool) -> SearchResult {
     let rows: Vec<(usize, usize)> = (0..spec.families.len())
         .flat_map(|fi| (0..spec.radii.len()).map(move |ri| (fi, ri)))
         .collect();
-    let workers = if spec.workers == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        spec.workers
-    }
-    .min(rows.len().max(1));
+    let workers = if spec.workers == 0 { par::host_threads() } else { spec.workers };
     let memo: Memo = Mutex::new(HashMap::new());
-
-    let mut row_results: Vec<(usize, (Vec<DesignCell>, SweepStats))> = if workers <= 1 {
-        rows.iter()
-            .enumerate()
-            .map(|(i, &(fi, ri))| (i, run_row(spec, fi, ri, &memo, accelerated)))
-            .collect()
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let results_mx = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= rows.len() {
-                        break;
-                    }
-                    let (fi, ri) = rows[i];
-                    let out = run_row(spec, fi, ri, &memo, accelerated);
-                    results_mx.lock().expect("a worker panicked").push((i, out));
-                });
-            }
-        });
-        results_mx.into_inner().expect("a worker panicked")
-    };
-    row_results.sort_by_key(|&(i, _)| i);
+    let row_results = par::map_ordered(&rows, workers, || (), |_, &(fi, ri)| {
+        run_row(spec, fi, ri, &memo, accelerated)
+    });
 
     let mut cells = Vec::new();
     let mut stats = SweepStats::default();
-    for (_, (row_cells, row_stats)) in row_results {
+    for (row_cells, row_stats) in row_results {
         cells.extend(row_cells);
         stats.cells += row_stats.cells;
         stats.cold += row_stats.cold;

@@ -12,6 +12,7 @@ use crate::topos::{EvalTopos, Scale};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use spineless_fluid::solve;
+use spineless_graph::par;
 use spineless_routing::{ForwardingState, RoutingScheme};
 use spineless_topo::Topology;
 use spineless_workload::cs::CsAssignment;
@@ -66,8 +67,8 @@ pub fn cs_throughput(
 }
 
 /// One (C, S) cell of a panel; `None` when either topology cannot host
-/// the sets. The cell seed derives purely from `(seed, ci, si)`, so the
-/// serial and parallel drivers produce byte-identical grids.
+/// the sets. The cell seed derives purely from `(seed, ci, si)`, so a
+/// panel is byte-identical at every worker count.
 fn fig5_cell(
     topos: &EvalTopos,
     fs_dring: &ForwardingState,
@@ -95,12 +96,12 @@ fn fig5_cell_seed(seed: u64, ci: usize, si: usize, side: usize) -> u64 {
 }
 
 /// Runs one Fig. 5 panel: the full (C, S) grid for one DRing routing
-/// scheme, cells in parallel across available cores. Cells where either
-/// topology cannot host the C-S sets are omitted.
+/// scheme, cells on the [`par`] pool in row-major (C, S) order. Cells
+/// where either topology cannot host the C-S sets are omitted.
 ///
 /// Deterministic despite the parallelism: every cell's seed derives from
-/// `(seed, ci, si)` alone, so the output is byte-identical to
-/// [`run_fig5_panel_serial`] (a test pins this).
+/// `(seed, ci, si)` alone, so the output is byte-identical to a serial
+/// loop over the grid (a test pins this).
 pub fn run_fig5_panel(
     topos: &EvalTopos,
     dring_scheme: RoutingScheme,
@@ -127,74 +128,11 @@ pub fn run_fig5_panel_with(
     let jobs: Vec<(usize, usize)> = (0..values.len())
         .flat_map(|ci| (0..values.len()).map(move |si| (ci, si)))
         .collect();
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(jobs.len().max(1));
-    if workers == 1 {
-        // Single hardware thread: the scope/mutex fan-out is pure
-        // overhead (BENCH's 0.91× fig5 line) — run the cells inline.
-        // Job order equals sorted order, so results are identical.
-        return jobs
-            .iter()
-            .filter_map(|&(ci, si)| {
-                let cell_seed = fig5_cell_seed(seed, ci, si, values.len());
-                fig5_cell(topos, fs_dring, fs_ls, values[ci], values[si], max_pairs, cell_seed)
-            })
-            .collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results_mx = std::sync::Mutex::new(Vec::<(usize, Option<HeatmapCell>)>::new());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let (ci, si) = jobs[i];
-                let cell_seed = fig5_cell_seed(seed, ci, si, values.len());
-                let cell = fig5_cell(
-                    topos,
-                    fs_dring,
-                    fs_ls,
-                    values[ci],
-                    values[si],
-                    max_pairs,
-                    cell_seed,
-                );
-                results_mx.lock().expect("a worker panicked").push((i, cell));
-            });
-        }
+    let cells = par::map_ordered(&jobs, par::host_threads(), || (), |_, &(ci, si)| {
+        let cell_seed = fig5_cell_seed(seed, ci, si, values.len());
+        fig5_cell(topos, fs_dring, fs_ls, values[ci], values[si], max_pairs, cell_seed)
     });
-    let mut results = results_mx.into_inner().expect("a worker panicked");
-    results.sort_by_key(|&(i, _)| i);
-    results.into_iter().filter_map(|(_, c)| c).collect()
-}
-
-/// The single-threaded reference implementation of a panel — kept for the
-/// serial-vs-parallel determinism test and for profiling baselines.
-pub fn run_fig5_panel_serial(
-    topos: &EvalTopos,
-    dring_scheme: RoutingScheme,
-    values: &[u32],
-    max_pairs: usize,
-    seed: u64,
-) -> Vec<HeatmapCell> {
-    let fs_dring = ForwardingState::build(&topos.dring.graph, dring_scheme);
-    let fs_ls = ForwardingState::build(&topos.leafspine.graph, RoutingScheme::Ecmp);
-    let mut cells = Vec::new();
-    for (ci, &c) in values.iter().enumerate() {
-        for (si, &s) in values.iter().enumerate() {
-            let cell_seed = fig5_cell_seed(seed, ci, si, values.len());
-            if let Some(cell) =
-                fig5_cell(topos, &fs_dring, &fs_ls, c, s, max_pairs, cell_seed)
-            {
-                cells.push(cell);
-            }
-        }
-    }
-    cells
+    cells.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -272,15 +210,24 @@ mod tests {
 
     #[test]
     fn parallel_panel_is_byte_identical_to_serial() {
-        // The parallel driver must reproduce the serial reference exactly
-        // — same cells, same order, bit-identical floats — because every
-        // cell's seed derives from (seed, ci, si) alone.
+        // The pooled panel must reproduce a serial loop over the grid
+        // exactly — same cells, same order, bit-identical floats —
+        // because every cell's seed derives from (seed, ci, si) alone.
         let topos = EvalTopos::build(Scale::Small, 9);
+        let values = [4, 12, 400];
+        let fs_ls = ForwardingState::build(&topos.leafspine.graph, RoutingScheme::Ecmp);
         for scheme in [RoutingScheme::Ecmp, RoutingScheme::ShortestUnion(2)] {
-            let par = run_fig5_panel(&topos, scheme, &[4, 12, 400], 5_000, 10);
-            let ser = run_fig5_panel_serial(&topos, scheme, &[4, 12, 400], 5_000, 10);
-            assert_eq!(par.len(), ser.len());
-            for (x, y) in par.iter().zip(&ser) {
+            let pooled = run_fig5_panel(&topos, scheme, &values, 5_000, 10);
+            let fs_dring = ForwardingState::build(&topos.dring.graph, scheme);
+            let mut ser = Vec::new();
+            for (ci, &c) in values.iter().enumerate() {
+                for (si, &s) in values.iter().enumerate() {
+                    let cell_seed = fig5_cell_seed(10, ci, si, values.len());
+                    ser.extend(fig5_cell(&topos, &fs_dring, &fs_ls, c, s, 5_000, cell_seed));
+                }
+            }
+            assert_eq!(pooled.len(), ser.len());
+            for (x, y) in pooled.iter().zip(&ser) {
                 assert_eq!((x.clients, x.servers), (y.clients, y.servers));
                 assert_eq!(x.dring_rate.to_bits(), y.dring_rate.to_bits());
                 assert_eq!(x.leafspine_rate.to_bits(), y.leafspine_rate.to_bits());

@@ -24,6 +24,8 @@
 //! * [`cuts`] — randomized + local-search bisection-bandwidth estimation,
 //!   used to demonstrate that the DRing's bisection is `O(n)` worse than an
 //!   expander's (paper §3.2 and §6.3).
+//! * [`par`] — the one deterministic, order-preserving worker pool that
+//!   every sweep and routing-state build in the workspace runs on.
 //!
 //! Everything is deterministic: algorithms that need randomness take an
 //! explicit [`rand::Rng`].
@@ -53,6 +55,7 @@ pub mod cuts;
 pub mod digraph;
 pub mod flow;
 pub mod graph;
+pub mod par;
 pub mod paths;
 pub mod spectral;
 

@@ -9,7 +9,7 @@
 use crate::vrf::VrfGraph;
 use rand::Rng;
 use spineless_graph::digraph::{ArcId, CsrSpDag, DialScratch};
-use spineless_graph::{EdgeId, Graph, NodeId, UNREACHABLE};
+use spineless_graph::{par, EdgeId, Graph, NodeId, UNREACHABLE};
 
 /// The two routing schemes evaluated by the paper (§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -268,48 +268,23 @@ pub struct ForwardingState {
 }
 
 /// Below this many destination DAG builds, thread spin-up costs more than
-/// the parallelism saves; build serially.
+/// the parallelism saves; build on one worker.
 const PAR_MIN_DESTS: usize = 16;
 
 /// Builds the min-cost CSR DAG towards each router in `dsts`, in `dsts`
-/// order, fanning the per-destination loop across worker threads.
-///
-/// Deterministic despite the parallelism: each DAG depends only on
-/// `(vrf, destination)`, workers pull indices from an atomic dispenser and
-/// tag results with them, and the tail sort restores `dsts` order — the
-/// pattern the Fig. 5/6 drivers use. Each worker holds one [`DialScratch`]
-/// so the bucket ring and the extraction arena are allocated once per
-/// thread, not once per destination; each DAG leaves the arena as an
-/// exact-size copy.
+/// order, on the [`par`] pool. Each DAG depends only on
+/// `(vrf, destination)`, so the output is the same at every worker count.
+/// Each worker holds one [`DialScratch`], so the bucket ring and the
+/// extraction arena are allocated once per thread, not once per
+/// destination; each DAG leaves the arena as an exact-size copy.
 pub(crate) fn build_dags(vrf: &VrfGraph, dsts: &[NodeId]) -> Vec<CsrSpDag> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(dsts.len().max(1));
-    if workers <= 1 || dsts.len() < PAR_MIN_DESTS {
-        let mut scratch = DialScratch::for_graph(&vrf.graph);
-        return dsts.iter().map(|&d| vrf.csr_dag_towards_with(d, &mut scratch)).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results_mx = std::sync::Mutex::new(Vec::<(usize, CsrSpDag)>::with_capacity(dsts.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut scratch = DialScratch::for_graph(&vrf.graph);
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= dsts.len() {
-                        break;
-                    }
-                    let dag = vrf.csr_dag_towards_with(dsts[i], &mut scratch);
-                    results_mx.lock().expect("a worker panicked").push((i, dag));
-                }
-            });
-        }
-    });
-    let mut results = results_mx.into_inner().expect("a worker panicked");
-    results.sort_by_key(|&(i, _)| i);
-    results.into_iter().map(|(_, dag)| dag).collect()
+    let workers = if dsts.len() < PAR_MIN_DESTS { 1 } else { par::host_threads() };
+    par::map_ordered(
+        dsts,
+        workers,
+        || DialScratch::for_graph(&vrf.graph),
+        |scratch, &d| vrf.csr_dag_towards_with(d, scratch),
+    )
 }
 
 impl ForwardingState {

@@ -15,8 +15,9 @@
 use crate::datapath::{entity_of, rank, rank_of, run_end, Core, Ev, Plant, Sink, Tally, CLASS_RTO};
 use crate::equeue::{EventQueue, TimerWheel};
 use crate::failure::{Agenda, FailureSchedule};
-use crate::shard::{choose_engine, estimate_events_detailed, host_threads, Sharded};
+use crate::shard::{choose_engine, estimate_events, Sharded};
 use crate::types::{Datapath, DirLinkId, FlowId, FlowRecord, Ns, SimConfig, SimReport};
+use spineless_graph::par;
 use spineless_routing::{FibCache, Forwarding, ForwardingState};
 use spineless_topo::{partition_domains, Topology};
 use std::sync::{Arc, OnceLock};
@@ -386,20 +387,21 @@ impl<F: Forwarding> Simulation<F> {
     /// pick for the flows admitted so far.
     pub fn shards(&self) -> u32 {
         match &self.engine {
-            Engine::Idle => self.planned_shards(host_threads),
+            Engine::Idle => self.planned_shards(),
             Engine::Serial(_) => 1,
             Engine::Sharded(s) => s.len(),
         }
     }
 
-    /// The pinned shard count, else [`choose_engine`]'s on a host with
-    /// `threads()` threads; never more than the racks.
-    fn planned_shards(&self, threads: impl FnOnce() -> u32) -> u32 {
+    /// The pinned shard count, else [`choose_engine`]'s on this host;
+    /// never more than the racks.
+    fn planned_shards(&self) -> u32 {
         let want = self.pinned.unwrap_or_else(|| {
             let specs = &self.plant.specs;
             let lossless = self.cfg.pfc.is_some();
-            let est = estimate_events_detailed(specs.iter().map(|s| s.bytes), self.cfg.mss_bytes, lossless);
-            choose_engine(self.topo.num_switches(), specs.len() as u64, est, threads()).shards()
+            let est = estimate_events(specs.iter().map(|s| s.bytes), self.cfg.mss_bytes, lossless);
+            let threads = par::host_threads() as u32;
+            choose_engine(self.topo.num_switches(), specs.len() as u64, est, threads)
         });
         want.clamp(1, self.topo.num_racks().max(1))
     }
@@ -546,7 +548,7 @@ impl<F: Forwarding> Simulation<F> {
     /// their cores, and every admitted flow's state in the shard that owns
     /// it.
     fn start(&mut self) {
-        let k = self.planned_shards(host_threads);
+        let k = self.planned_shards();
         let faults = self.agenda.is_some();
         self.engine = if k == 1 {
             let sink = SerialSink::new(&self.cfg);
@@ -580,7 +582,7 @@ impl<F: Forwarding> Simulation<F> {
                 &self.hot,
                 faults,
                 &self.residuals.take(),
-                host_threads(),
+                par::host_threads() as u32,
             )))
         };
     }

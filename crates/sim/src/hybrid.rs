@@ -809,7 +809,7 @@ mod tests {
                 unpinned.add_flow(src, dst, 99_000, i as Ns * 100).unwrap();
             }
         }
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = spineless_graph::par::host_threads();
         assert_eq!(unpinned.shards() > 1, threads > 1, "{threads} threads");
         assert_eq!(h.sim.shards(), 1);
         // And a hybrid that runs reports the one shard it used.

@@ -57,5 +57,5 @@ pub use engine::Simulation;
 pub use equeue::{DelayLanes, EventQueue, HeapQueue, TimerWheel};
 pub use failure::{FailureEvent, FailureSchedule};
 pub use hybrid::{HybridConfig, HybridReport, HybridSimulation};
-pub use shard::{choose_engine, estimate_events, estimate_events_detailed, EngineChoice};
+pub use shard::{choose_engine, estimate_events};
 pub use types::{Datapath, FlowId, FlowRecord, PfcConfig, Scheduler, SimConfig, SimReport};

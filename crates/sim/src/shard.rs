@@ -682,35 +682,7 @@ impl Drop for PoisonOnPanic<'_> {
     }
 }
 
-/// Host threads available to this process.
-pub(crate) fn host_threads() -> u32 {
-    std::thread::available_parallelism().map_or(1, |n| n.get() as u32)
-}
-
 // ---- adaptive engine selection ----
-
-/// Which engine configuration a workload should run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineChoice {
-    /// One shard: the serial event loop, no windows — every workload
-    /// sharding cannot speed up.
-    Serial,
-    /// The window protocol over this many lookahead domains.
-    Sharded {
-        /// Lookahead domains to partition into.
-        shards: u32,
-    },
-}
-
-impl EngineChoice {
-    /// The shard count this choice runs with.
-    pub fn shards(self) -> u32 {
-        match self {
-            EngineChoice::Serial => 1,
-            EngineChoice::Sharded { shards } => shards,
-        }
-    }
-}
 
 /// Minimum estimated events before sharding can amortize its windows: on
 /// two threads a paper-scale all-to-all of ~2.6 M estimated events runs
@@ -730,32 +702,21 @@ pub const SHARD_MIN_FLOWS: u64 = 1_000;
 /// input [`choose_engine`] keys on. Counts ~2 wire events per hop for
 /// data and ACK streams over a typical diameter-3 path, plus per-flow
 /// bookkeeping; precision is irrelevant, only the order of magnitude
-/// steers the choice.
-pub fn estimate_events(flow_bytes: impl IntoIterator<Item = u64>, mss_bytes: u32) -> u64 {
+/// steers the choice. A lossless (PFC) run adds a flat 25% for
+/// pause/resume frames and the `TxDone`s elision can no longer skip
+/// (incast-heavy lossless runs measured 15–30% more events than their
+/// lossy twins). Failure-schedule actions are not events.
+pub fn estimate_events(
+    flow_bytes: impl IntoIterator<Item = u64>,
+    mss_bytes: u32,
+    lossless: bool,
+) -> u64 {
     let mss = mss_bytes.max(1) as u64;
     let mut est = 0u64;
     for b in flow_bytes {
         let segs = b.div_ceil(mss);
         est = est.saturating_add(segs.saturating_mul(16).saturating_add(4));
     }
-    est
-}
-
-/// [`estimate_events`] plus the lossless surcharge the pure data-plane
-/// estimate ignores: a lossless (PFC) run adds pause/resume frames plus
-/// the extra `TxDone`s elision can no longer skip — a flat +25%
-/// congestion-dependent surcharge (incast-heavy lossless runs measured
-/// 15–30% more events than their lossy twins). Engine selection keys on
-/// this so it doesn't mis-select at lossless incast scale; the plain
-/// [`estimate_events`] stays as the pure data-plane estimate the
-/// calibration pins are expressed in. (Failure-schedule actions are not
-/// events.)
-pub fn estimate_events_detailed(
-    flow_bytes: impl IntoIterator<Item = u64>,
-    mss_bytes: u32,
-    lossless: bool,
-) -> u64 {
-    let est = estimate_events(flow_bytes, mss_bytes);
     if lossless {
         est.saturating_add(est / 4)
     } else {
@@ -763,23 +724,22 @@ pub fn estimate_events_detailed(
     }
 }
 
-/// The shard-count rule a [`Simulation`](crate::Simulation) applies at
-/// its first advance unless a count is pinned: shard a big fabric
-/// carrying many flows and many events, one shard per host thread (at
-/// most one per 12 switches, and 16 in all); run everything else
-/// serially. `threads` is the host parallelism available to the caller
-/// (`std::thread::available_parallelism()`); on one hardware thread
-/// windows can only add overhead, so the choice is serial.
-pub fn choose_engine(num_switches: u32, flows: u64, est_events: u64, threads: u32) -> EngineChoice {
+/// The shard count a [`Simulation`](crate::Simulation) runs with at its
+/// first advance unless a count is pinned: shard a big fabric carrying
+/// many flows and many events, one shard per host thread (at most one
+/// per 12 switches, and 16 in all); run everything else on one shard,
+/// the serial loop. `threads` is the host parallelism available to the
+/// caller; on one hardware thread windows can only add overhead, so the
+/// count is 1.
+pub fn choose_engine(num_switches: u32, flows: u64, est_events: u64, threads: u32) -> u32 {
     if threads >= 2
         && num_switches >= SHARD_MIN_SWITCHES
         && flows >= SHARD_MIN_FLOWS
         && est_events >= SHARD_MIN_EVENTS
     {
-        let shards = threads.min(num_switches / 12).clamp(2, 16);
-        EngineChoice::Sharded { shards }
+        threads.min(num_switches / 12).clamp(2, 16)
     } else {
-        EngineChoice::Serial
+        1
     }
 }
 
@@ -1168,58 +1128,52 @@ mod tests {
     #[test]
     fn engine_choice_heuristic() {
         // Small anything: serial.
-        assert_eq!(choose_engine(24, 200, 50_000, 8), EngineChoice::Serial);
+        assert_eq!(choose_engine(24, 200, 50_000, 8), 1);
         // Big events, small fabric: still serial.
-        assert_eq!(choose_engine(24, 20_000, 30_000_000, 8), EngineChoice::Serial);
+        assert_eq!(choose_engine(24, 20_000, 30_000_000, 8), 1);
         // Big events, big fabric, one thread: serial (never a measured-
         // slower parallel run on a serial host).
-        assert_eq!(choose_engine(102, 20_000, 30_000_000, 1), EngineChoice::Serial);
+        assert_eq!(choose_engine(102, 20_000, 30_000_000, 1), 1);
         // Big everything: sharded, capped by threads.
-        assert_eq!(choose_engine(102, 20_000, 30_000_000, 4), EngineChoice::Sharded { shards: 4 });
-        assert_eq!(choose_engine(600, 20_000, 30_000_000, 64), EngineChoice::Sharded { shards: 16 });
-        assert_eq!(EngineChoice::Serial.shards(), 1);
+        assert_eq!(choose_engine(102, 20_000, 30_000_000, 4), 4);
+        assert_eq!(choose_engine(600, 20_000, 30_000_000, 64), 16);
     }
 
     #[test]
     fn engine_choice_on_the_benchmark_shapes() {
         // `a2a_production`: the production DRing (102 switches), ~10⁵
         // flows, ~43 M estimated events — two shards on a 2-thread host.
-        assert_eq!(choose_engine(102, 100_000, 43_400_000, 2), EngineChoice::Sharded { shards: 2 });
+        assert_eq!(choose_engine(102, 100_000, 43_400_000, 2), 2);
         // A paper-scale all-to-all of 25 000 flows shards; one of 6 000
         // (~2.6 M estimated events) does not.
-        assert_eq!(choose_engine(80, 25_000, 10_700_000, 2), EngineChoice::Sharded { shards: 2 });
-        assert_eq!(choose_engine(80, 6_000, 2_600_000, 2), EngineChoice::Serial);
+        assert_eq!(choose_engine(80, 25_000, 10_700_000, 2), 2);
+        assert_eq!(choose_engine(80, 6_000, 2_600_000, 2), 1);
         // `pfc_incast`: the paper DRing (80 switches), 158 flows, ~42 M
         // estimated lossless events — windows of ~56 events, so serial.
-        assert_eq!(choose_engine(80, 158, 42_000_000, 2), EngineChoice::Serial);
-        assert_eq!(choose_engine(80, 158, 42_000_000, 64), EngineChoice::Serial);
+        assert_eq!(choose_engine(80, 158, 42_000_000, 2), 1);
+        assert_eq!(choose_engine(80, 158, 42_000_000, 64), 1);
         // Anything at one thread: serial.
         for (sw, flows, est) in [(102, 100_000, 43_400_000), (80, 158, 42_000_000), (600, 10_000_000, u64::MAX)] {
-            assert_eq!(choose_engine(sw, flows, est, 1), EngineChoice::Serial);
+            assert_eq!(choose_engine(sw, flows, est, 1), 1);
         }
     }
 
     #[test]
     fn estimate_scales_with_bytes() {
-        assert_eq!(estimate_events([0u64; 0], 1500), 0);
-        let small = estimate_events([10_000u64], 1500);
-        let big = estimate_events([10_000_000u64], 1500);
+        assert_eq!(estimate_events([0u64; 0], 1500, false), 0);
+        let small = estimate_events([10_000u64], 1500, false);
+        let big = estimate_events([10_000_000u64], 1500, false);
         assert!(small < 1_000 && big > 100_000, "small={small} big={big}");
     }
 
     #[test]
     fn detailed_estimate_folds_in_control_plane() {
-        // The data-plane estimate is the baseline...
-        let base = estimate_events([100_000u64; 4], 1500);
-        assert_eq!(estimate_events_detailed([100_000u64; 4], 1500, false), base);
-        // ...and a lossless run pays the pause/resume + un-elided TxDone
-        // surcharge.
-        assert_eq!(
-            estimate_events_detailed([100_000u64; 4], 1500, true),
-            base + base / 4
-        );
+        // A lossless run pays the pause/resume + un-elided TxDone
+        // surcharge on top of the data-plane estimate.
+        let base = estimate_events([100_000u64; 4], 1500, false);
+        assert_eq!(estimate_events([100_000u64; 4], 1500, true), base + base / 4);
         // Saturation stays saturation.
-        assert_eq!(estimate_events_detailed([u64::MAX; 3], 1, true), u64::MAX);
+        assert_eq!(estimate_events([u64::MAX; 3], 1, true), u64::MAX);
     }
 
     #[test]

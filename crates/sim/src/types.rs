@@ -55,7 +55,7 @@ pub struct SimConfig {
     pub scheduler: Scheduler,
     /// Per-packet datapath implementation. Also purely a performance knob:
     /// the fast datapath (flat FIB hot-cache, RTO timer wheel, elided
-    /// terminal `TxDone` events, reused TCP scratch) produces outcomes —
+    /// terminal `TxDone` events) produces outcomes —
     /// FCTs, drops, delivered bytes, per-link tx bytes — byte-identical to
     /// the reference datapath; only [`SimReport::events`] may differ, since
     /// the reference path processes no-op events (stale RTOs, terminal
@@ -90,13 +90,13 @@ pub enum Scheduler {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Datapath {
     /// Hot-path implementation: direct-indexed FIB cache, hierarchical
-    /// timer wheel for RTOs, terminal-`TxDone` elision, zero-allocation
-    /// TCP turnaround — the default.
+    /// timer wheel for RTOs, terminal-`TxDone` elision — the default.
     #[default]
     Fast,
     /// The original per-packet code path (CSR DAG walk per hop, every
-    /// timer and `TxDone` through the event queue, fresh `TcpOutput` per
-    /// input), kept as the bit-exactness reference.
+    /// timer and `TxDone` through the event queue), kept as the
+    /// bit-exactness reference. Both datapaths reuse one TCP output
+    /// buffer across inputs.
     Reference,
 }
 
