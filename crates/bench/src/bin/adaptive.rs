@@ -48,10 +48,8 @@ fn main() {
         sum / n as f64
     };
     let fs_ecmp = spineless_routing::ForwardingState::build(&dring.graph, RoutingScheme::Ecmp);
-    let fs_su = spineless_routing::ForwardingState::build(
-        &dring.graph,
-        RoutingScheme::ShortestUnion(k),
-    );
+    let fs_su =
+        spineless_routing::ForwardingState::build(&dring.graph, RoutingScheme::ShortestUnion(k));
     let h_ecmp = hops(&|s, d| fs_ecmp.expected_route_hops(s, d).expect("connected"));
     let h_su = hops(&|s, d| fs_su.expected_route_hops(s, d).expect("connected"));
     let h_adaptive = hops(&|s, d| {
@@ -73,11 +71,22 @@ fn main() {
         for tm in [TmKind::Uniform, TmKind::RackToRack, TmKind::FbSkewed] {
             // R2R needs sustained overload to show the pathology (see
             // ablation_k).
-            let budget = if tm == TmKind::RackToRack { offered * 3 } else { offered };
+            let budget = if tm == TmKind::RackToRack {
+                offered * 3
+            } else {
+                offered
+            };
             let flows = generate_workload(tm, dring, budget, window, seed);
             let (med, p99) = match label {
                 "ecmp" => {
-                    let c = run_cell(dring, RoutingScheme::Ecmp, &flows, tm.label(), SimConfig::default(), seed);
+                    let c = run_cell(
+                        dring,
+                        RoutingScheme::Ecmp,
+                        &flows,
+                        tm.label(),
+                        SimConfig::default(),
+                        seed,
+                    );
                     (c.median_ms, c.p99_ms)
                 }
                 "union" => {
@@ -114,7 +123,8 @@ fn run_dual(
     let cfg = SimConfig::default();
     let mut sim = Simulation::new(topo, dual.clone(), cfg, seed);
     for f in &flows.flows {
-        sim.add_flow(f.src, f.dst, f.bytes, f.start_ns).expect("valid flow");
+        sim.add_flow(f.src, f.dst, f.bytes, f.start_ns)
+            .expect("valid flow");
     }
     let report = sim.run();
     // DualPlane exposes no FIB hot-cache, so the default fast datapath

@@ -69,8 +69,16 @@ fn alloc_reading() -> Option<u64> {
 fn assert_grids_identical(a: &[FctCell], b: &[FctCell], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: cell counts differ");
     for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.median_ms.to_bits(), y.median_ms.to_bits(), "{what}: median differs");
-        assert_eq!(x.p99_ms.to_bits(), y.p99_ms.to_bits(), "{what}: p99 differs");
+        assert_eq!(
+            x.median_ms.to_bits(),
+            y.median_ms.to_bits(),
+            "{what}: median differs"
+        );
+        assert_eq!(
+            x.p99_ms.to_bits(),
+            y.p99_ms.to_bits(),
+            "{what}: p99 differs"
+        );
         assert_eq!(x.dropped, y.dropped, "{what}: drops differ");
     }
 }
@@ -100,7 +108,11 @@ fn run_scale_tier(scale: Scale, quick: bool, seed: u64, threads: usize) -> Strin
         (Scale::Paper, false) => 25_000,
         (Scale::Small, _) => unreachable!(),
     };
-    let window_ns: u64 = if scale == Scale::Production { 2_000_000 } else { 1_000_000 };
+    let window_ns: u64 = if scale == Scale::Production {
+        2_000_000
+    } else {
+        1_000_000
+    };
     let sizes = ParetoFlowSizes::paper();
     let offered = (target_flows as f64 * sizes.truncated_mean()) as u64;
     let flows = generate_workload(TmKind::Uniform, &topo, offered, window_ns, seed);
@@ -117,15 +129,22 @@ fn run_scale_tier(scale: Scale, quick: bool, seed: u64, threads: usize) -> Strin
         let mut sim = Simulation::new(&topo, &*fs, cfg, seed);
         sim.set_shards(1);
         for f in &flows.flows {
-            sim.add_flow(f.src, f.dst, f.bytes, f.start_ns).expect("valid flow");
+            sim.add_flow(f.src, f.dst, f.bytes, f.start_ns)
+                .expect("valid flow");
         }
         let t0 = Instant::now();
         let r = sim.run();
-        (t0.elapsed().as_secs_f64(), (r, sim.pkt_hops(), sim.switch_link_tx_bytes()))
+        (
+            t0.elapsed().as_secs_f64(),
+            (r, sim.pkt_hops(), sim.switch_link_tx_bytes()),
+        )
     };
     let (heap_s, heap_out) = run_serial(Scheduler::ReferenceHeap);
     let (lanes_s, lanes_out) = run_serial(Scheduler::Auto);
-    assert_eq!(lanes_out, heap_out, "scale={label}: serial schedulers diverged");
+    assert_eq!(
+        lanes_out, heap_out,
+        "scale={label}: serial schedulers diverged"
+    );
     let serial_events = heap_out.0.events;
     eprintln!(
         "scale={label}: serial heap {heap_s:.2}s ({:.2e} ev/s) vs delay lanes {lanes_s:.2}s ({:.2e} ev/s)",
@@ -145,7 +164,8 @@ fn run_scale_tier(scale: Scale, quick: bool, seed: u64, threads: usize) -> Strin
         let mut sim = Simulation::new(&topo, fs.clone(), cfg, seed);
         sim.set_shards(k);
         for f in &flows.flows {
-            sim.add_flow(f.src, f.dst, f.bytes, f.start_ns).expect("valid flow");
+            sim.add_flow(f.src, f.dst, f.bytes, f.start_ns)
+                .expect("valid flow");
         }
         let t0 = Instant::now();
         let r = sim.run();
@@ -175,7 +195,8 @@ fn run_scale_tier(scale: Scale, quick: bool, seed: u64, threads: usize) -> Strin
     // Adaptive selection: an unpinned run, and the shard count it used.
     let mut sim = Simulation::new(&topo, fs.clone(), cfg, seed);
     for f in &flows.flows {
-        sim.add_flow(f.src, f.dst, f.bytes, f.start_ns).expect("valid flow");
+        sim.add_flow(f.src, f.dst, f.bytes, f.start_ns)
+            .expect("valid flow");
     }
     let t0 = Instant::now();
     let r = sim.run();
@@ -191,8 +212,11 @@ fn run_scale_tier(scale: Scale, quick: bool, seed: u64, threads: usize) -> Strin
         best_serial / adaptive_s
     );
     warn_if_serial_fallback(scale, shards, &format!("bench_snapshot/scale_{label}"));
-    let choice_label =
-        if shards == 1 { "serial".to_owned() } else { format!("sharded_{shards}") };
+    let choice_label = if shards == 1 {
+        "serial".to_owned()
+    } else {
+        format!("sharded_{shards}")
+    };
     let speedup_4 = shard_walls
         .iter()
         .find(|&&(k, _)| k == 4)
@@ -276,17 +300,22 @@ fn run_hybrid_tier(quick: bool, seed: u64) -> String {
     // One shard, like the hybrid's packet plane.
     pure.set_shards(1);
     for f in &flows.flows {
-        pure.add_flow(f.src, f.dst, f.bytes, f.start_ns).expect("valid flow");
+        pure.add_flow(f.src, f.dst, f.bytes, f.start_ns)
+            .expect("valid flow");
     }
     let t0 = Instant::now();
     let rp = pure.run();
     let pure_s = t0.elapsed().as_secs_f64();
     let pure_bytes: u64 = pure.switch_link_tx_bytes().iter().sum();
 
-    let hcfg = HybridConfig { elephant_threshold_bytes: threshold, resolve_coalesce_ns: 10_000 };
+    let hcfg = HybridConfig {
+        elephant_threshold_bytes: threshold,
+        resolve_coalesce_ns: 10_000,
+    };
     let mut hyb = HybridSimulation::new(&topo, fs.clone(), cfg, hcfg, seed);
     for f in &flows.flows {
-        hyb.add_flow(f.src, f.dst, f.bytes, f.start_ns).expect("valid flow");
+        hyb.add_flow(f.src, f.dst, f.bytes, f.start_ns)
+            .expect("valid flow");
     }
     let t0 = Instant::now();
     let rh = hyb.run();
@@ -353,10 +382,14 @@ fn run_hybrid_tier(quick: bool, seed: u64) -> String {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x09E41007);
         let mflows = poisson_from_tm(&tm, &topo, rate, &sizes, mwindow, &mut rng);
         let n = mflows.flows.len();
-        let mcfg = SimConfig { max_time_ns: mwindow + 60_000_000, ..cfg };
+        let mcfg = SimConfig {
+            max_time_ns: mwindow + 60_000_000,
+            ..cfg
+        };
         let mut hyb = HybridSimulation::new(&topo, fs.clone(), mcfg, hcfg, seed);
         for f in &mflows.flows {
-            hyb.add_flow(f.src, f.dst, f.bytes, f.start_ns).expect("valid flow");
+            hyb.add_flow(f.src, f.dst, f.bytes, f.start_ns)
+                .expect("valid flow");
         }
         let t0 = Instant::now();
         let r = hyb.run();
@@ -411,7 +444,12 @@ fn run_hybrid_tier(quick: bool, seed: u64) -> String {
 fn frontier_fingerprint(r: &SearchResult) -> Vec<(String, u64, u64, u64)> {
     r.frontier_cells()
         .map(|c| {
-            (c.name.clone(), c.cost(), c.nsr.to_bits(), c.throughput.unwrap_or(0.0).to_bits())
+            (
+                c.name.clone(),
+                c.cost(),
+                c.nsr.to_bits(),
+                c.throughput.unwrap_or(0.0).to_bits(),
+            )
         })
         .collect()
 }
@@ -470,9 +508,15 @@ fn run_design_search_tier(quick: bool, seed: u64) -> String {
         base,
         "design_search: accelerations changed the frontier"
     );
-    assert_eq!(cold.stats.cells, accel.stats.cells, "design_search: cell counts diverged");
+    assert_eq!(
+        cold.stats.cells, accel.stats.cells,
+        "design_search: cell counts diverged"
+    );
     for workers in [2usize, 4] {
-        let alt = run_search(&SearchSpec { workers, ..spec.clone() });
+        let alt = run_search(&SearchSpec {
+            workers,
+            ..spec.clone()
+        });
         assert_eq!(
             frontier_fingerprint(&alt),
             base,
@@ -543,7 +587,10 @@ fn run_lossless_tier(quick: bool, seed: u64) -> String {
     let bytes: u64 = if quick { 150_000 } else { 600_000 };
     let cfg = SimConfig {
         transport: Transport::GoBackN,
-        pfc: Some(PfcConfig { xoff_bytes: 20_000, xon_bytes: 8_000 }),
+        pfc: Some(PfcConfig {
+            xoff_bytes: 20_000,
+            xon_bytes: 8_000,
+        }),
         // Deep fixed window: the fabric's pauses, not the window, pace
         // the senders — the regime that maximizes control-event density.
         initial_cwnd: 32,
@@ -551,14 +598,18 @@ fn run_lossless_tier(quick: bool, seed: u64) -> String {
         ..Default::default()
     };
     let racks = topo.racks();
-    let victim = topo.servers_on(racks[0]).next().expect("victim rack has servers");
+    let victim = topo
+        .servers_on(racks[0])
+        .next()
+        .expect("victim rack has servers");
     let mut flow_bytes: Vec<u64> = Vec::new();
     let run = |datapath| {
         let cfg = SimConfig { datapath, ..cfg };
         let mut sim = Simulation::new(&topo, fs.clone(), cfg, seed);
         for &r in &racks[1..] {
             for src in topo.servers_on(r).take(2) {
-                sim.add_flow(src, victim, bytes, 0).expect("incast endpoints valid");
+                sim.add_flow(src, victim, bytes, 0)
+                    .expect("incast endpoints valid");
             }
         }
         let t0 = Instant::now();
@@ -570,14 +621,32 @@ fn run_lossless_tier(quick: bool, seed: u64) -> String {
     for &r in &racks[1..] {
         flow_bytes.extend(topo.servers_on(r).take(2).map(|_| bytes));
     }
-    assert_eq!(fast_r.fcts(), ref_r.fcts(), "lossless: datapaths diverged: FCTs");
     assert_eq!(
-        (fast_r.pause_frames, fast_r.resume_frames, fast_r.links_ever_paused),
-        (ref_r.pause_frames, ref_r.resume_frames, ref_r.links_ever_paused),
+        fast_r.fcts(),
+        ref_r.fcts(),
+        "lossless: datapaths diverged: FCTs"
+    );
+    assert_eq!(
+        (
+            fast_r.pause_frames,
+            fast_r.resume_frames,
+            fast_r.links_ever_paused
+        ),
+        (
+            ref_r.pause_frames,
+            ref_r.resume_frames,
+            ref_r.links_ever_paused
+        ),
         "lossless: datapaths diverged: pause counters"
     );
-    assert_eq!(fast_hops, ref_hops, "lossless: datapaths diverged: packet-hops");
-    assert_eq!(fast_r.congestion_drops, 0, "lossless: PFC tail-dropped a data packet");
+    assert_eq!(
+        fast_hops, ref_hops,
+        "lossless: datapaths diverged: packet-hops"
+    );
+    assert_eq!(
+        fast_r.congestion_drops, 0,
+        "lossless: PFC tail-dropped a data packet"
+    );
     assert_eq!(fast_r.unfinished(), 0, "lossless: incast must complete");
     // The estimate the adaptive selector uses under PFC: it adds the
     // pause/resume events a lossy estimate ignores.
@@ -634,10 +703,14 @@ fn main() {
     let flows = generate_workload(TmKind::Uniform, &topos.dring, 8_000_000, 1_000_000, seed);
     let fs = ForwardingState::build(&topos.dring.graph, RoutingScheme::ShortestUnion(2));
     let run_sched = |scheduler| {
-        let cfg = SimConfig { scheduler, ..Default::default() };
+        let cfg = SimConfig {
+            scheduler,
+            ..Default::default()
+        };
         let mut sim = Simulation::new(&topos.dring, &fs, cfg, seed);
         for f in &flows.flows {
-            sim.add_flow(f.src, f.dst, f.bytes, f.start_ns).expect("valid flow");
+            sim.add_flow(f.src, f.dst, f.bytes, f.start_ns)
+                .expect("valid flow");
         }
         let t0 = Instant::now();
         let r = sim.run();
@@ -664,11 +737,14 @@ fn main() {
     let edges = topos.dring.graph.edges().to_vec();
     let fib = Arc::new(fs.fib_cache(&edges).expect("plane supports a hot cache"));
     let run_datapath = |datapath| {
-        let cfg = SimConfig { datapath, ..Default::default() };
-        let mut sim =
-            Simulation::with_fib_cache(&topos.dring, &fs, cfg, seed, Some(fib.clone()));
+        let cfg = SimConfig {
+            datapath,
+            ..Default::default()
+        };
+        let mut sim = Simulation::with_fib_cache(&topos.dring, &fs, cfg, seed, Some(fib.clone()));
         for f in &flows.flows {
-            sim.add_flow(f.src, f.dst, f.bytes, f.start_ns).expect("valid flow");
+            sim.add_flow(f.src, f.dst, f.bytes, f.start_ns)
+                .expect("valid flow");
         }
         let a0 = alloc_reading();
         let t0 = Instant::now();
@@ -677,29 +753,44 @@ fn main() {
         let allocs = alloc_reading().zip(a0).map(|(a1, a0)| a1 - a0);
         (wall, allocs, r, sim.pkt_hops(), sim.switch_link_tx_bytes())
     };
-    let (dp_fast_s, dp_fast_allocs, dp_fast_r, dp_hops, dp_fast_tx) =
-        run_datapath(Datapath::Fast);
+    let (dp_fast_s, dp_fast_allocs, dp_fast_r, dp_hops, dp_fast_tx) = run_datapath(Datapath::Fast);
     let (dp_ref_s, dp_ref_allocs, dp_ref_r, dp_ref_hops, dp_ref_tx) =
         run_datapath(Datapath::Reference);
     spineless_bench::warn_if_slow_path(
         &dp_fast_r,
-        &SimConfig { datapath: Datapath::Fast, ..Default::default() },
+        &SimConfig {
+            datapath: Datapath::Fast,
+            ..Default::default()
+        },
         "bench_snapshot/sim_datapath",
     );
-    assert_eq!(dp_fast_r.fcts(), dp_ref_r.fcts(), "datapaths diverged: FCTs");
-    assert_eq!(dp_fast_r.dropped_packets, dp_ref_r.dropped_packets, "datapaths diverged: drops");
+    assert_eq!(
+        dp_fast_r.fcts(),
+        dp_ref_r.fcts(),
+        "datapaths diverged: FCTs"
+    );
+    assert_eq!(
+        dp_fast_r.dropped_packets, dp_ref_r.dropped_packets,
+        "datapaths diverged: drops"
+    );
     assert_eq!(
         dp_fast_r.delivered_bytes, dp_ref_r.delivered_bytes,
         "datapaths diverged: delivered bytes"
     );
     assert_eq!(dp_hops, dp_ref_hops, "datapaths diverged: packet-hops");
-    assert_eq!(dp_fast_tx, dp_ref_tx, "datapaths diverged: per-link tx bytes");
+    assert_eq!(
+        dp_fast_tx, dp_ref_tx,
+        "datapaths diverged: per-link tx bytes"
+    );
     let dp_speedup = dp_ref_s / dp_fast_s;
     // Measured allocations per packet-hop, or the whole field omitted
     // when built without `count-allocs` — never a JSON null, so numeric
     // consumers can treat presence as "measured".
     let fmt_allocs = |allocs: Option<u64>| match allocs {
-        Some(a) => format!(r#", "allocs_per_pkt_hop": {:.4}"#, a as f64 / dp_hops as f64),
+        Some(a) => format!(
+            r#", "allocs_per_pkt_hop": {:.4}"#,
+            a as f64 / dp_hops as f64
+        ),
         None => String::new(),
     };
     let (dp_fast_aph, dp_ref_aph) = (fmt_allocs(dp_fast_allocs), fmt_allocs(dp_ref_allocs));
@@ -729,11 +820,14 @@ fn main() {
         .expect("workload touches at least one switch link");
     let cut_edge = busiest_link >> 1;
     let run_recovery = |datapath| {
-        let cfg = SimConfig { datapath, ..Default::default() };
-        let mut sim =
-            Simulation::with_fib_cache(&topos.dring, &fs, cfg, seed, Some(fib.clone()));
+        let cfg = SimConfig {
+            datapath,
+            ..Default::default()
+        };
+        let mut sim = Simulation::with_fib_cache(&topos.dring, &fs, cfg, seed, Some(fib.clone()));
         for f in &flows.flows {
-            sim.add_flow(f.src, f.dst, f.bytes, f.start_ns).expect("valid flow");
+            sim.add_flow(f.src, f.dst, f.bytes, f.start_ns)
+                .expect("valid flow");
         }
         let sched = FailureSchedule::new(100_000)
             .link_down(300_000, cut_edge)
@@ -746,7 +840,11 @@ fn main() {
     };
     let (rec_fast_s, rec_fast_r, rec_hops) = run_recovery(Datapath::Fast);
     let (rec_ref_s, rec_ref_r, rec_ref_hops) = run_recovery(Datapath::Reference);
-    assert_eq!(rec_fast_r.fcts(), rec_ref_r.fcts(), "recovery datapaths diverged: FCTs");
+    assert_eq!(
+        rec_fast_r.fcts(),
+        rec_ref_r.fcts(),
+        "recovery datapaths diverged: FCTs"
+    );
     assert_eq!(
         rec_fast_r.dropped_packets, rec_ref_r.dropped_packets,
         "recovery datapaths diverged: drops"
@@ -755,7 +853,10 @@ fn main() {
         rec_fast_r.delivered_bytes, rec_ref_r.delivered_bytes,
         "recovery datapaths diverged: delivered bytes"
     );
-    assert_eq!(rec_hops, rec_ref_hops, "recovery datapaths diverged: packet-hops");
+    assert_eq!(
+        rec_hops, rec_ref_hops,
+        "recovery datapaths diverged: packet-hops"
+    );
     let rec_retransmits: u64 = rec_fast_r.flows.iter().map(|f| f.retransmits as u64).sum();
     let rec_speedup = rec_ref_s / rec_fast_s;
     eprintln!(
@@ -768,7 +869,13 @@ fn main() {
     // vs the default scheduler, so the ratio is the scheduler's alone. ---
     let fig4_cfg = FctConfig::quick(seed);
     let run_grid = |scheduler| {
-        let cfg = FctConfig { sim: SimConfig { scheduler, ..fig4_cfg.sim }, ..fig4_cfg };
+        let cfg = FctConfig {
+            sim: SimConfig {
+                scheduler,
+                ..fig4_cfg.sim
+            },
+            ..fig4_cfg
+        };
         let t0 = Instant::now();
         let grid = run_fig4(&cfg);
         (t0.elapsed().as_secs_f64(), grid)
@@ -787,10 +894,19 @@ fn main() {
     // timed below). ---
     let values = cs_axis_values(Scale::Small, false);
     let t0 = Instant::now();
-    let panel = run_fig5_panel(&topos, RoutingScheme::ShortestUnion(2), &values, 60_000, seed);
+    let panel = run_fig5_panel(
+        &topos,
+        RoutingScheme::ShortestUnion(2),
+        &values,
+        60_000,
+        seed,
+    );
     let fig5_s = t0.elapsed().as_secs_f64();
     let fig5_cells = panel.len();
-    eprintln!("fig5: {fig5_cells} cells — {:.2} cells/s", fig5_cells as f64 / fig5_s);
+    eprintln!(
+        "fig5: {fig5_cells} cells — {:.2} cells/s",
+        fig5_cells as f64 / fig5_s
+    );
 
     // --- Fluid solver: active-list vs full-scan on a dense C-S instance. ---
     let space = LinkSpace::new(&topos.dring);
@@ -806,7 +922,9 @@ fn main() {
         let (ssw, dsw) = (topos.dring.switch_of(s), topos.dring.switch_of(d));
         let mut links = vec![space.uplink(s)];
         if ssw != dsw {
-            let route = fs.sample_route_generic(ssw, dsw, &mut rng).expect("reachable");
+            let route = fs
+                .sample_route_generic(ssw, dsw, &mut rng)
+                .expect("reachable");
             let mut cur = ssw;
             for &(next, edge) in &route {
                 links.push(space.switch_link(edge, cur));
@@ -861,8 +979,7 @@ fn main() {
 
     // --- Failure recompute on the same topology: full rebuild vs
     // incremental (only destinations whose DAG lost an arc). ---
-    let plan =
-        FailurePlan::random_links(&big, 0.01, &mut SmallRng::seed_from_u64(seed ^ 0xFA11));
+    let plan = FailurePlan::random_links(&big, 0.01, &mut SmallRng::seed_from_u64(seed ^ 0xFA11));
     let t0 = Instant::now();
     let degraded = plan.apply(&big).expect("plan applies");
     let full = ForwardingState::build(&degraded.graph, scheme);
@@ -879,8 +996,9 @@ fn main() {
 
     // --- Next-hop walks: nested Vec<Vec<_>> DAGs vs CSR arenas, same
     // seeds so both draw the identical routes. ---
-    let nested: Vec<_> =
-        (0..big_switches).map(|d| build_fast.vrf.dag_towards(d)).collect();
+    let nested: Vec<_> = (0..big_switches)
+        .map(|d| build_fast.vrf.dag_towards(d))
+        .collect();
     let walks = 100_000u32;
     let walk = |use_csr: bool| {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x3A1D);

@@ -17,8 +17,14 @@ fn main() {
     let (_scale, seed) = parse_args();
     let topos: Vec<(Topology, RoutingScheme)> = vec![
         (LeafSpine::new(8, 4).build(), RoutingScheme::Ecmp),
-        (DRing::uniform(8, 3, 28).build(), RoutingScheme::ShortestUnion(2)),
-        (Rrg::uniform(24, 8, 6, 14, seed).build(), RoutingScheme::ShortestUnion(2)),
+        (
+            DRing::uniform(8, 3, 28).build(),
+            RoutingScheme::ShortestUnion(2),
+        ),
+        (
+            Rrg::uniform(24, 8, 6, 14, seed).build(),
+            RoutingScheme::ShortestUnion(2),
+        ),
     ];
     println!("== §4 — BGP/VRF realization of Shortest-Union(K) ==");
     println!(
@@ -57,8 +63,11 @@ fn fibs_match(fs: &ForwardingState, out: &bgp::BgpOutcome) -> bool {
                 continue;
             }
             let mut a = pr.fib[v as usize].clone();
-            let mut b: Vec<_> =
-                dag.next_hops(v).iter().map(|&arc| (fs.next_vnode(arc), arc)).collect();
+            let mut b: Vec<_> = dag
+                .next_hops(v)
+                .iter()
+                .map(|&arc| (fs.next_vnode(arc), arc))
+                .collect();
             a.sort_unstable();
             b.sort_unstable();
             if a != b {

@@ -29,7 +29,14 @@ fn main() {
     println!("== link-failure sweep (random cuts, Shortest-Union(2) / ECMP) ==");
     println!(
         "{:<26} {:>6} {:>8} {:>12} {:>12} {:>10} {:>10} {:>9}",
-        "topology", "cut %", "discon.", "cost before", "cost after", "div before", "div after", "BGP rnds"
+        "topology",
+        "cut %",
+        "discon.",
+        "cost before",
+        "cost after",
+        "div before",
+        "div after",
+        "BGP rnds"
     );
     for (tk, scheme) in combos {
         let topo = tk.of(&topos);

@@ -52,7 +52,11 @@ fn main() {
                     .iter()
                     .find(|c| &c.topo == topo && &c.routing == routing && c.tm == tm.label())
                     .expect("grid is complete");
-                let v = if pick == 0 { cell.median_ms } else { cell.p99_ms };
+                let v = if pick == 0 {
+                    cell.median_ms
+                } else {
+                    cell.p99_ms
+                };
                 print!("{v:>16.3}");
             }
             println!();
@@ -72,7 +76,9 @@ fn main() {
     let rr = get("rrg", "shortest-union(2)", TmKind::FbSkewed).p99_ms;
     let ls_med = get("leaf-spine", "ecmp", TmKind::FbSkewed).median_ms;
     let dr_med = get("dring", "shortest-union(2)", TmKind::FbSkewed).median_ms;
-    println!("shape check (skewed p99): leaf-spine {ls:.3} ms vs DRing {dr:.3} ms vs RRG {rr:.3} ms");
+    println!(
+        "shape check (skewed p99): leaf-spine {ls:.3} ms vs DRing {dr:.3} ms vs RRG {rr:.3} ms"
+    );
     println!(
         "DRing beats leaf-spine on skewed traffic (median {dr_med:.3} vs {ls_med:.3}): {}",
         dr < ls && dr_med < ls_med

@@ -32,16 +32,23 @@ fn main() {
     );
     let panels = [
         ("Fig. 5a — small values, ECMP", false, RoutingScheme::Ecmp),
-        ("Fig. 5b — small values, shortest-union(2)", false, RoutingScheme::ShortestUnion(2)),
+        (
+            "Fig. 5b — small values, shortest-union(2)",
+            false,
+            RoutingScheme::ShortestUnion(2),
+        ),
         ("Fig. 5c — large values, ECMP", true, RoutingScheme::Ecmp),
-        ("Fig. 5d — large values, shortest-union(2)", true, RoutingScheme::ShortestUnion(2)),
+        (
+            "Fig. 5d — large values, shortest-union(2)",
+            true,
+            RoutingScheme::ShortestUnion(2),
+        ),
     ];
     for (title, large, scheme) in panels {
         let values = cs_axis_values(scale, large);
         let t0 = std::time::Instant::now();
         let fs_dring = cache.get(TopoKind::DRing, scheme);
-        let cells =
-            run_fig5_panel_with(&topos, &fs_dring, &fs_ls, &values, max_pairs, seed);
+        let cells = run_fig5_panel_with(&topos, &fs_dring, &fs_ls, &values, max_pairs, seed);
         println!("== {title} ==  (cell = throughput(DRing)/throughput(leaf-spine))");
         print!("{:>10}", "C \\ S");
         for &s in &values {

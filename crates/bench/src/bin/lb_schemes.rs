@@ -25,7 +25,8 @@ fn run<F: Forwarding>(
 ) -> (f64, f64) {
     let mut sim = Simulation::new(topo, fs, cfg, seed);
     for f in &flows.flows {
-        sim.add_flow(f.src, f.dst, f.bytes, f.start_ns).expect("valid flow");
+        sim.add_flow(f.src, f.dst, f.bytes, f.start_ns)
+            .expect("valid flow");
     }
     let r = sim.run();
     let fcts: Vec<f64> = r.fcts().iter().map(|&ns| ns_to_ms(ns)).collect();
@@ -49,7 +50,11 @@ fn main() {
     for scheme in ["ecmp", "shortest-union(2)", "vlb", "ecmp+flowlets"] {
         let mut row = format!("{scheme:<24}");
         for tm in [TmKind::Uniform, TmKind::RackToRack, TmKind::FbSkewed] {
-            let budget = if tm == TmKind::RackToRack { offered * 3 } else { offered };
+            let budget = if tm == TmKind::RackToRack {
+                offered * 3
+            } else {
+                offered
+            };
             let flows = generate_workload(tm, dring, budget, window, seed);
             let base = SimConfig::default();
             let (med, p99) = match scheme {
@@ -71,7 +76,10 @@ fn main() {
                 _ => run(
                     dring,
                     ForwardingState::build(&dring.graph, RoutingScheme::Ecmp),
-                    SimConfig { flowlet_gap_ns: Some(200_000), ..base },
+                    SimConfig {
+                        flowlet_gap_ns: Some(200_000),
+                        ..base
+                    },
                     &flows,
                     seed,
                 ),

@@ -12,9 +12,7 @@
 //! `cargo run -p spineless-bench --release --bin path_diversity`
 
 use spineless_bench::parse_args;
-use spineless_routing::diversity::{
-    min_su_disjoint_by_distance, shortest_path_counts_by_distance,
-};
+use spineless_routing::diversity::{min_su_disjoint_by_distance, shortest_path_counts_by_distance};
 use spineless_routing::VrfGraph;
 use spineless_topo::dring::DRing;
 

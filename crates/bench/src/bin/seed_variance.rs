@@ -29,7 +29,9 @@ fn main() {
     };
     let topos = EvalTopos::build(cfg.scale, cfg.seed);
     let offered = cfg.offered_bytes(&topos);
-    let seeds: Vec<u64> = (0..3).map(|i| base_seed.wrapping_add(i * 1_000_003)).collect();
+    let seeds: Vec<u64> = (0..3)
+        .map(|i| base_seed.wrapping_add(i * 1_000_003))
+        .collect();
     println!("== FB-skewed FCT across seeds {seeds:?} ({scale:?} scale) ==");
     println!(
         "{:<44} {:>8} {:>12} {:>12}",
@@ -43,8 +45,7 @@ fn main() {
         let mut medians = Vec::new();
         let mut p99s = Vec::new();
         for &seed in &seeds {
-            let flows =
-                generate_workload(TmKind::FbSkewed, topo, offered, cfg.window_ns, seed);
+            let flows = generate_workload(TmKind::FbSkewed, topo, offered, cfg.window_ns, seed);
             let cell = run_cell(topo, scheme, &flows, "FB skewed", cfg.sim, seed);
             println!(
                 "{:<44} {seed:>8} {:>12.3} {:>12.3}",

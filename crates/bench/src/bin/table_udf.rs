@@ -14,7 +14,14 @@ fn main() {
     println!("== §3.1 — NSR and UDF of leaf-spine(x, y) and its flat rewiring ==");
     println!(
         "{:>4} {:>4} {:>8} {:>12} {:>12} {:>14} {:>14} {:>10}",
-        "x", "y", "oversub", "NSR(T) calc", "NSR(T) meas", "NSR(F(T)) calc", "NSR(F(T)) meas", "UDF meas"
+        "x",
+        "y",
+        "oversub",
+        "NSR(T) calc",
+        "NSR(T) meas",
+        "NSR(F(T)) calc",
+        "NSR(F(T)) meas",
+        "UDF meas"
     );
     for r in &rows {
         println!(

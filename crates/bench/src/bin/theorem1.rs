@@ -47,7 +47,10 @@ fn main() {
                 }
             }
             all_ok &= violations == 0;
-            println!("{:<24} {k:>3} {pairs:>10} {violations:>12} {max_d:>10}", topo.name);
+            println!(
+                "{:<24} {k:>3} {pairs:>10} {violations:>12} {max_d:>10}",
+                topo.name
+            );
         }
     }
     println!("\ntheorem holds on every pair: {all_ok}");

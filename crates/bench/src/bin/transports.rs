@@ -31,7 +31,10 @@ fn main() {
     ] {
         for tm in [TmKind::FbSkewed, TmKind::Uniform] {
             for transport in [Transport::NewReno, Transport::Dctcp] {
-                let cfg = SimConfig { transport, ..Default::default() };
+                let cfg = SimConfig {
+                    transport,
+                    ..Default::default()
+                };
                 let flows = generate_workload(tm, topo, offered, window, seed);
                 let cell = run_cell(topo, scheme, &flows, tm.label(), cfg, seed);
                 println!(

@@ -124,7 +124,11 @@ pub fn parse_args_quick() -> BenchArgs {
 
 fn parse(allow_quick: bool) -> BenchArgs {
     let args: Vec<String> = std::env::args().collect();
-    let mut out = BenchArgs { scale: spineless_core::Scale::Small, seed: 42, quick: false };
+    let mut out = BenchArgs {
+        scale: spineless_core::Scale::Small,
+        seed: 42,
+        quick: false,
+    };
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -133,7 +137,10 @@ fn parse(allow_quick: bool) -> BenchArgs {
                 out.scale =
                     spineless_core::Scale::parse(args.get(i).map(|s| s.as_str()).unwrap_or(""))
                         .unwrap_or_else(|| {
-                            eprintln!("unknown scale {:?}; use small|paper|production", args.get(i));
+                            eprintln!(
+                                "unknown scale {:?}; use small|paper|production",
+                                args.get(i)
+                            );
                             std::process::exit(2);
                         });
             }

@@ -37,9 +37,12 @@ impl RoutingCache {
                 distinct.push(c);
             }
         }
-        let states = par::map_ordered(&distinct, par::host_threads(), || (), |_, &(tk, rs)| {
-            Arc::new(ForwardingState::build(&tk.of(topos).graph, rs))
-        });
+        let states = par::map_ordered(
+            &distinct,
+            par::host_threads(),
+            || (),
+            |_, &(tk, rs)| Arc::new(ForwardingState::build(&tk.of(topos).graph, rs)),
+        );
         RoutingCache {
             entries: distinct.into_iter().zip(states).collect(),
         }
@@ -104,8 +107,7 @@ mod tests {
             &[(TopoKind::DRing, RoutingScheme::ShortestUnion(2))],
         );
         let cached = cache.get(TopoKind::DRing, RoutingScheme::ShortestUnion(2));
-        let direct =
-            ForwardingState::build(&topos.dring.graph, RoutingScheme::ShortestUnion(2));
+        let direct = ForwardingState::build(&topos.dring.graph, RoutingScheme::ShortestUnion(2));
         assert_eq!(*cached, direct);
     }
 

@@ -201,11 +201,7 @@ pub fn generate_workload(
             let (a, b) = rack_ids
                 .iter()
                 .enumerate()
-                .flat_map(|(i, &ra)| {
-                    rack_ids[i + 1..]
-                        .iter()
-                        .map(move |&rb| (ra, rb))
-                })
+                .flat_map(|(i, &ra)| rack_ids[i + 1..].iter().map(move |&rb| (ra, rb)))
                 .find(|&(ra, rb)| topo.graph.has_edge(ra, rb))
                 .map(|(ra, rb)| {
                     let idx = |r| rack_ids.iter().position(|&x| x == r).expect("rack");
@@ -328,18 +324,26 @@ pub fn run_fig4(cfg: &FctConfig) -> Vec<FctCell> {
     }
     // Paper-scale cells hold substantial live state (flow tables, event
     // queues), so the pool runs one per host thread, not all 35 at once.
-    par::map_ordered(&jobs, par::host_threads(), || (), |_, &(i, ti, tm, tk, rs)| {
-        let topo = tk.of(&topos);
-        let fs = cache.get(tk, rs);
-        // The workload seed depends on the TM only, so all five combos of
-        // one column face the *same* drawn workload (paired comparison,
-        // like the paper's shared measured matrices); the sim seed varies
-        // per cell.
-        let tm_seed = cfg.seed.wrapping_mul(0x100000001B3).wrapping_add((ti as u64) << 20);
-        let sim_seed = tm_seed.wrapping_add(1 + i as u64);
-        let flows = generate_workload(tm, topo, offered, cfg.window_ns, tm_seed);
-        run_cell_with(topo, rs, &fs, &flows, tm.label(), cfg.sim, sim_seed)
-    })
+    par::map_ordered(
+        &jobs,
+        par::host_threads(),
+        || (),
+        |_, &(i, ti, tm, tk, rs)| {
+            let topo = tk.of(&topos);
+            let fs = cache.get(tk, rs);
+            // The workload seed depends on the TM only, so all five combos of
+            // one column face the *same* drawn workload (paired comparison,
+            // like the paper's shared measured matrices); the sim seed varies
+            // per cell.
+            let tm_seed = cfg
+                .seed
+                .wrapping_mul(0x100000001B3)
+                .wrapping_add((ti as u64) << 20);
+            let sim_seed = tm_seed.wrapping_add(1 + i as u64);
+            let flows = generate_workload(tm, topo, offered, cfg.window_ns, tm_seed);
+            run_cell_with(topo, rs, &fs, &flows, tm.label(), cfg.sim, sim_seed)
+        },
+    )
 }
 
 impl FctConfig {
@@ -380,9 +384,20 @@ mod tests {
     fn sparse_patterns_are_scaled_down() {
         let topos = EvalTopos::build(Scale::Small, 2);
         let base = generate_workload(TmKind::Uniform, &topos.leafspine, 20_000_000, 1_000_000, 4);
-        let r2r = generate_workload(TmKind::RackToRack, &topos.leafspine, 20_000_000, 1_000_000, 4);
+        let r2r = generate_workload(
+            TmKind::RackToRack,
+            &topos.leafspine,
+            20_000_000,
+            1_000_000,
+            4,
+        );
         // R2R is scaled by 1/racks = 1/16.
-        assert!(r2r.len() * 8 < base.len(), "r2r {} vs base {}", r2r.len(), base.len());
+        assert!(
+            r2r.len() * 8 < base.len(),
+            "r2r {} vs base {}",
+            r2r.len(),
+            base.len()
+        );
     }
 
     #[test]
@@ -414,7 +429,9 @@ mod tests {
         let cfg = SimConfig::default();
         let mut unpinned = Simulation::new(&topo, &fs, cfg, 3);
         for f in &flows.flows {
-            unpinned.add_flow(f.src, f.dst, f.bytes, f.start_ns).unwrap();
+            unpinned
+                .add_flow(f.src, f.dst, f.bytes, f.start_ns)
+                .unwrap();
         }
         let threads = par::host_threads();
         assert_eq!(unpinned.shards() > 1, threads > 1, "{threads} threads");
@@ -440,31 +457,51 @@ mod tests {
         let a2a = generate_workload(TmKind::Uniform, &topo, 40_000_000, 200_000, 42).flows;
         let racks = topo.racks();
         let stride = racks.len() / 8;
-        let victims: Vec<u32> = (0..8).map(|i| topo.servers_on(racks[i * stride]).start).collect();
+        let victims: Vec<u32> = (0..8)
+            .map(|i| topo.servers_on(racks[i * stride]).start)
+            .collect();
         let mut incast = Vec::new();
         for (ri, &rack) in racks.iter().enumerate().skip(1) {
             for (k, src) in topo.servers_on(rack).take(2).enumerate() {
                 let dst = victims[(ri + k) % 8];
                 if src != dst {
-                    incast.push(spineless_workload::FlowSpec { src, dst, bytes: 200_000, start_ns: 0 });
+                    incast.push(spineless_workload::FlowSpec {
+                        src,
+                        dst,
+                        bytes: 200_000,
+                        start_ns: 0,
+                    });
                 }
             }
         }
         let lossless = SimConfig {
             transport: Transport::GoBackN,
-            pfc: Some(PfcConfig { xoff_bytes: 20_000, xon_bytes: 8_000 }),
+            pfc: Some(PfcConfig {
+                xoff_bytes: 20_000,
+                xon_bytes: 8_000,
+            }),
             initial_cwnd: 32,
             ..Default::default()
         };
-        for (name, flows, cfg) in [("a2a", a2a, SimConfig::default()), ("pfc incast", incast, lossless)] {
+        for (name, flows, cfg) in [
+            ("a2a", a2a, SimConfig::default()),
+            ("pfc incast", incast, lossless),
+        ] {
             let mut sim = Simulation::new(&topo, &fs, cfg, 42);
             for f in &flows {
                 sim.add_flow(f.src, f.dst, f.bytes, f.start_ns).unwrap();
             }
             let actual = sim.run().events as f64;
-            let est = estimate_events(flows.iter().map(|f| f.bytes), cfg.mss_bytes, cfg.pfc.is_some());
+            let est = estimate_events(
+                flows.iter().map(|f| f.bytes),
+                cfg.mss_bytes,
+                cfg.pfc.is_some(),
+            );
             let ratio = est as f64 / actual;
-            assert!((0.5..=2.0).contains(&ratio), "{name}: estimated {est}, actual {actual}");
+            assert!(
+                (0.5..=2.0).contains(&ratio),
+                "{name}: estimated {est}, actual {actual}"
+            );
         }
     }
 

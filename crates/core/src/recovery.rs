@@ -55,7 +55,10 @@ impl RecoveryConfig {
             utilization: 0.3,
             window_ns: 2_000_000,
             seed,
-            sim: SimConfig { max_time_ns: 200_000_000, ..SimConfig::default() },
+            sim: SimConfig {
+                max_time_ns: 200_000_000,
+                ..SimConfig::default()
+            },
         }
     }
 }
@@ -94,8 +97,13 @@ pub fn run_recovery_sweep(cfg: &RecoveryConfig) -> Vec<RecoveryCell> {
     for (tk, rs) in recovery_combos() {
         let topo = tk.of(&topos);
         let fs = Arc::new(ForwardingState::build(&topo.graph, rs));
-        let flows =
-            generate_workload(TmKind::Uniform, topo, offered, cfg.window_ns, cfg.seed ^ 0xA5);
+        let flows = generate_workload(
+            TmKind::Uniform,
+            topo,
+            offered,
+            cfg.window_ns,
+            cfg.seed ^ 0xA5,
+        );
         for &fraction in &cfg.fractions {
             // The plan RNG is per-(combo, fraction) so sweep points are
             // independent draws but reproducible in isolation.

@@ -100,28 +100,36 @@ pub fn equivalent_rrg(dring: &Topology, seed: u64) -> Topology {
 /// [`crate::cache::RoutingCache`] to share and the win is pure
 /// parallelism.)
 pub fn run_fig6(cfg: &ScaleStudyConfig) -> Vec<ScalePoint> {
-    assert!(cfg.supernodes_from >= 5, "DRing supergraph needs >= 5 supernodes");
+    assert!(
+        cfg.supernodes_from >= 5,
+        "DRing supergraph needs >= 5 supernodes"
+    );
     assert!(cfg.supernodes_from <= cfg.supernodes_to);
     // One job per (point, topology): (supernodes, is_rrg).
     let jobs: Vec<(u32, bool)> = (cfg.supernodes_from..=cfg.supernodes_to)
         .flat_map(|m| [(m, false), (m, true)])
         .collect();
-    let results = par::map_ordered(&jobs, par::host_threads(), || (), |_, &(m, is_rrg)| {
-        let dring = DRing::scale_config(m).build();
-        // Same per-server injected load on both topologies.
-        let servers = dring.num_servers() as f64;
-        let bytes_per_ns = cfg.sim.link_rate_gbps / 8.0;
-        let offered = (cfg.host_load * servers * bytes_per_ns * cfg.window_ns as f64) as u64;
-        let seed = cfg.seed.wrapping_mul(31).wrapping_add(m as u64);
-        let topo = if is_rrg {
-            equivalent_rrg(&dring, cfg.seed.wrapping_add(m as u64))
-        } else {
-            dring
-        };
-        let flows = generate_workload(TmKind::Uniform, &topo, offered, cfg.window_ns, seed);
-        let cell = run_cell(&topo, RoutingScheme::Ecmp, &flows, "A2A", cfg.sim, seed);
-        (cell.p99_ms, cell.median_ms)
-    });
+    let results = par::map_ordered(
+        &jobs,
+        par::host_threads(),
+        || (),
+        |_, &(m, is_rrg)| {
+            let dring = DRing::scale_config(m).build();
+            // Same per-server injected load on both topologies.
+            let servers = dring.num_servers() as f64;
+            let bytes_per_ns = cfg.sim.link_rate_gbps / 8.0;
+            let offered = (cfg.host_load * servers * bytes_per_ns * cfg.window_ns as f64) as u64;
+            let seed = cfg.seed.wrapping_mul(31).wrapping_add(m as u64);
+            let topo = if is_rrg {
+                equivalent_rrg(&dring, cfg.seed.wrapping_add(m as u64))
+            } else {
+                dring
+            };
+            let flows = generate_workload(TmKind::Uniform, &topo, offered, cfg.window_ns, seed);
+            let cell = run_cell(&topo, RoutingScheme::Ecmp, &flows, "A2A", cfg.sim, seed);
+            (cell.p99_ms, cell.median_ms)
+        },
+    );
     // Jobs interleave (dring, rrg) per point; stitch adjacent pairs.
     results
         .chunks_exact(2)
@@ -213,7 +221,10 @@ mod tests {
     #[test]
     #[should_panic(expected = ">= 5 supernodes")]
     fn rejects_tiny_rings() {
-        let cfg = ScaleStudyConfig { supernodes_from: 3, ..ScaleStudyConfig::quick(1) };
+        let cfg = ScaleStudyConfig {
+            supernodes_from: 3,
+            ..ScaleStudyConfig::quick(1)
+        };
         run_fig6(&cfg);
     }
 

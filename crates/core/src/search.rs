@@ -70,8 +70,12 @@ pub enum Family {
 
 impl Family {
     /// Every family, in the canonical sweep order.
-    pub const ALL: [Family; 4] =
-        [Family::DRing, Family::Jellyfish, Family::DeBruijn, Family::FatTree];
+    pub const ALL: [Family; 4] = [
+        Family::DRing,
+        Family::Jellyfish,
+        Family::DeBruijn,
+        Family::FatTree,
+    ];
 
     /// Short display label.
     pub fn label(&self) -> &'static str {
@@ -217,8 +221,9 @@ fn dominates(a: &DesignCell, ta: f64, b: &DesignCell, tb: f64) -> bool {
 }
 
 fn pareto_frontier(cells: &[DesignCell]) -> Vec<usize> {
-    let solved: Vec<usize> =
-        (0..cells.len()).filter(|&i| cells[i].throughput.is_some()).collect();
+    let solved: Vec<usize> = (0..cells.len())
+        .filter(|&i| cells[i].throughput.is_some())
+        .collect();
     // A design repeated across budgets appears once, at its first budget.
     let mut seen: std::collections::HashSet<(&str, u64)> = std::collections::HashSet::new();
     solved
@@ -229,8 +234,7 @@ fn pareto_frontier(cells: &[DesignCell]) -> Vec<usize> {
             let fresh = seen.insert((cells[i].name.as_str(), ti.to_bits()));
             fresh
                 && !solved.iter().any(|&j| {
-                    j != i
-                        && dominates(&cells[j], cells[j].throughput.unwrap(), &cells[i], ti)
+                    j != i && dominates(&cells[j], cells[j].throughput.unwrap(), &cells[i], ti)
                 })
         })
         .collect()
@@ -239,8 +243,7 @@ fn pareto_frontier(cells: &[DesignCell]) -> Vec<usize> {
 /// Per-cell seed: a pure function of the master seed and the lattice
 /// coordinates, so parallel and serial sweeps agree bit-for-bit.
 fn cell_seed(seed: u64, fi: usize, ri: usize, ci: usize) -> u64 {
-    seed.wrapping_mul(0x9E3779B97F4A7C15)
-        ^ (((fi as u64) << 42) | ((ri as u64) << 21) | ci as u64)
+    seed.wrapping_mul(0x9E3779B97F4A7C15) ^ (((fi as u64) << 42) | ((ri as u64) << 21) | ci as u64)
 }
 
 /// The seeded evaluation workload: a server permutation with intra-rack
@@ -313,7 +316,11 @@ struct RowDesigner {
 
 impl RowDesigner {
     fn new(family: Family, radix: u32) -> RowDesigner {
-        RowDesigner { family, radix, jellyfish: None }
+        RowDesigner {
+            family,
+            radix,
+            jellyfish: None,
+        }
     }
 
     fn design(&mut self, max_switches: u32, master_seed: u64) -> Option<Topology> {
@@ -339,7 +346,9 @@ impl RowDesigner {
         if supernodes < 5 {
             return None;
         }
-        DRing::uniform(supernodes, tors, self.radix).try_build().ok()
+        DRing::uniform(supernodes, tors, self.radix)
+            .try_build()
+            .ok()
     }
 
     fn design_jellyfish(&mut self, max_switches: u32, master_seed: u64) -> Option<Topology> {
@@ -355,7 +364,12 @@ impl RowDesigner {
         // coincidence the memo exists for — differing only in how many
         // servers ride each switch. (The ci is past any real budget index,
         // so the seed never collides with a cell seed.)
-        let row_seed = cell_seed(master_seed, Family::Jellyfish as usize, net_degree as usize, 1 << 20);
+        let row_seed = cell_seed(
+            master_seed,
+            Family::Jellyfish as usize,
+            net_degree as usize,
+            1 << 20,
+        );
         match &mut self.jellyfish {
             Some(jf) if jf.num_switches() <= max_switches => {
                 jf.expand(max_switches - jf.num_switches()).ok()?;
@@ -366,8 +380,7 @@ impl RowDesigner {
                     return None;
                 }
                 let jf =
-                    Jellyfish::new(max_switches, net_degree, servers, self.radix, row_seed)
-                        .ok()?;
+                    Jellyfish::new(max_switches, net_degree, servers, self.radix, row_seed).ok()?;
                 let topo = jf.topology().ok()?;
                 self.jellyfish = Some(jf);
                 Some(topo)
@@ -417,9 +430,12 @@ fn run_row(
         // same design point: its metrics are copied, never re-sampled under
         // a different seed (both sweep modes do this, so they agree).
         if same_as_prev {
-            if let Some(prev_cell) = cells.last().filter(|c: &&DesignCell| c.name == topo.name)
-            {
-                let dup = DesignCell { max_switches, source, ..prev_cell.clone() };
+            if let Some(prev_cell) = cells.last().filter(|c: &&DesignCell| c.name == topo.name) {
+                let dup = DesignCell {
+                    max_switches,
+                    source,
+                    ..prev_cell.clone()
+                };
                 stats.cells += 1;
                 cells.push(dup);
                 prev_state = Some(fs);
@@ -488,7 +504,10 @@ fn obtain_state(
         let entry = guard.entry(key).or_insert_with(|| Arc::clone(&built));
         (Arc::clone(entry), StateSource::Cold)
     } else {
-        (Arc::new(ForwardingState::build(&topo.graph, scheme)), StateSource::Cold)
+        (
+            Arc::new(ForwardingState::build(&topo.graph, scheme)),
+            StateSource::Cold,
+        )
     }
 }
 
@@ -500,11 +519,18 @@ fn run_search_with(spec: &SearchSpec, accelerated: bool) -> SearchResult {
     let rows: Vec<(usize, usize)> = (0..spec.families.len())
         .flat_map(|fi| (0..spec.radii.len()).map(move |ri| (fi, ri)))
         .collect();
-    let workers = if spec.workers == 0 { par::host_threads() } else { spec.workers };
+    let workers = if spec.workers == 0 {
+        par::host_threads()
+    } else {
+        spec.workers
+    };
     let memo: Memo = Mutex::new(HashMap::new());
-    let row_results = par::map_ordered(&rows, workers, || (), |_, &(fi, ri)| {
-        run_row(spec, fi, ri, &memo, accelerated)
-    });
+    let row_results = par::map_ordered(
+        &rows,
+        workers,
+        || (),
+        |_, &(fi, ri)| run_row(spec, fi, ri, &memo, accelerated),
+    );
 
     let mut cells = Vec::new();
     let mut stats = SweepStats::default();
@@ -522,7 +548,11 @@ fn run_search_with(spec: &SearchSpec, accelerated: bool) -> SearchResult {
         .map(|fs| fs.heap_bytes())
         .sum();
     let frontier = pareto_frontier(&cells);
-    SearchResult { cells, frontier, stats }
+    SearchResult {
+        cells,
+        frontier,
+        stats,
+    }
 }
 
 /// The accelerated sweep: structural memoization and dominance pruning.
@@ -587,8 +617,15 @@ mod tests {
     fn frontier_is_identical_across_worker_counts() {
         let base = frontier_fingerprint(&run_search(&tiny_spec(5)));
         for workers in [2, 4] {
-            let spec = SearchSpec { workers, ..tiny_spec(5) };
-            assert_eq!(frontier_fingerprint(&run_search(&spec)), base, "workers={workers}");
+            let spec = SearchSpec {
+                workers,
+                ..tiny_spec(5)
+            };
+            assert_eq!(
+                frontier_fingerprint(&run_search(&spec)),
+                base,
+                "workers={workers}"
+            );
         }
     }
 

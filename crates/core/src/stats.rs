@@ -114,7 +114,11 @@ mod tests {
             timeouts: to,
         };
         let r = SimReport {
-            flows: vec![mk(0, Some(1_000_000), 2, 1), mk(1, None, 5, 3), mk(2, Some(3_000_000), 0, 0)],
+            flows: vec![
+                mk(0, Some(1_000_000), 2, 1),
+                mk(1, None, 5, 3),
+                mk(2, Some(3_000_000), 0, 0),
+            ],
             dropped_packets: 7,
             delivered_bytes: 200,
             end_ns: 9,

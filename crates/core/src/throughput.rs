@@ -42,7 +42,7 @@ pub fn cs_axis_values(scale: Scale, large: bool) -> Vec<u32> {
         // experiment, and the production tier only grows the fabric.
         (Scale::Paper | Scale::Production, false) => (0..7).map(|i| 20 + 40 * i).collect(), // 20..260
         (Scale::Paper | Scale::Production, true) => (0..7).map(|i| 200 + 200 * i).collect(), // 200..1400
-        (Scale::Small, false) => (0..7).map(|i| 4 + 6 * i).collect(),  // 4..40
+        (Scale::Small, false) => (0..7).map(|i| 4 + 6 * i).collect(), // 4..40
         (Scale::Small, true) => (0..7).map(|i| 24 + 16 * i).collect(), // 24..120
     }
 }
@@ -128,10 +128,17 @@ pub fn run_fig5_panel_with(
     let jobs: Vec<(usize, usize)> = (0..values.len())
         .flat_map(|ci| (0..values.len()).map(move |si| (ci, si)))
         .collect();
-    let cells = par::map_ordered(&jobs, par::host_threads(), || (), |_, &(ci, si)| {
-        let cell_seed = fig5_cell_seed(seed, ci, si, values.len());
-        fig5_cell(topos, fs_dring, fs_ls, values[ci], values[si], max_pairs, cell_seed)
-    });
+    let cells = par::map_ordered(
+        &jobs,
+        par::host_threads(),
+        || (),
+        |_, &(ci, si)| {
+            let cell_seed = fig5_cell_seed(seed, ci, si, values.len());
+            fig5_cell(
+                topos, fs_dring, fs_ls, values[ci], values[si], max_pairs, cell_seed,
+            )
+        },
+    );
     cells.into_iter().flatten().collect()
 }
 
@@ -141,7 +148,10 @@ mod tests {
 
     #[test]
     fn axis_values_match_paper() {
-        assert_eq!(cs_axis_values(Scale::Paper, false), vec![20, 60, 100, 140, 180, 220, 260]);
+        assert_eq!(
+            cs_axis_values(Scale::Paper, false),
+            vec![20, 60, 100, 140, 180, 220, 260]
+        );
         assert_eq!(
             cs_axis_values(Scale::Paper, true),
             vec![200, 400, 600, 800, 1000, 1200, 1400]
@@ -180,8 +190,7 @@ mod tests {
     fn oversized_sets_are_omitted() {
         let topos = EvalTopos::build(Scale::Small, 3);
         // 400 hosts don't exist at small scale (192 servers).
-        let cells =
-            run_fig5_panel(&topos, RoutingScheme::Ecmp, &[4, 400], 10_000, 4);
+        let cells = run_fig5_panel(&topos, RoutingScheme::Ecmp, &[4, 400], 10_000, 4);
         assert!(cells.iter().all(|c| c.clients != 400 && c.servers != 400));
         assert!(cells.iter().any(|c| c.clients == 4 && c.servers == 4));
     }
@@ -189,11 +198,13 @@ mod tests {
     #[test]
     fn rates_are_positive_and_bounded() {
         let topos = EvalTopos::build(Scale::Small, 5);
-        let cells =
-            run_fig5_panel(&topos, RoutingScheme::ShortestUnion(2), &[8, 24], 10_000, 6);
+        let cells = run_fig5_panel(&topos, RoutingScheme::ShortestUnion(2), &[8, 24], 10_000, 6);
         for c in &cells {
             assert!(c.dring_rate > 0.0 && c.dring_rate <= 1.0 + 1e-9, "{c:?}");
-            assert!(c.leafspine_rate > 0.0 && c.leafspine_rate <= 1.0 + 1e-9, "{c:?}");
+            assert!(
+                c.leafspine_rate > 0.0 && c.leafspine_rate <= 1.0 + 1e-9,
+                "{c:?}"
+            );
         }
     }
 

@@ -90,7 +90,12 @@ impl EvalTopos {
         let leafspine = LeafSpine::new(x, y).build();
         let dring = Self::dring_config(scale).build();
         let rrg = Rrg::from_equipment(leafspine.equipment(), seed).build();
-        EvalTopos { leafspine, dring, rrg, scale }
+        EvalTopos {
+            leafspine,
+            dring,
+            rrg,
+            scale,
+        }
     }
 
     /// Offered load (bytes over `window_ns`) that drives the leaf-spine's

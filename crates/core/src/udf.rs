@@ -35,7 +35,16 @@ pub struct UdfRow {
 
 /// The default sweep: the paper's configuration plus scaled variants.
 pub fn default_sweep() -> Vec<(u32, u32)> {
-    vec![(48, 16), (24, 8), (12, 4), (9, 3), (16, 8), (10, 5), (20, 4), (30, 10)]
+    vec![
+        (48, 16),
+        (24, 8),
+        (12, 4),
+        (9, 3),
+        (16, 8),
+        (10, 5),
+        (20, 4),
+        (30, 10),
+    ]
 }
 
 /// Builds the table: one row per `(x, y)`, measured values from real
@@ -79,8 +88,7 @@ mod tests {
             assert!((row.nsr_analytic - row.nsr_measured).abs() < 1e-9);
             // Flat measurement deviates only by server rounding.
             assert!(
-                (row.nsr_flat_analytic - row.nsr_flat_measured).abs()
-                    / row.nsr_flat_analytic
+                (row.nsr_flat_analytic - row.nsr_flat_measured).abs() / row.nsr_flat_analytic
                     < 0.03
             );
         }

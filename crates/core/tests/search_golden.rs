@@ -45,12 +45,19 @@ fn search_digest(r: &SearchResult) -> u64 {
 
 fn check(spec: &SearchSpec, golden: u64, what: &str) {
     let digest = search_digest(&run_search(spec));
-    assert_eq!(digest, golden, "{what}: search digest moved ({digest:#018x})");
+    assert_eq!(
+        digest, golden,
+        "{what}: search digest moved ({digest:#018x})"
+    );
 }
 
 #[test]
 fn small_envelope_search_golden() {
-    check(&SearchSpec::small(42), 0xac38_d7ab_7ac9_e0ce, "SearchSpec::small(42)");
+    check(
+        &SearchSpec::small(42),
+        0xac38_d7ab_7ac9_e0ce,
+        "SearchSpec::small(42)",
+    );
 }
 
 /// `bench_snapshot`'s quick design-tier envelope at its default seed.
@@ -63,5 +70,9 @@ fn bench_quick_envelope_search_golden() {
         workers: 1,
         ..SearchSpec::small(42)
     };
-    check(&spec, 0x06bd_4759_c20a_5efe, "bench_snapshot quick design spec");
+    check(
+        &spec,
+        0x06bd_4759_c20a_5efe,
+        "bench_snapshot quick design spec",
+    );
 }

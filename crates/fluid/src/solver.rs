@@ -298,7 +298,10 @@ pub fn solve<F: Forwarding>(
     let mut hops = Vec::with_capacity(demands.len());
     let mut route = Vec::new();
     for &(s, d) in demands {
-        assert!(s < topo.num_servers() && d < topo.num_servers(), "bad server");
+        assert!(
+            s < topo.num_servers() && d < topo.num_servers(),
+            "bad server"
+        );
         if s == d {
             flows.push(Vec::new());
             hops.push(0);
@@ -419,7 +422,8 @@ mod tests {
         let ls = LeafSpine::new(8, 4).build(); // 12 leaves, 96 servers, 3:1
         let flat = Rrg::from_equipment(ls.equipment(), 3).build();
         // Clients: all 8 servers of rack 0; servers: all 8 of rack 1.
-        let demands_ls: Vec<(u32, u32)> = (0..8).flat_map(|a| (8..16).map(move |b| (a, b))).collect();
+        let demands_ls: Vec<(u32, u32)> =
+            (0..8).flat_map(|a| (8..16).map(move |b| (a, b))).collect();
         // Same logical demand on the flat network's server ids: the flat
         // network spreads those 16 servers over 2.67 racks; emulate the
         // *pattern* (16 hot servers) with its own placement.
@@ -465,14 +469,20 @@ mod tests {
             let flows: Vec<Vec<u32>> = (0..rng.gen_range(0..60usize))
                 .map(|_| {
                     let hops = rng.gen_range(0..6usize);
-                    (0..hops).map(|_| rng.gen_range(0..num_links as u32)).collect()
+                    (0..hops)
+                        .map(|_| rng.gen_range(0..num_links as u32))
+                        .collect()
                 })
                 .collect();
             let fast = max_min_rates(num_links, &cap, &flows);
             let slow = max_min_rates_reference(num_links, &cap, &flows);
             assert_eq!(fast.len(), slow.len());
             for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "case {case}, flow {i}: {a} vs {b}");
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "case {case}, flow {i}: {a} vs {b}"
+                );
             }
         }
     }
@@ -530,7 +540,9 @@ mod tests {
             let flows: Vec<Vec<u32>> = (0..rng.gen_range(0..50usize))
                 .map(|_| {
                     let hops = rng.gen_range(0..5usize);
-                    (0..hops).map(|_| rng.gen_range(0..num_links as u32)).collect()
+                    (0..hops)
+                        .map(|_| rng.gen_range(0..num_links as u32))
+                        .collect()
                 })
                 .collect();
             let fresh = max_min_rates(num_links, &cap, &flows);

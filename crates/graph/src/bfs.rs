@@ -233,7 +233,11 @@ impl SpDag {
                 }
             }
         }
-        SpDag { dst, dist, next_hops }
+        SpDag {
+            dst,
+            dist,
+            next_hops,
+        }
     }
 
     /// Number of distinct shortest paths from `src` to the DAG's destination.

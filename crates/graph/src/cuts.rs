@@ -111,7 +111,10 @@ fn kl_refine(g: &Graph, side: &mut [bool]) -> u32 {
 /// Panics if `n < 2` or `n > 24`.
 pub fn exact_bisection(g: &Graph) -> u32 {
     let n = g.num_nodes() as usize;
-    assert!((2..=24).contains(&n), "exact bisection limited to 2..=24 nodes");
+    assert!(
+        (2..=24).contains(&n),
+        "exact bisection limited to 2..=24 nodes"
+    );
     let half = n / 2;
     let mut best = u32::MAX;
     // Fix node 0 on side B to halve the search space.

@@ -43,7 +43,10 @@ pub struct DiGraphBuilder {
 impl DiGraphBuilder {
     /// Creates a builder over `num_nodes` nodes with no arcs.
     pub fn new(num_nodes: u32) -> Self {
-        DiGraphBuilder { num_nodes, arcs: Vec::new() }
+        DiGraphBuilder {
+            num_nodes,
+            arcs: Vec::new(),
+        }
     }
 
     /// Number of nodes.
@@ -58,7 +61,10 @@ impl DiGraphBuilder {
     /// Panics on out-of-range endpoints, self arcs, or zero weight (zero
     /// weights would let the "shortest" path loop).
     pub fn add_arc(&mut self, u: NodeId, v: NodeId, w: u32) -> ArcId {
-        assert!(u < self.num_nodes && v < self.num_nodes, "arc ({u},{v}) out of range");
+        assert!(
+            u < self.num_nodes && v < self.num_nodes,
+            "arc ({u},{v}) out of range"
+        );
         assert_ne!(u, v, "self arc at {u}");
         assert!(w >= 1, "zero-weight arc {u}->{v}");
         let id = self.arcs.len() as ArcId;
@@ -131,7 +137,14 @@ impl DiGraph {
             rev[rcur[v as usize] as usize] = (u, i as ArcId);
             rcur[v as usize] += 1;
         }
-        DiGraph { num_nodes, arcs, fwd_off, fwd, rev_off, rev }
+        DiGraph {
+            num_nodes,
+            arcs,
+            fwd_off,
+            fwd,
+            rev_off,
+            rev,
+        }
     }
 
     /// Number of nodes.
@@ -184,7 +197,11 @@ impl DiGraph {
             if d > dist[u as usize] {
                 continue;
             }
-            let arcs = if forward { self.out_arcs(u) } else { self.in_arcs(u) };
+            let arcs = if forward {
+                self.out_arcs(u)
+            } else {
+                self.in_arcs(u)
+            };
             for &(v, a) in arcs {
                 let nd = d as u64 + self.arcs[a as usize].2 as u64;
                 // Below a stored label, so below UNREACHABLE: fits u32.
@@ -247,7 +264,11 @@ impl DiGraph {
                 if dist[u as usize] as u64 != d {
                     continue; // superseded by a smaller label
                 }
-                let arcs = if forward { self.out_arcs(u) } else { self.in_arcs(u) };
+                let arcs = if forward {
+                    self.out_arcs(u)
+                } else {
+                    self.in_arcs(u)
+                };
                 for &(v, a) in arcs {
                     let w = self.arcs[a as usize].2 as u64;
                     debug_assert!(w <= c as u64, "scratch sized for a cheaper graph");
@@ -285,7 +306,11 @@ impl DialScratch {
 
     /// Scratch sized for `g`'s cost range.
     pub fn for_graph(g: &DiGraph) -> DialScratch {
-        DialScratch { max_cost: g.max_arc_cost(), buckets: Vec::new(), arcs: Vec::new() }
+        DialScratch {
+            max_cost: g.max_arc_cost(),
+            buckets: Vec::new(),
+            arcs: Vec::new(),
+        }
     }
 
     /// The arc-cost bound this scratch was sized for.
@@ -327,7 +352,11 @@ impl WeightedSpDag {
                 }
             }
         }
-        WeightedSpDag { dst, dist, next_hops }
+        WeightedSpDag {
+            dst,
+            dist,
+            next_hops,
+        }
     }
 
     /// Samples a minimum-cost path from `src` by a uniform random walk over
@@ -436,7 +465,12 @@ impl CsrSpDag {
             }
             off.push(arena.len() as u32);
         }
-        CsrSpDag { dst, dist, off, arcs: arena.to_vec() }
+        CsrSpDag {
+            dst,
+            dist,
+            off,
+            arcs: arena.to_vec(),
+        }
     }
 
     /// Flattens a nested DAG. Entry order is preserved, so this equals
@@ -449,7 +483,12 @@ impl CsrSpDag {
             arcs.extend(nh.iter().map(|&(_, a)| a));
             off.push(arcs.len() as u32);
         }
-        CsrSpDag { dst: dag.dst, dist: dag.dist.clone(), off, arcs }
+        CsrSpDag {
+            dst: dag.dst,
+            dist: dag.dist.clone(),
+            off,
+            arcs,
+        }
     }
 
     /// Number of nodes the DAG spans.
@@ -645,7 +684,10 @@ mod tests {
             let g = random_digraph(seed, 24, 4);
             let mut scratch = DialScratch::for_graph(&g);
             for root in [0u32, 5, 23] {
-                assert_eq!(g.bucket_dijkstra_to(root, &mut scratch), g.dijkstra_to(root));
+                assert_eq!(
+                    g.bucket_dijkstra_to(root, &mut scratch),
+                    g.dijkstra_to(root)
+                );
                 assert_eq!(
                     g.bucket_dijkstra_from(root, &mut scratch),
                     g.dijkstra_from(root)
@@ -674,10 +716,17 @@ mod tests {
             for dst in 0..g.num_nodes() {
                 let nested = WeightedSpDag::towards(&g, dst);
                 let direct = CsrSpDag::towards_with(&g, dst, &mut scratch);
-                assert_eq!(direct, CsrSpDag::from_nested(&nested), "seed {seed} dst {dst}");
+                assert_eq!(
+                    direct,
+                    CsrSpDag::from_nested(&nested),
+                    "seed {seed} dst {dst}"
+                );
                 for u in 0..g.num_nodes() {
-                    let pairs: Vec<(NodeId, ArcId)> =
-                        direct.next_hops(u).iter().map(|&a| (g.arc(a).1, a)).collect();
+                    let pairs: Vec<(NodeId, ArcId)> = direct
+                        .next_hops(u)
+                        .iter()
+                        .map(|&a| (g.arc(a).1, a))
+                        .collect();
                     assert_eq!(pairs, nested.next_hops[u as usize]);
                 }
             }
@@ -693,13 +742,18 @@ mod tests {
         let mut ra = SmallRng::seed_from_u64(9);
         let mut rb = SmallRng::seed_from_u64(9);
         for _ in 0..32 {
-            assert_eq!(nested.sample_path(0, &mut ra), csr.sample_path(&g, 0, &mut rb));
+            assert_eq!(
+                nested.sample_path(0, &mut ra),
+                csr.sample_path(&g, 0, &mut rb)
+            );
         }
         let mut rng = SmallRng::seed_from_u64(1);
         let mut b = DiGraphBuilder::new(2);
         b.add_arc(0, 1, 1);
         let g2 = b.build();
-        assert!(CsrSpDag::towards(&g2, 0).sample_path(&g2, 1, &mut rng).is_none());
+        assert!(CsrSpDag::towards(&g2, 0)
+            .sample_path(&g2, 1, &mut rng)
+            .is_none());
     }
 
     #[test]

@@ -160,12 +160,7 @@ pub fn node_disjoint_paths(g: &Graph, s: NodeId, t: NodeId) -> u32 {
 ///
 /// This is the quantity behind the paper's "(n + 1) disjoint paths" claim:
 /// diversity usable by the routing scheme, not raw graph diversity.
-pub fn disjoint_paths_within(
-    g: &Graph,
-    paths: &[Vec<NodeId>],
-    s: NodeId,
-    t: NodeId,
-) -> u32 {
+pub fn disjoint_paths_within(g: &Graph, paths: &[Vec<NodeId>], s: NodeId, t: NodeId) -> u32 {
     // Collect the set of undirected edges used by any path.
     let mut used = vec![false; g.num_edges() as usize];
     for p in paths {

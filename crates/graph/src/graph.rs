@@ -47,10 +47,11 @@ impl fmt::Display for GraphError {
                 write!(f, "node {node} out of range (graph has {num_nodes} nodes)")
             }
             GraphError::SelfLoop(n) => write!(f, "self loop at node {n} is not permitted"),
-            GraphError::DegreeViolation { node, actual, expected } => write!(
-                f,
-                "node {node} has degree {actual}, expected {expected}"
-            ),
+            GraphError::DegreeViolation {
+                node,
+                actual,
+                expected,
+            } => write!(f, "node {node} has degree {actual}, expected {expected}"),
         }
     }
 }
@@ -69,7 +70,10 @@ pub struct GraphBuilder {
 impl GraphBuilder {
     /// Creates a builder for a graph with `num_nodes` nodes and no edges.
     pub fn new(num_nodes: u32) -> Self {
-        GraphBuilder { num_nodes, edges: Vec::new() }
+        GraphBuilder {
+            num_nodes,
+            edges: Vec::new(),
+        }
     }
 
     /// Number of nodes the built graph will have.
@@ -93,8 +97,16 @@ impl GraphBuilder {
     /// Panics if either endpoint is out of range or `a == b`; topology
     /// builders are trusted code, so endpoint errors are programming bugs.
     pub fn add_edge(&mut self, a: NodeId, b: NodeId) -> EdgeId {
-        assert!(a < self.num_nodes, "endpoint {a} out of range ({})", self.num_nodes);
-        assert!(b < self.num_nodes, "endpoint {b} out of range ({})", self.num_nodes);
+        assert!(
+            a < self.num_nodes,
+            "endpoint {a} out of range ({})",
+            self.num_nodes
+        );
+        assert!(
+            b < self.num_nodes,
+            "endpoint {b} out of range ({})",
+            self.num_nodes
+        );
         assert_ne!(a, b, "self loop at node {a}");
         let id = self.edges.len() as EdgeId;
         self.edges.push((a, b));
@@ -104,10 +116,16 @@ impl GraphBuilder {
     /// Fallible variant of [`add_edge`](Self::add_edge) for untrusted input.
     pub fn try_add_edge(&mut self, a: NodeId, b: NodeId) -> Result<EdgeId, GraphError> {
         if a >= self.num_nodes {
-            return Err(GraphError::NodeOutOfRange { node: a, num_nodes: self.num_nodes });
+            return Err(GraphError::NodeOutOfRange {
+                node: a,
+                num_nodes: self.num_nodes,
+            });
         }
         if b >= self.num_nodes {
-            return Err(GraphError::NodeOutOfRange { node: b, num_nodes: self.num_nodes });
+            return Err(GraphError::NodeOutOfRange {
+                node: b,
+                num_nodes: self.num_nodes,
+            });
         }
         if a == b {
             return Err(GraphError::SelfLoop(a));
@@ -151,7 +169,10 @@ impl Graph {
     pub fn from_edges(num_nodes: u32, edges: Vec<(NodeId, NodeId)>) -> Graph {
         let mut degree = vec![0u32; num_nodes as usize];
         for &(a, b) in &edges {
-            assert!(a < num_nodes && b < num_nodes, "edge ({a},{b}) out of range");
+            assert!(
+                a < num_nodes && b < num_nodes,
+                "edge ({a},{b}) out of range"
+            );
             assert_ne!(a, b, "self loop at {a}");
             degree[a as usize] += 1;
             degree[b as usize] += 1;
@@ -172,7 +193,12 @@ impl Graph {
             adj[cursor[b as usize] as usize] = (a, eid);
             cursor[b as usize] += 1;
         }
-        Graph { num_nodes, edges, offsets, adj }
+        Graph {
+            num_nodes,
+            edges,
+            offsets,
+            adj,
+        }
     }
 
     /// Number of nodes.
@@ -233,12 +259,18 @@ impl Graph {
 
     /// Maximum degree over all nodes; 0 for an empty graph.
     pub fn max_degree(&self) -> u32 {
-        (0..self.num_nodes).map(|v| self.degree(v)).max().unwrap_or(0)
+        (0..self.num_nodes)
+            .map(|v| self.degree(v))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Minimum degree over all nodes; 0 for an empty graph.
     pub fn min_degree(&self) -> u32 {
-        (0..self.num_nodes).map(|v| self.degree(v)).min().unwrap_or(0)
+        (0..self.num_nodes)
+            .map(|v| self.degree(v))
+            .min()
+            .unwrap_or(0)
     }
 
     /// `true` iff every node has the same degree `d`; returns that degree.
@@ -247,7 +279,9 @@ impl Graph {
             return None;
         }
         let d = self.degree(0);
-        (1..self.num_nodes).all(|v| self.degree(v) == d).then_some(d)
+        (1..self.num_nodes)
+            .all(|v| self.degree(v) == d)
+            .then_some(d)
     }
 
     /// `true` iff the graph is connected (or has at most one node).
@@ -274,7 +308,11 @@ impl Graph {
         for v in 0..self.num_nodes {
             let d = self.degree(v);
             if d != expected {
-                return Err(GraphError::DegreeViolation { node: v, actual: d, expected });
+                return Err(GraphError::DegreeViolation {
+                    node: v,
+                    actual: d,
+                    expected,
+                });
             }
         }
         Ok(())
@@ -365,7 +403,10 @@ mod tests {
         let mut b = GraphBuilder::new(2);
         assert_eq!(
             b.try_add_edge(0, 5),
-            Err(GraphError::NodeOutOfRange { node: 5, num_nodes: 2 })
+            Err(GraphError::NodeOutOfRange {
+                node: 5,
+                num_nodes: 2
+            })
         );
         assert_eq!(b.try_add_edge(1, 1), Err(GraphError::SelfLoop(1)));
         assert!(b.try_add_edge(0, 1).is_ok());

@@ -77,12 +77,7 @@ fn dfs(
 
 /// Enumerates all shortest paths from `src` to `dst`, up to `cap` of them
 /// (so pathological pair counts cannot blow memory). Deterministic DFS order.
-pub fn all_shortest_paths(
-    g: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    cap: usize,
-) -> Vec<Vec<NodeId>> {
+pub fn all_shortest_paths(g: &Graph, src: NodeId, dst: NodeId, cap: usize) -> Vec<Vec<NodeId>> {
     let dag = SpDag::towards(g, dst);
     let mut out = Vec::new();
     if src == dst || dag.dist[src as usize] == UNREACHABLE {

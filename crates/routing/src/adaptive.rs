@@ -40,11 +40,7 @@ pub struct DualPlane {
 
 impl DualPlane {
     /// Builds both planes and derives the per-pair choice from `policy`.
-    pub fn new(
-        graph: &Graph,
-        k: u32,
-        mut policy: impl FnMut(NodeId, NodeId) -> bool,
-    ) -> DualPlane {
+    pub fn new(graph: &Graph, k: u32, mut policy: impl FnMut(NodeId, NodeId) -> bool) -> DualPlane {
         let ecmp = ForwardingState::build(graph, RoutingScheme::Ecmp);
         let su = ForwardingState::build(graph, RoutingScheme::ShortestUnion(k));
         let r = graph.num_nodes();
@@ -56,7 +52,12 @@ impl DualPlane {
                 }
             }
         }
-        DualPlane { ecmp, su, use_su, su_offset: r }
+        DualPlane {
+            ecmp,
+            su,
+            use_su,
+            su_offset: r,
+        }
     }
 
     /// The paper-motivated default policy: Shortest-Union towards
@@ -188,7 +189,10 @@ mod tests {
             assert_eq!(r.last().unwrap().0, 3);
             lengths.insert(r.len());
         }
-        assert!(lengths.contains(&2), "SU plane should produce detours: {lengths:?}");
+        assert!(
+            lengths.contains(&2),
+            "SU plane should produce detours: {lengths:?}"
+        );
         // Distant pair on ECMP plane: always shortest (2 hops).
         let d = spineless_graph::bfs::distances(&g, 0);
         let far = (0..g.num_nodes()).find(|&v| d[v as usize] == 2).unwrap();

@@ -69,7 +69,11 @@ pub fn converge(vrf: &VrfGraph) -> BgpOutcome {
         converged &= ok;
         prefixes.push(routes);
     }
-    BgpOutcome { rounds: rounds_max, converged, prefixes }
+    BgpOutcome {
+        rounds: rounds_max,
+        converged,
+        prefixes,
+    }
 }
 
 /// Converges one prefix; returns the routes, rounds used, and success.
@@ -115,9 +119,7 @@ pub fn converge_prefix(vrf: &VrfGraph, dst: NodeId) -> (PrefixRoutes, u32, bool)
                 cand_path.extend_from_slice(&prev_path[t as usize]);
                 let better = match &best {
                     None => true,
-                    Some((bl, bp)) => {
-                        cand_len < *bl || (cand_len == *bl && cand_path < *bp)
-                    }
+                    Some((bl, bp)) => cand_len < *bl || (cand_len == *bl && cand_path < *bp),
                 };
                 if better {
                     best = Some((cand_len, cand_path));
@@ -136,7 +138,11 @@ pub fn converge_prefix(vrf: &VrfGraph, dst: NodeId) -> (PrefixRoutes, u32, bool)
         }
         if rounds >= MAX_ROUNDS {
             return (
-                PrefixRoutes { dst, best_len: len, fib: vec![Vec::new(); n] },
+                PrefixRoutes {
+                    dst,
+                    best_len: len,
+                    fib: vec![Vec::new(); n],
+                },
                 rounds,
                 false,
             );
@@ -165,7 +171,15 @@ pub fn converge_prefix(vrf: &VrfGraph, dst: NodeId) -> (PrefixRoutes, u32, bool)
             }
         }
     }
-    (PrefixRoutes { dst, best_len: len, fib }, rounds, true)
+    (
+        PrefixRoutes {
+            dst,
+            best_len: len,
+            fib,
+        },
+        rounds,
+        true,
+    )
 }
 
 #[cfg(test)]
@@ -219,8 +233,11 @@ mod tests {
                     "len mismatch dst={dst} v={v}"
                 );
                 let mut a: Vec<(NodeId, ArcId)> = pr.fib[v as usize].clone();
-                let mut b: Vec<(NodeId, ArcId)> =
-                    dag.next_hops(v).iter().map(|&arc| (fs.next_vnode(arc), arc)).collect();
+                let mut b: Vec<(NodeId, ArcId)> = dag
+                    .next_hops(v)
+                    .iter()
+                    .map(|&arc| (fs.next_vnode(arc), arc))
+                    .collect();
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b, "fib mismatch dst={dst} v={v}");
@@ -257,8 +274,7 @@ mod tests {
                 if src == dst {
                     continue;
                 }
-                let l = out.prefixes[dst as usize].best_len
-                    [fs.vrf.host_node(src) as usize];
+                let l = out.prefixes[dst as usize].best_len[fs.vrf.host_node(src) as usize];
                 assert_eq!(l, 3, "src={src} dst={dst}");
             }
         }
@@ -310,7 +326,10 @@ mod tests {
         let out = converge(&fs.vrf);
         assert!(out.converged);
         let pr = &out.prefixes[3];
-        assert_eq!(pr.best_len[fs.vrf.host_node(0) as usize], UNREACHABLE as u64);
+        assert_eq!(
+            pr.best_len[fs.vrf.host_node(0) as usize],
+            UNREACHABLE as u64
+        );
         assert!(pr.fib[fs.vrf.host_node(0) as usize].is_empty());
         // But 2 reaches 3.
         assert_eq!(pr.best_len[fs.vrf.host_node(2) as usize], 2);

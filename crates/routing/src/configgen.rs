@@ -132,8 +132,7 @@ pub fn generate(vrf: &VrfGraph, edge_ends: &[(NodeId, NodeId)]) -> Vec<RouterCon
         })
         .collect();
     // Interfaces + BGP neighbor stanzas per session.
-    let mut bgp: Vec<BTreeMap<u32, Vec<String>>> =
-        vec![BTreeMap::new(); vrf.routers as usize]; // router -> vrf -> lines
+    let mut bgp: Vec<BTreeMap<u32, Vec<String>>> = vec![BTreeMap::new(); vrf.routers as usize]; // router -> vrf -> lines
     let mut prepends_used: Vec<std::collections::BTreeSet<u32>> =
         vec![Default::default(); vrf.routers as usize];
     for (&e, sess) in &table {
@@ -153,15 +152,10 @@ pub fn generate(vrf: &VrfGraph, edge_ends: &[(NodeId, NodeId)]) -> Vec<RouterCon
                 let _ = writeln!(t, "interface eth{e}.{vlan} vrf VRF{my_vrf}");
                 let _ = writeln!(t, " ip address {my_ip}/30");
                 let lines = bgp[me as usize].entry(my_vrf).or_default();
-                lines.push(format!(
-                    " neighbor {peer_ip} remote-as {}",
-                    asn_of(peer)
-                ));
+                lines.push(format!(" neighbor {peer_ip} remote-as {}", asn_of(peer)));
                 if let Some(c) = my_adv_cost {
                     if c > 1 {
-                        lines.push(format!(
-                            " neighbor {peer_ip} route-map PREPEND-{c} out"
-                        ));
+                        lines.push(format!(" neighbor {peer_ip} route-map PREPEND-{c} out"));
                         prepends_used[me as usize].insert(c);
                     }
                 } else {
@@ -196,7 +190,11 @@ pub fn generate(vrf: &VrfGraph, edge_ends: &[(NodeId, NodeId)]) -> Vec<RouterCon
         }
     }
     (0..vrf.routers)
-        .map(|r| RouterConfig { router: r, asn: asn_of(r), text: std::mem::take(&mut texts[r as usize]) })
+        .map(|r| RouterConfig {
+            router: r,
+            asn: asn_of(r),
+            text: std::mem::take(&mut texts[r as usize]),
+        })
         .collect()
 }
 
@@ -260,7 +258,9 @@ mod tests {
         for c in &cfgs {
             let marker = format!("router bgp {} vrf VRF{}", c.asn, vrf.k);
             assert!(c.text.contains(&marker));
-            assert!(c.text.contains(&format!("network 192.168.{}.0/24", c.router)));
+            assert!(c
+                .text
+                .contains(&format!("network 192.168.{}.0/24", c.router)));
         }
     }
 

@@ -140,10 +140,7 @@ pub fn min_su_disjoint_by_distance(
 /// Histogram of shortest-path counts bucketed by pair distance:
 /// `result[d]` = (pairs at distance d, min count, mean count).
 /// Shows the near-pair path famine that motivates Shortest-Union.
-pub fn shortest_path_counts_by_distance(
-    g: &Graph,
-    racks: &[NodeId],
-) -> Vec<(u32, u64, f64)> {
+pub fn shortest_path_counts_by_distance(g: &Graph, racks: &[NodeId]) -> Vec<(u32, u64, f64)> {
     use std::collections::BTreeMap;
     let mut acc: BTreeMap<u32, (u64, u64, u64)> = BTreeMap::new(); // d -> (pairs, min, sum)
     for &t in racks {
@@ -214,8 +211,16 @@ mod tests {
             let t = DRing::uniform(m, n, 6 * n).build();
             let vrf = VrfGraph::build(&t.graph, 2);
             // ToR 0 (supernode 0) vs first ToR of supernode 1 / 2.
-            assert_eq!(su_disjoint_exact(&t.graph, &vrf, 0, n), 2 * n + 1, "±1, m={m}");
-            assert_eq!(su_disjoint_exact(&t.graph, &vrf, 0, 2 * n), n + 1, "±2, m={m}");
+            assert_eq!(
+                su_disjoint_exact(&t.graph, &vrf, 0, n),
+                2 * n + 1,
+                "±1, m={m}"
+            );
+            assert_eq!(
+                su_disjoint_exact(&t.graph, &vrf, 0, 2 * n),
+                n + 1,
+                "±2, m={m}"
+            );
         }
     }
 
@@ -281,7 +286,12 @@ mod tests {
         let d1 = hist.iter().find(|&&(d, _, _)| d == 1).unwrap();
         let d2 = hist.iter().find(|&&(d, _, _)| d == 2).unwrap();
         assert_eq!(d1.1, 1, "adjacent pairs have exactly one shortest path");
-        assert!(d2.2 > d1.2, "mean paths at distance 2 ({}) > at 1 ({})", d2.2, d1.2);
+        assert!(
+            d2.2 > d1.2,
+            "mean paths at distance 2 ({}) > at 1 ({})",
+            d2.2,
+            d1.2
+        );
     }
 
     #[test]

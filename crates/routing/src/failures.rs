@@ -46,7 +46,10 @@ impl FailurePlan {
         edges.shuffle(rng);
         let n = ((topo.graph.num_edges() as f64) * fraction).round() as usize;
         edges.truncate(n);
-        FailurePlan { failed_links: edges, failed_switches: Vec::new() }
+        FailurePlan {
+            failed_links: edges,
+            failed_switches: Vec::new(),
+        }
     }
 
     /// A plan powering off `count` random switches.
@@ -54,7 +57,10 @@ impl FailurePlan {
         let mut switches: Vec<NodeId> = (0..topo.num_switches()).collect();
         switches.shuffle(rng);
         switches.truncate(count as usize);
-        FailurePlan { failed_links: Vec::new(), failed_switches: switches }
+        FailurePlan {
+            failed_links: Vec::new(),
+            failed_switches: switches,
+        }
     }
 
     /// Applies the plan: the degraded topology keeps the node id space
@@ -190,7 +196,11 @@ pub fn incremental_rebuild(
             next_arc += 1;
         }
     }
-    debug_assert_eq!(next_arc, vrf.graph.num_arcs(), "arc renumbering out of sync");
+    debug_assert_eq!(
+        next_arc,
+        vrf.graph.num_arcs(),
+        "arc renumbering out of sync"
+    );
 
     // Arc (x → y, w) is in d's DAG iff x is neither the destination nor
     // unreachable and the arc closes the distance gap — the same inclusion
@@ -211,7 +221,9 @@ pub fn incremental_rebuild(
         .map(|d| {
             if affected_iter.peek() == Some(&d) {
                 affected_iter.next();
-                rebuilt.next().expect("one rebuilt DAG per affected destination")
+                rebuilt
+                    .next()
+                    .expect("one rebuilt DAG per affected destination")
             } else {
                 baseline.dags[d as usize].remap_arcs(|a| {
                     let m = arc_map[a as usize];
@@ -252,7 +264,10 @@ pub fn assess_with(
     #[cfg(debug_assertions)]
     {
         let full = ForwardingState::build(&degraded.graph, scheme);
-        debug_assert_eq!(after, full, "incremental rebuild diverged from full rebuild");
+        debug_assert_eq!(
+            after, full,
+            "incremental rebuild diverged from full rebuild"
+        );
     }
 
     let racks_before = topo.racks();
@@ -297,9 +312,7 @@ pub fn assess_with(
     let k = scheme.k().max(2);
     let vrf_b = VrfGraph::build(&topo.graph, k);
     let vrf_a = VrfGraph::build(&degraded.graph, k);
-    let min_div = |g: &spineless_graph::Graph,
-                   vrf: &VrfGraph,
-                   pairs: &[(NodeId, NodeId)]| {
+    let min_div = |g: &spineless_graph::Graph, vrf: &VrfGraph, pairs: &[(NodeId, NodeId)]| {
         pairs
             .iter()
             .map(|&(s, d)| su_disjoint_exact(g, vrf, s, d))
@@ -343,7 +356,10 @@ mod tests {
     #[test]
     fn apply_cuts_links_and_strands_servers() {
         let t = dring();
-        let plan = FailurePlan { failed_links: vec![0, 5], failed_switches: vec![2] };
+        let plan = FailurePlan {
+            failed_links: vec![0, 5],
+            failed_switches: vec![2],
+        };
         let d = plan.apply(&t).unwrap();
         assert_eq!(d.num_switches(), t.num_switches());
         assert!(d.num_links() < t.num_links() - 1);
@@ -357,7 +373,10 @@ mod tests {
         let t = dring();
         let mut rng = SmallRng::seed_from_u64(1);
         let p = FailurePlan::random_links(&t, 0.1, &mut rng);
-        assert_eq!(p.failed_links.len(), (t.num_links() as f64 * 0.1).round() as usize);
+        assert_eq!(
+            p.failed_links.len(),
+            (t.num_links() as f64 * 0.1).round() as usize
+        );
         let p2 = FailurePlan::random_links(&t, 0.1, &mut SmallRng::seed_from_u64(1));
         assert_eq!(p, p2);
         let ps = FailurePlan::random_switches(&t, 3, &mut rng);
@@ -381,7 +400,10 @@ mod tests {
         // Killing one spine leaves full leaf connectivity via the others.
         let t = LeafSpine::new(6, 3).build();
         let spine0 = t.num_racks(); // first spine id
-        let plan = FailurePlan { failed_links: vec![], failed_switches: vec![spine0] };
+        let plan = FailurePlan {
+            failed_links: vec![],
+            failed_switches: vec![spine0],
+        };
         let impact = assess(&t, RoutingScheme::Ecmp, &plan, 20).unwrap();
         assert_eq!(impact.disconnected_pairs, 0);
         // Path cost unchanged (still 2 hops via surviving spines).
@@ -400,7 +422,10 @@ mod tests {
                 a == victim || b == victim
             })
             .collect();
-        let plan = FailurePlan { failed_links: links, failed_switches: vec![] };
+        let plan = FailurePlan {
+            failed_links: links,
+            failed_switches: vec![],
+        };
         let impact = assess(&t, RoutingScheme::ShortestUnion(2), &plan, 20).unwrap();
         // Victim still hosts servers but has no links: pairs to/from it die.
         assert!(impact.disconnected_pairs > 0);
@@ -419,7 +444,11 @@ mod tests {
         let map = plan.surviving_edge_map(&t);
         assert_eq!(map.len() as u32, d.graph.num_edges());
         for e in 0..d.graph.num_edges() {
-            assert_eq!(d.graph.edge(e), t.graph.edge(map[e as usize]), "degraded edge {e}");
+            assert_eq!(
+                d.graph.edge(e),
+                t.graph.edge(map[e as usize]),
+                "degraded edge {e}"
+            );
         }
         // Dead edges never appear in the map.
         for &dead in &plan.failed_links {
@@ -448,8 +477,7 @@ mod tests {
     fn incremental_rebuild_of_empty_plan_is_the_baseline() {
         let t = dring();
         let baseline = ForwardingState::build(&t.graph, RoutingScheme::ShortestUnion(2));
-        let (degraded, inc) =
-            incremental_rebuild(&baseline, &t, &FailurePlan::default()).unwrap();
+        let (degraded, inc) = incremental_rebuild(&baseline, &t, &FailurePlan::default()).unwrap();
         assert_eq!(degraded.graph.num_edges(), t.graph.num_edges());
         assert_eq!(inc, baseline);
     }

@@ -79,8 +79,7 @@ impl FibCache {
         // Exact footprint: one slot per (vnode, dst) pair plus one arena
         // entry per DAG next-hop entry (`next_hops` is a straight
         // delegation to `dags[dst]`, so per-DAG totals are the arena).
-        let slot_bytes = vnodes as u64 * routers as u64
-            * std::mem::size_of::<(u32, u32)>() as u64;
+        let slot_bytes = vnodes as u64 * routers as u64 * std::mem::size_of::<(u32, u32)>() as u64;
         let arena_entries: u64 = fs.dags.iter().map(|d| d.num_entries() as u64).sum();
         let arena_bytes = arena_entries * std::mem::size_of::<(NodeId, u32)>() as u64;
         if slot_bytes.saturating_add(arena_bytes) > FIB_CACHE_MAX_BYTES {
@@ -93,7 +92,11 @@ impl FibCache {
             .map(|arc| {
                 let (tail, head, _) = g.arc(arc);
                 let edge = fs.vrf.edge_of_arc(arc);
-                let dir = if fs.vrf.router_of(tail) == edges[edge as usize].0 { 0 } else { 1 };
+                let dir = if fs.vrf.router_of(tail) == edges[edge as usize].0 {
+                    0
+                } else {
+                    1
+                };
                 (head, 2 * edge + dir)
             })
             .collect();
@@ -106,8 +109,15 @@ impl FibCache {
                 arena.extend(nh.iter().map(|&arc| hop_of[arc as usize]));
             }
         }
-        assert!(arena.len() <= u32::MAX as usize, "FIB arena overflows u32 offsets");
-        Some(FibCache { vnodes, slots, arena })
+        assert!(
+            arena.len() <= u32::MAX as usize,
+            "FIB arena overflows u32 offsets"
+        );
+        Some(FibCache {
+            vnodes,
+            slots,
+            arena,
+        })
     }
 
     /// Number of vnodes the cache indexes (engine sanity checks).
@@ -214,7 +224,8 @@ pub trait Forwarding: Send + Sync {
         Self: Sized,
     {
         let mut hops = Vec::new();
-        self.sample_route_into(src, dst, rng, &mut hops).then_some(hops)
+        self.sample_route_into(src, dst, rng, &mut hops)
+            .then_some(hops)
     }
 
     /// [`Forwarding::sample_route_generic`] into a caller-held buffer
@@ -278,7 +289,11 @@ const PAR_MIN_DESTS: usize = 16;
 /// extraction arena are allocated once per thread, not once per
 /// destination; each DAG leaves the arena as an exact-size copy.
 pub(crate) fn build_dags(vrf: &VrfGraph, dsts: &[NodeId]) -> Vec<CsrSpDag> {
-    let workers = if dsts.len() < PAR_MIN_DESTS { 1 } else { par::host_threads() };
+    let workers = if dsts.len() < PAR_MIN_DESTS {
+        1
+    } else {
+        par::host_threads()
+    };
     par::map_ordered(
         dsts,
         workers,
@@ -663,8 +678,10 @@ mod tests {
         let dsts: Vec<NodeId> = (0..20).collect();
         let parallel = build_dags(&vrf, &dsts);
         let mut scratch = spineless_graph::DialScratch::for_graph(&vrf.graph);
-        let serial: Vec<_> =
-            dsts.iter().map(|&d| vrf.csr_dag_towards_with(d, &mut scratch)).collect();
+        let serial: Vec<_> = dsts
+            .iter()
+            .map(|&d| vrf.csr_dag_towards_with(d, &mut scratch))
+            .collect();
         assert_eq!(parallel, serial);
     }
 
@@ -704,12 +721,15 @@ mod tests {
                         }
                         for hash in [0u64, 1, 7, 0xDEAD_BEEF, u64::MAX] {
                             let (nv, link) = cache.next_hop(vnode, dst, hash);
-                            let (rnv, redge) =
-                                Forwarding::next_hop(&fs, vnode, dst, hash);
+                            let (rnv, redge) = Forwarding::next_hop(&fs, vnode, dst, hash);
                             assert_eq!(nv, rnv, "vnode {vnode} dst {dst}");
                             assert_eq!(link >> 1, redge, "vnode {vnode} dst {dst}");
                             let router = fs.vrf.router_of(vnode);
-                            let dir = if edges[redge as usize].0 == router { 0 } else { 1 };
+                            let dir = if edges[redge as usize].0 == router {
+                                0
+                            } else {
+                                1
+                            };
                             assert_eq!(link, 2 * redge + dir);
                         }
                     }
@@ -782,9 +802,15 @@ mod tests {
             let fs = ForwardingState::build(&topo.graph, scheme);
             exact(&fs);
             exact(&ForwardingState::build_reference(&topo.graph, scheme));
-            let plan =
-                crate::failures::FailurePlan { failed_links: vec![0, 3], ..Default::default() };
-            exact(&crate::failures::incremental_rebuild(&fs, &topo, &plan).unwrap().1);
+            let plan = crate::failures::FailurePlan {
+                failed_links: vec![0, 3],
+                ..Default::default()
+            };
+            exact(
+                &crate::failures::incremental_rebuild(&fs, &topo, &plan)
+                    .unwrap()
+                    .1,
+            );
         }
     }
 

@@ -60,6 +60,6 @@ pub mod vlb;
 pub mod vrf;
 
 pub use adaptive::DualPlane;
-pub use vlb::Vlb;
 pub use fib::{FibCache, Forwarding, ForwardingState, RoutingScheme};
+pub use vlb::Vlb;
 pub use vrf::VrfGraph;

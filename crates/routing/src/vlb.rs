@@ -40,7 +40,10 @@ impl Vlb {
     pub fn build(graph: &Graph) -> Vlb {
         assert!(graph.is_connected(), "VLB requires a connected topology");
         let ecmp = ForwardingState::build(graph, RoutingScheme::Ecmp);
-        Vlb { routers: graph.num_nodes(), ecmp }
+        Vlb {
+            routers: graph.num_nodes(),
+            ecmp,
+        }
     }
 
     #[inline]
@@ -183,7 +186,9 @@ mod tests {
         let v = Vlb::build(&g);
         let mut seen = std::collections::BTreeSet::new();
         for h in 0..2000u64 {
-            let via = v.draw_via(3, 10, h.wrapping_mul(0x9E3779B97F4A7C15)).unwrap();
+            let via = v
+                .draw_via(3, 10, h.wrapping_mul(0x9E3779B97F4A7C15))
+                .unwrap();
             assert_ne!(via, 3);
             assert_ne!(via, 10);
             seen.insert(via);

@@ -29,7 +29,9 @@
 //! descends, which contradicts its own proof's witness path; we implement
 //! the ascent reconstruction and verify exhaustively.)
 
-use spineless_graph::digraph::{ArcId, CsrSpDag, DiGraph, DiGraphBuilder, DialScratch, WeightedSpDag};
+use spineless_graph::digraph::{
+    ArcId, CsrSpDag, DiGraph, DiGraphBuilder, DialScratch, WeightedSpDag,
+};
 use spineless_graph::{EdgeId, Graph, NodeId, UNREACHABLE};
 
 /// The expanded VRF graph of a physical topology, for a given `K`.
@@ -119,7 +121,12 @@ impl VrfGraph {
                 arc_edge.push(eid);
             }
         }
-        VrfGraph { k, routers, graph: b.build(), arc_edge }
+        VrfGraph {
+            k,
+            routers,
+            graph: b.build(),
+            arc_edge,
+        }
     }
 
     /// VRF-graph distance from `(VRF K, src)` to `(VRF K, dst)`; by
@@ -169,13 +176,16 @@ impl VrfGraph {
         for vp in vpaths {
             let rp: Vec<NodeId> = vp.iter().map(|&v| self.router_of(v)).collect();
             let mut seen = vec![false; self.routers as usize];
-            if rp.iter().all(|&r| !std::mem::replace(&mut seen[r as usize], true))
-                && !out.contains(&rp) {
-                    out.push(rp);
-                    if out.len() >= cap {
-                        break;
-                    }
+            if rp
+                .iter()
+                .all(|&r| !std::mem::replace(&mut seen[r as usize], true))
+                && !out.contains(&rp)
+            {
+                out.push(rp);
+                if out.len() >= cap {
+                    break;
                 }
+            }
         }
         out
     }

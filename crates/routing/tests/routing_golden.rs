@@ -67,14 +67,33 @@ fn su2(topo: &Topology) -> ForwardingState {
 fn dring_paper_config_routing_golden() {
     let topo = DRing::paper_config().build();
     let fs = su2(&topo);
-    assert_eq!(fib_digest(&fs, &topo), 0x91e5_7614_bf06_a7d5, "DRing FIB digest moved");
-    assert_eq!(routes_digest(&fs), 0xb9de_a193_8633_ba70, "DRing route digest moved");
+    assert_eq!(
+        fib_digest(&fs, &topo),
+        0x91e5_7614_bf06_a7d5,
+        "DRing FIB digest moved"
+    );
+    assert_eq!(
+        routes_digest(&fs),
+        0xb9de_a193_8633_ba70,
+        "DRing route digest moved"
+    );
 }
 
 #[test]
 fn jellyfish_400_routing_golden() {
-    let topo = Jellyfish::new(400, 26, 6, 32, 42).unwrap().topology().unwrap();
+    let topo = Jellyfish::new(400, 26, 6, 32, 42)
+        .unwrap()
+        .topology()
+        .unwrap();
     let fs = su2(&topo);
-    assert_eq!(fib_digest(&fs, &topo), 0x7c18_d304_5d97_760e, "Jellyfish FIB digest moved");
-    assert_eq!(routes_digest(&fs), 0x3f88_2eea_fe31_a3e9, "Jellyfish route digest moved");
+    assert_eq!(
+        fib_digest(&fs, &topo),
+        0x7c18_d304_5d97_760e,
+        "Jellyfish FIB digest moved"
+    );
+    assert_eq!(
+        routes_digest(&fs),
+        0x3f88_2eea_fe31_a3e9,
+        "Jellyfish route digest moved"
+    );
 }

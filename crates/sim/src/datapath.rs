@@ -97,7 +97,10 @@ const DETAIL_BITS: u32 = 29;
 /// in emission order — so a resume and a pause emitted for the same link
 /// at the same instant keep that order.
 pub(crate) fn rank(class: u64, entity: u32, detail: u64) -> u64 {
-    debug_assert!(detail < (1 << DETAIL_BITS), "rank detail overflows its field");
+    debug_assert!(
+        detail < (1 << DETAIL_BITS),
+        "rank detail overflows its field"
+    );
     (class << 61) | ((entity as u64) << DETAIL_BITS) | (detail & ((1 << DETAIL_BITS) - 1))
 }
 
@@ -300,7 +303,10 @@ impl SwapPlane {
             return None;
         }
         let arc = nh[(hash % nh.len() as u64) as usize];
-        Some((self.fs.next_vnode(arc), self.edge_map[self.fs.vrf.edge_of_arc(arc) as usize]))
+        Some((
+            self.fs.next_vnode(arc),
+            self.edge_map[self.fs.vrf.edge_of_arc(arc) as usize],
+        ))
     }
 }
 
@@ -770,8 +776,10 @@ impl<F: Forwarding, S: Sink> Core<F, S> {
                 // ingresses stay paused forever (a phantom pause tree).
                 // They arrived over ingresses whose head is this link's
                 // tail, so this core owns those accounts.
-                let held: Vec<(DirLinkId, u32)> =
-                    self.queues[i].iter_queued().map(|p| (p.ingress, p.size)).collect();
+                let held: Vec<(DirLinkId, u32)> = self.queues[i]
+                    .iter_queued()
+                    .map(|p| (p.ingress, p.size))
+                    .collect();
                 for (ing, sz) in held {
                     self.pfc_discharge(ing, sz);
                 }
@@ -1237,17 +1245,33 @@ impl Tally {
             self.open_pauses,
             "pause and resume frames do not pair up"
         );
-        assert_eq!(self.queue_drops + self.no_route_drops, report.dropped_packets, "drops lost in the merge");
-        assert!(report.congestion_drops <= report.dropped_packets, "tail drops exceed drops");
+        assert_eq!(
+            self.queue_drops + self.no_route_drops,
+            report.dropped_packets,
+            "drops lost in the merge"
+        );
+        assert!(
+            report.congestion_drops <= report.dropped_packets,
+            "tail drops exceed drops"
+        );
         if !self.faults {
-            assert_eq!(report.congestion_drops, report.dropped_packets, "a drop without a cause");
+            assert_eq!(
+                report.congestion_drops, report.dropped_packets,
+                "a drop without a cause"
+            );
         }
         if self.lossless {
             assert_eq!(report.congestion_drops, 0, "a lossless fabric tail-dropped");
         }
         let admitted: u64 = report.flows.iter().map(|f| f.bytes).sum();
-        assert!(self.acked_bytes <= admitted, "more bytes acknowledged than admitted");
-        assert!(self.acked_bytes <= report.delivered_bytes, "more bytes acknowledged than delivered");
+        assert!(
+            self.acked_bytes <= admitted,
+            "more bytes acknowledged than admitted"
+        );
+        assert!(
+            self.acked_bytes <= report.delivered_bytes,
+            "more bytes acknowledged than delivered"
+        );
     }
 }
 
@@ -1255,7 +1279,10 @@ impl Tally {
 /// when the last flow completed if every flow did, else the horizon
 /// `max_time`, or `last_live` when there is none.
 pub(crate) fn run_end(flows: &[FlowRecord], max_time: Ns, last_live: Ns) -> Ns {
-    let done: Option<Vec<Ns>> = flows.iter().map(|f| f.fct_ns.map(|c| f.start_ns + c)).collect();
+    let done: Option<Vec<Ns>> = flows
+        .iter()
+        .map(|f| f.fct_ns.map(|c| f.start_ns + c))
+        .collect();
     match done {
         Some(ends) => ends.into_iter().max().unwrap_or(0),
         None if max_time < Ns::MAX => max_time,
@@ -1280,7 +1307,10 @@ mod tests {
         // A resume and a pause for one link can be emitted at the same
         // instant and so arrive together; the frame number must order them.
         for n in [1u64, 2, 3, 4, 1_000] {
-            assert!(rank_of(&Ev::Pfc(7, n)) < rank_of(&Ev::Pfc(7, n + 1)), "frame {n}");
+            assert!(
+                rank_of(&Ev::Pfc(7, n)) < rank_of(&Ev::Pfc(7, n + 1)),
+                "frame {n}"
+            );
         }
         assert!(rank_of(&Ev::Rto(u32::MAX, 0, 3)) < rank_of(&Ev::Pfc(0, 1)));
     }

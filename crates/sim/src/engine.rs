@@ -129,7 +129,11 @@ impl SerialSink {
     /// caller stops processing at `deadline` and every later insert lands
     /// after it.
     pub(crate) fn next_event(&mut self, deadline: Ns) -> Option<(Ns, u64, Ev)> {
-        self.next_event_below(deadline.checked_add(1).map_or((Ns::MAX, u64::MAX), |c| (c, 0)))
+        self.next_event_below(
+            deadline
+                .checked_add(1)
+                .map_or((Ns::MAX, u64::MAX), |c| (c, 0)),
+        )
     }
 
     /// [`next_event`](Self::next_event) bounded by a key: pops the next
@@ -236,7 +240,8 @@ impl<F: Forwarding> Serial<F> {
         let c = &mut self.core;
         c.add_sender(f);
         c.add_receiver();
-        c.sink.push(c.plant.specs[f as usize].start_ns, Ev::FlowStart(f, f));
+        c.sink
+            .push(c.plant.specs[f as usize].start_ns, Ev::FlowStart(f, f));
     }
 
     /// Processes every event and failure-schedule action at or before
@@ -375,7 +380,10 @@ impl<F: Forwarding> Simulation<F> {
     /// Panics if the shards exist already: after the first advance, or
     /// after an earlier pin to one shard.
     pub fn set_shards(&mut self, shards: u32) {
-        assert!(matches!(self.engine, Engine::Idle), "set_shards after the shards were created");
+        assert!(
+            matches!(self.engine, Engine::Idle),
+            "set_shards after the shards were created"
+        );
         self.pinned = Some(shards);
         if shards <= 1 {
             self.start();
@@ -431,7 +439,14 @@ impl<F: Forwarding> Simulation<F> {
         if self.agenda.is_some() {
             return Err(SimError::ScheduleAlreadySet);
         }
-        let agenda = Agenda::new(topo, baseline, schedule, self.plant(), self.fs.routers(), &self.cfg)?;
+        let agenda = Agenda::new(
+            topo,
+            baseline,
+            schedule,
+            self.plant(),
+            self.fs.routers(),
+            &self.cfg,
+        )?;
         match &mut self.engine {
             Engine::Idle => {}
             Engine::Serial(s) => {
@@ -479,7 +494,8 @@ impl<F: Forwarding> Simulation<F> {
         match &mut self.engine {
             Engine::Idle => Arc::make_mut(&mut self.plant).add_flow(fs, src, dst, bytes, start_ns),
             Engine::Serial(s) => {
-                let id = Arc::make_mut(&mut s.core.plant).add_flow(fs, src, dst, bytes, start_ns)?;
+                let id =
+                    Arc::make_mut(&mut s.core.plant).add_flow(fs, src, dst, bytes, start_ns)?;
                 s.materialize(id);
                 Ok(id)
             }
@@ -554,7 +570,14 @@ impl<F: Forwarding> Simulation<F> {
             let sink = SerialSink::new(&self.cfg);
             let plant = std::mem::replace(&mut self.plant, spare_plant());
             let links = plant.num_links();
-            let mut core = Core::new(self.cfg, self.fs.clone(), plant, self.hot.clone(), sink, links);
+            let mut core = Core::new(
+                self.cfg,
+                self.fs.clone(),
+                plant,
+                self.hot.clone(),
+                sink,
+                links,
+            );
             if let Some(agenda) = &self.agenda {
                 core.enable_faults();
                 core.ctrl_pending = agenda.pending();
@@ -598,10 +621,17 @@ impl<F: Forwarding> Simulation<F> {
                     let i = f as usize;
                     c.plant.specs[i].record(f, c.fct[i], &c.senders[i])
                 };
-                (c.tally(), s.events, (0..c.plant.specs.len() as FlowId).map(record).collect())
+                (
+                    c.tally(),
+                    s.events,
+                    (0..c.plant.specs.len() as FlowId).map(record).collect(),
+                )
             }
             Engine::Sharded(s) => {
-                let tally = s.cores().map(Core::tally).fold(Tally::default(), Tally::merge);
+                let tally = s
+                    .cores()
+                    .map(Core::tally)
+                    .fold(Tally::default(), Tally::merge);
                 (tally, s.events(), s.records())
             }
         };
@@ -671,7 +701,10 @@ impl<F: Forwarding> Simulation<F> {
     pub fn set_link_residuals(&mut self, residual: &[f64]) -> Result<(), SimError> {
         let want = self.num_dir_links();
         if residual.len() != want {
-            return Err(SimError::ResidualLength { got: residual.len(), want });
+            return Err(SimError::ResidualLength {
+                got: residual.len(),
+                want,
+            });
         }
         match &mut self.engine {
             Engine::Idle => install_residuals(&mut self.residuals, residual),
@@ -790,7 +823,13 @@ mod tests {
         }
         s.add_flow(0, 20, 200_000, 0).unwrap();
         assert_eq!(s.run(), plain, "a rejected residual vector slowed the run");
-        assert_eq!(s.set_link_residuals(&vec![0.25; n + 1]), Err(SimError::ResidualLength { got: n + 1, want: n }));
+        assert_eq!(
+            s.set_link_residuals(&vec![0.25; n + 1]),
+            Err(SimError::ResidualLength {
+                got: n + 1,
+                want: n
+            })
+        );
         assert_eq!(s.set_link_residuals(&vec![1.0; n]), Ok(()));
     }
 
@@ -848,7 +887,11 @@ mod tests {
             (r.fcts(), r.events)
         };
         assert_eq!(run(7), run(7));
-        assert_ne!(run(7).0, run(8).0, "different seeds give different ECMP picks");
+        assert_ne!(
+            run(7).0,
+            run(8).0,
+            "different seeds give different ECMP picks"
+        );
     }
 
     #[test]
@@ -897,7 +940,10 @@ mod tests {
     fn max_time_truncates() {
         let t = small_ls();
         let fs = ForwardingState::build(&t.graph, RoutingScheme::Ecmp);
-        let cfg = SimConfig { max_time_ns: 10_000, ..Default::default() };
+        let cfg = SimConfig {
+            max_time_ns: 10_000,
+            ..Default::default()
+        };
         let mut s = Simulation::new(&t, fs, cfg, 6);
         s.add_flow(0, 23, 100_000_000, 0).unwrap(); // can't finish in 10 us
         let r = s.run();
@@ -948,7 +994,10 @@ mod tests {
         let t = small_ls();
         let run = |gap: Option<u64>| {
             let fs = ForwardingState::build(&t.graph, RoutingScheme::Ecmp);
-            let cfg = SimConfig { flowlet_gap_ns: gap, ..Default::default() };
+            let cfg = SimConfig {
+                flowlet_gap_ns: gap,
+                ..Default::default()
+            };
             let mut s = Simulation::new(&t, fs, cfg, 31);
             s.add_flow(0, 23, 2_000_000, 0).unwrap();
             let r = s.run();
@@ -973,7 +1022,9 @@ mod tests {
         );
         let sprayed = run(Some(0));
         assert!(
-            sprayed[0] > 0 && sprayed[1] > 0 && sprayed[0].min(sprayed[1]) * 10 >= sprayed[0].max(sprayed[1]) / 10,
+            sprayed[0] > 0
+                && sprayed[1] > 0
+                && sprayed[0].min(sprayed[1]) * 10 >= sprayed[0].max(sprayed[1]) / 10,
             "{sprayed:?}"
         );
     }
@@ -985,7 +1036,10 @@ mod tests {
         let t = small_ls();
         let run = |transport| {
             let fs = ForwardingState::build(&t.graph, RoutingScheme::Ecmp);
-            let cfg = SimConfig { transport, ..Default::default() };
+            let cfg = SimConfig {
+                transport,
+                ..Default::default()
+            };
             let mut s = Simulation::new(&t, fs, cfg, 3);
             for i in 0..12 {
                 s.add_flow(8 + i, 0, 150_000, 0).unwrap();
@@ -1071,7 +1125,13 @@ mod tests {
         // The reference datapath the harness also runs pushes RTOs and
         // terminal `TxDone`s through the queue too.
         let t = DRing::uniform(6, 2, 24).build();
-        assert_engines_agree_on_mixed(&t, RoutingScheme::ShortestUnion(2), SimConfig::default(), 43, None);
+        assert_engines_agree_on_mixed(
+            &t,
+            RoutingScheme::ShortestUnion(2),
+            SimConfig::default(),
+            43,
+            None,
+        );
     }
 
     #[test]
@@ -1084,7 +1144,13 @@ mod tests {
     #[test]
     fn fast_datapath_matches_reference_on_dring_su2() {
         let t = DRing::uniform(6, 2, 24).build();
-        assert_engines_agree_on_mixed(&t, RoutingScheme::ShortestUnion(2), SimConfig::default(), 53, None);
+        assert_engines_agree_on_mixed(
+            &t,
+            RoutingScheme::ShortestUnion(2),
+            SimConfig::default(),
+            53,
+            None,
+        );
     }
 
     #[test]
@@ -1106,7 +1172,10 @@ mod tests {
         // Early stop exercises the staged-event/wheel interplay at the
         // max_time boundary.
         let t = small_ls();
-        let cfg = SimConfig { max_time_ns: 300_000, ..Default::default() };
+        let cfg = SimConfig {
+            max_time_ns: 300_000,
+            ..Default::default()
+        };
         assert_engines_agree_on_mixed(&t, RoutingScheme::Ecmp, cfg, 55, None);
     }
 
@@ -1118,7 +1187,10 @@ mod tests {
         // or it is processed out of order (time regresses and the
         // datapaths diverge).
         let t = small_ls();
-        let cfg = SimConfig { queue_bytes: 3_000, ..Default::default() };
+        let cfg = SimConfig {
+            queue_bytes: 3_000,
+            ..Default::default()
+        };
         // Incast into server 0 over two-packet queues: whole windows drop,
         // so recovery leans on RTOs firing into a drained network.
         let mut flows: Vec<(u32, u32, u64, Ns)> = (0..12).map(|i| (8 + i, 0, 60_000, 0)).collect();
@@ -1181,7 +1253,10 @@ mod tests {
     /// PFC config with the engine-test thresholds (low enough that the
     /// small incast workloads actually cross them).
     fn pfc_small() -> PfcConfig {
-        PfcConfig { xoff_bytes: 20_000, xon_bytes: 8_000 }
+        PfcConfig {
+            xoff_bytes: 20_000,
+            xon_bytes: 8_000,
+        }
     }
 
     #[test]
@@ -1235,11 +1310,19 @@ mod tests {
         }
         let r = s.run();
         assert!(r.pause_frames > 0);
-        let Engine::Serial(serial) = &s.engine else { panic!("a 12-flow incast runs serially") };
-        let EventQueue::Lanes(q) = &serial.core.sink.queue else { panic!("Auto must schedule on delay lanes") };
+        let Engine::Serial(serial) = &s.engine else {
+            panic!("a 12-flow incast runs serially")
+        };
+        let EventQueue::Lanes(q) = &serial.core.sink.queue else {
+            panic!("Auto must schedule on delay lanes")
+        };
         let total = q.lane_pushes + q.heap_pushes;
         assert!(total > 10_000, "{total} pushes");
-        assert!(q.lane_pushes * 100 >= total * 99, "lanes took {} of {total} pushes", q.lane_pushes);
+        assert!(
+            q.lane_pushes * 100 >= total * 99,
+            "lanes took {} of {total} pushes",
+            q.lane_pushes
+        );
     }
 
     #[test]
@@ -1248,7 +1331,10 @@ mod tests {
         // sees no drops either (its loss machinery just never fires).
         let t = small_ls();
         let fs = ForwardingState::build(&t.graph, RoutingScheme::Ecmp);
-        let cfg = SimConfig { pfc: Some(pfc_small()), ..Default::default() };
+        let cfg = SimConfig {
+            pfc: Some(pfc_small()),
+            ..Default::default()
+        };
         let mut s = Simulation::new(&t, fs, cfg, 3);
         for i in 0..12 {
             s.add_flow(8 + i, 0, 150_000, 0).unwrap();
@@ -1301,8 +1387,12 @@ mod tests {
         // again, so XOFF/XON interleave with flow starts and RTOs.
         let mut flows: Vec<(u32, u32, u64, Ns)> = (0..12).map(|i| (8 + i, 0, 150_000, 0)).collect();
         flows.extend((0..4).map(|i| (1 + i, 0, 40_000, 400_000 + i as u64 * 50_000)));
-        let (r, _, _) = assert_engines_agree(topo, RoutingScheme::Ecmp, cfg, seed, &flows, schedule);
-        assert!(r.pause_frames > 0, "scenario must actually exercise pause frames");
+        let (r, _, _) =
+            assert_engines_agree(topo, RoutingScheme::Ecmp, cfg, seed, &flows, schedule);
+        assert!(
+            r.pause_frames > 0,
+            "scenario must actually exercise pause frames"
+        );
     }
 
     #[test]
@@ -1319,7 +1409,10 @@ mod tests {
     #[test]
     fn fast_datapath_matches_reference_under_pfc_newreno() {
         let t = small_ls();
-        let cfg = SimConfig { pfc: Some(pfc_small()), ..Default::default() };
+        let cfg = SimConfig {
+            pfc: Some(pfc_small()),
+            ..Default::default()
+        };
         assert_engines_agree_under_pfc(&t, cfg, 72, None);
     }
 
@@ -1376,7 +1469,10 @@ mod tests {
         let t = small_ls();
         let fs = ForwardingState::build(&t.graph, RoutingScheme::Ecmp);
         let cfg = SimConfig {
-            pfc: Some(PfcConfig { xoff_bytes: 10_000, xon_bytes: 10_000 }),
+            pfc: Some(PfcConfig {
+                xoff_bytes: 10_000,
+                xon_bytes: 10_000,
+            }),
             ..Default::default()
         };
         let _ = Simulation::new(&t, fs, cfg, 1);
@@ -1409,7 +1505,10 @@ mod tests {
         // must see packets actually blackholed (drops > 0 is asserted by
         // the schedule's design: the cut lands while long flows run).
         let t = small_ls();
-        let cfg = SimConfig { max_time_ns: 200_000_000, ..Default::default() };
+        let cfg = SimConfig {
+            max_time_ns: 200_000_000,
+            ..Default::default()
+        };
         let sched = FailureSchedule::new(100_000).link_down(2_000_000, 0);
         assert_engines_agree_on_mixed(&t, RoutingScheme::Ecmp, cfg, 61, Some(&sched));
     }
@@ -1420,7 +1519,10 @@ mod tests {
         // restore the pristine baseline plane (and its FIB cache) with
         // both datapaths still in lockstep.
         let t = small_ls();
-        let cfg = SimConfig { max_time_ns: 200_000_000, ..Default::default() };
+        let cfg = SimConfig {
+            max_time_ns: 200_000_000,
+            ..Default::default()
+        };
         let sched = FailureSchedule::new(50_000)
             .link_down(1_000_000, 3)
             .link_up(4_000_000, 3);
@@ -1433,7 +1535,10 @@ mod tests {
         // Shortest-Union(2): incident cables and the rack's server links
         // all cut at once, stranding that rack's flows until repair.
         let t = DRing::uniform(6, 2, 24).build();
-        let cfg = SimConfig { max_time_ns: 200_000_000, ..Default::default() };
+        let cfg = SimConfig {
+            max_time_ns: 200_000_000,
+            ..Default::default()
+        };
         let sched = FailureSchedule::new(100_000)
             .switch_down(1_500_000, 3)
             .switch_up(8_000_000, 3);
@@ -1465,7 +1570,9 @@ mod tests {
         let mut sched = FailureSchedule::new(100_000);
         for (e, &(a, b)) in t.graph.edges().iter().enumerate() {
             if a == 0 || b == 0 {
-                sched = sched.link_down(200_000, e as u32).link_up(1_000_000, e as u32);
+                sched = sched
+                    .link_down(200_000, e as u32)
+                    .link_up(1_000_000, e as u32);
             }
         }
         let cut = run(sched);
@@ -1493,8 +1600,14 @@ mod tests {
         let victim = s.add_flow(victim_src, remote, 5_000_000, 0).unwrap();
         let bystander = s.add_flow(bystander_src, remote, 200_000, 0).unwrap();
         let r = s.run();
-        assert!(r.flows[victim as usize].fct_ns.is_none(), "severed flow cannot finish");
-        assert!(r.flows[bystander as usize].fct_ns.is_some(), "unaffected flow must finish");
+        assert!(
+            r.flows[victim as usize].fct_ns.is_none(),
+            "severed flow cannot finish"
+        );
+        assert!(
+            r.flows[bystander as usize].fct_ns.is_some(),
+            "unaffected flow must finish"
+        );
         assert!(r.end_ns < u64::MAX, "the event queue must drain");
     }
 
@@ -1527,7 +1640,10 @@ mod tests {
         // every backed-off timeout (capped at 256 ms) for the full 30 s,
         // which is the real cost of a control plane that never reacts.
         let run = |delay: Ns| {
-            let cfg = SimConfig { max_time_ns: 30_000_000_000, ..Default::default() };
+            let cfg = SimConfig {
+                max_time_ns: 30_000_000_000,
+                ..Default::default()
+            };
             let sched = FailureSchedule::new(delay).link_down(100_000, probe_edge);
             let mut s = sim_with_failures(&t, RoutingScheme::Ecmp, cfg, 66, sched);
             s.add_flow(0, 23, 1_000_000, 0).unwrap();
@@ -1537,8 +1653,14 @@ mod tests {
         let blackhole = run(3_600_000_000_000); // control plane never reacts
         let rf = &reconv.flows[0];
         let bf = &blackhole.flows[0];
-        assert!(rf.fct_ns.is_some(), "reconvergence must let the flow finish: {rf:?}");
-        assert!(bf.fct_ns.is_none(), "a permanent blackhole cannot finish: {bf:?}");
+        assert!(
+            rf.fct_ns.is_some(),
+            "reconvergence must let the flow finish: {rf:?}"
+        );
+        assert!(
+            bf.fct_ns.is_none(),
+            "a permanent blackhole cannot finish: {bf:?}"
+        );
         assert!(
             rf.retransmits < bf.retransmits,
             "reconvergence {} rtx vs blackhole {} rtx",
@@ -1552,13 +1674,21 @@ mod tests {
         // After a full down->up cycle plus reconvergence the engine must
         // be back on the baseline plane with the FIB hot-cache re-armed.
         let t = small_ls();
-        let cfg = SimConfig { max_time_ns: 100_000_000, ..Default::default() };
-        let sched = FailureSchedule::new(50_000).link_down(50_000, 2).link_up(500_000, 2);
+        let cfg = SimConfig {
+            max_time_ns: 100_000_000,
+            ..Default::default()
+        };
+        let sched = FailureSchedule::new(50_000)
+            .link_down(50_000, 2)
+            .link_up(500_000, 2);
         let mut s = sim_with_failures(&t, RoutingScheme::Ecmp, cfg, 67, sched);
         s.add_flow(0, 23, 2_000_000, 0).unwrap();
         let r = s.run();
         assert_eq!(r.unfinished(), 0);
-        assert!(r.used_fib_cache, "repair must restore the baseline hot-cache");
+        assert!(
+            r.used_fib_cache,
+            "repair must restore the baseline hot-cache"
+        );
         assert!(s.uses_fib_cache());
     }
 
@@ -1569,20 +1699,33 @@ mod tests {
         let mut s = Simulation::new(&t, Arc::clone(&fs), SimConfig::default(), 68);
         let ne = t.graph.num_edges();
         let err = s
-            .set_failure_schedule(&t, Arc::clone(&fs), FailureSchedule::new(0).link_down(0, ne))
+            .set_failure_schedule(
+                &t,
+                Arc::clone(&fs),
+                FailureSchedule::new(0).link_down(0, ne),
+            )
             .unwrap_err();
         assert_eq!(err, SimError::BadLink(ne));
         let err = s
-            .set_failure_schedule(&t, Arc::clone(&fs), FailureSchedule::new(0).switch_up(0, 99))
+            .set_failure_schedule(
+                &t,
+                Arc::clone(&fs),
+                FailureSchedule::new(0).switch_up(0, 99),
+            )
             .unwrap_err();
         assert_eq!(err, SimError::BadSwitch(99));
         // A plane built for a different topology is rejected.
         let other = DRing::uniform(6, 2, 24).build();
         let ofs = Arc::new(ForwardingState::build(&other.graph, RoutingScheme::Ecmp));
-        let err = s.set_failure_schedule(&t, ofs, FailureSchedule::new(0)).unwrap_err();
+        let err = s
+            .set_failure_schedule(&t, ofs, FailureSchedule::new(0))
+            .unwrap_err();
         assert_eq!(err, SimError::PlaneMismatch);
-        s.set_failure_schedule(&t, Arc::clone(&fs), FailureSchedule::new(0)).unwrap();
-        let err = s.set_failure_schedule(&t, fs, FailureSchedule::new(0)).unwrap_err();
+        s.set_failure_schedule(&t, Arc::clone(&fs), FailureSchedule::new(0))
+            .unwrap();
+        let err = s
+            .set_failure_schedule(&t, fs, FailureSchedule::new(0))
+            .unwrap_err();
         assert_eq!(err, SimError::ScheduleAlreadySet);
     }
 
@@ -1592,11 +1735,16 @@ mod tests {
         // scheduled, so installing the schedule before, between or after
         // the flows gives one run, event count included.
         let t = small_ls();
-        let cfg = SimConfig { max_time_ns: 100_000_000, ..Default::default() };
+        let cfg = SimConfig {
+            max_time_ns: 100_000_000,
+            ..Default::default()
+        };
         let mut sched = FailureSchedule::new(100_000);
         for (e, &(a, b)) in t.graph.edges().iter().enumerate() {
             if a == 0 || b == 0 {
-                sched = sched.link_down(200_000, e as u32).link_up(700_000, e as u32);
+                sched = sched
+                    .link_down(200_000, e as u32)
+                    .link_up(700_000, e as u32);
             }
         }
         let run = |schedule_after: u32| {
@@ -1604,12 +1752,14 @@ mod tests {
             let mut s = Simulation::new(&t, Arc::clone(&fs), cfg, 74);
             for i in 0..8 {
                 if i == schedule_after {
-                    s.set_failure_schedule(&t, Arc::clone(&fs), sched.clone()).unwrap();
+                    s.set_failure_schedule(&t, Arc::clone(&fs), sched.clone())
+                        .unwrap();
                 }
                 s.add_flow(i, 23 - i, 300_000, (i as u64) * 20_000).unwrap();
             }
             if schedule_after == 8 {
-                s.set_failure_schedule(&t, Arc::clone(&fs), sched.clone()).unwrap();
+                s.set_failure_schedule(&t, Arc::clone(&fs), sched.clone())
+                    .unwrap();
             }
             let r = s.run();
             (r, s.pkt_hops(), s.switch_link_tx_bytes())
@@ -1631,7 +1781,10 @@ mod tests {
         let dual = DualPlane::by_path_count(&t.graph, 2, 4);
         let mut s = Simulation::new(&t, dual, SimConfig::default(), 69);
         s.add_flow(0, 13, 20_000, 0).unwrap();
-        assert!(!s.run().used_fib_cache, "DualPlane fallback must be surfaced");
+        assert!(
+            !s.run().used_fib_cache,
+            "DualPlane fallback must be surfaced"
+        );
 
         let fs = ForwardingState::build(&t.graph, RoutingScheme::Ecmp);
         let mut s = Simulation::new(&t, fs, SimConfig::default(), 69);
@@ -1639,7 +1792,10 @@ mod tests {
         assert!(s.run().used_fib_cache);
 
         let fs = ForwardingState::build(&t.graph, RoutingScheme::Ecmp);
-        let cfg = SimConfig { datapath: Datapath::Reference, ..Default::default() };
+        let cfg = SimConfig {
+            datapath: Datapath::Reference,
+            ..Default::default()
+        };
         let mut s = Simulation::new(&t, fs, cfg, 69);
         s.add_flow(0, 13, 20_000, 0).unwrap();
         assert!(!s.run().used_fib_cache, "reference datapath walks per hop");

@@ -69,7 +69,9 @@ pub struct HeapQueue<E> {
 impl<E> HeapQueue<E> {
     /// Creates an empty heap scheduler.
     pub fn new() -> HeapQueue<E> {
-        HeapQueue { heap: BinaryHeap::new() }
+        HeapQueue {
+            heap: BinaryHeap::new(),
+        }
     }
 
     /// Inserts an event. `(t, rank)` must be unique.
@@ -160,7 +162,10 @@ impl<E> DelayLanes<E> {
     /// Creates an empty queue.
     pub fn new() -> DelayLanes<E> {
         DelayLanes {
-            lanes: std::array::from_fn(|_| Lane { d: 0, q: VecDeque::new() }),
+            lanes: std::array::from_fn(|_| Lane {
+                d: 0,
+                q: VecDeque::new(),
+            }),
             heap: HeapQueue::new(),
             now: 0,
             len: 0,
@@ -390,13 +395,19 @@ impl TimerWheel {
         let b = &mut self.buckets[slot];
         self.loc[key as usize] = (slot as u16, b.len() as u32);
         b.push(WheelEntry { t, rank, key, gen });
-        self.min_lb = if self.len == 0 { (t, rank) } else { self.min_lb.min((t, rank)) };
+        self.min_lb = if self.len == 0 {
+            (t, rank)
+        } else {
+            self.min_lb.min((t, rank))
+        };
         self.len += 1;
     }
 
     /// Cancels `key`'s live timer, if any; returns whether one existed.
     pub fn cancel(&mut self, key: u32) -> bool {
-        let Some(&(slot, idx)) = self.loc.get(key as usize) else { return false };
+        let Some(&(slot, idx)) = self.loc.get(key as usize) else {
+            return false;
+        };
         if slot == Self::NO_SLOT {
             return false;
         }
@@ -854,11 +865,11 @@ mod tests {
         // (> 2^40 ns): all must drain in (t, rank) order.
         let mut w = TimerWheel::new();
         let times = [
-            40_000u64,            // level 0
-            10_000_000,           // level 1 (10 ms)
-            1_000_000_000,        // level 2 (1 s)
-            60_000_000_000,       // level 3 (1 min)
-            5_000_000_000_000,    // overflow (~83 min)
+            40_000u64,         // level 0
+            10_000_000,        // level 1 (10 ms)
+            1_000_000_000,     // level 2 (1 s)
+            60_000_000_000,    // level 3 (1 min)
+            5_000_000_000_000, // overflow (~83 min)
         ];
         for (i, &t) in times.iter().enumerate() {
             w.insert(t, i as u64, i as u32, 0);

@@ -78,7 +78,10 @@ pub(crate) fn assert_engines_agree(
         let dcfg = SimConfig { datapath, ..cfg };
         let serial = run_serial(topo, scheme, dcfg, seed, flows, schedule);
         assert!(!serial.0.fcts().is_empty(), "nothing completed");
-        let heap = SimConfig { scheduler: Scheduler::ReferenceHeap, ..dcfg };
+        let heap = SimConfig {
+            scheduler: Scheduler::ReferenceHeap,
+            ..dcfg
+        };
         assert_eq!(
             run_serial(topo, scheme, heap, seed, flows, schedule),
             serial,
@@ -87,7 +90,11 @@ pub(crate) fn assert_engines_agree(
         for shards in [1, 2, 3, 8] {
             let mut sim = sharded(topo, scheme, dcfg, seed, shards, flows, schedule);
             let r = sim.run();
-            assert_eq!(sim.shards(), shards.min(topo.num_racks()), "{datapath:?}: ran at another shard count");
+            assert_eq!(
+                sim.shards(),
+                shards.min(topo.num_racks()),
+                "{datapath:?}: ran at another shard count"
+            );
             assert_eq!(
                 (r, sim.pkt_hops(), sim.switch_link_tx_bytes()),
                 serial,
@@ -99,7 +106,10 @@ pub(crate) fn assert_engines_agree(
             Some(fast) => {
                 let mut reference = serial;
                 assert!(!reference.0.used_fib_cache && fast.0.used_fib_cache);
-                assert!(reference.0.events >= fast.0.events, "Fast processed extra events");
+                assert!(
+                    reference.0.events >= fast.0.events,
+                    "Fast processed extra events"
+                );
                 reference.0.used_fib_cache = true;
                 reference.0.events = fast.0.events;
                 assert_eq!(&reference, fast, "Reference diverged from Fast");

@@ -78,7 +78,10 @@ pub struct FailureSchedule {
 impl FailureSchedule {
     /// An empty schedule with the given reconvergence delay.
     pub fn new(reconverge_delay_ns: Ns) -> FailureSchedule {
-        FailureSchedule { events: Vec::new(), reconverge_delay_ns }
+        FailureSchedule {
+            events: Vec::new(),
+            reconverge_delay_ns,
+        }
     }
 
     /// Appends a [`FailureEvent::LinkDown`] at `t` (builder style).
@@ -382,10 +385,17 @@ mod tests {
         use spineless_topo::leafspine::LeafSpine;
         let topo = LeafSpine::new(4, 2).build();
         let fs = Arc::new(ForwardingState::build(&topo.graph, RoutingScheme::Ecmp));
-        let cfg = SimConfig { max_time_ns: 1_000, ..SimConfig::default() };
+        let cfg = SimConfig {
+            max_time_ns: 1_000,
+            ..SimConfig::default()
+        };
         let (plant, _) = Plant::build(&topo, &*fs, &cfg, 1, None);
-        let schedule = FailureSchedule::new(50).link_down(100, 0).link_up(150, 0).link_down(1_001, 1);
-        let mut agenda = Agenda::new(&topo, fs.clone(), schedule, &plant, fs.routers(), &cfg).unwrap();
+        let schedule = FailureSchedule::new(50)
+            .link_down(100, 0)
+            .link_up(150, 0)
+            .link_down(1_001, 1);
+        let mut agenda =
+            Agenda::new(&topo, fs.clone(), schedule, &plant, fs.routers(), &cfg).unwrap();
         assert_eq!(agenda.pending(), 2);
         let (mut flips, mut steps) = (Vec::new(), Vec::new());
         while let Some(t) = agenda.apply_next(&mut flips) {
@@ -393,6 +403,14 @@ mod tests {
             flips.clear();
         }
         // (time, links flipped, degraded plane installed, actions pending)
-        assert_eq!(steps, [(100, 2, false, 2), (150, 2, false, 2), (150, 0, false, 1), (200, 0, false, 0)]);
+        assert_eq!(
+            steps,
+            [
+                (100, 2, false, 2),
+                (150, 2, false, 2),
+                (150, 0, false, 1),
+                (200, 0, false, 0)
+            ]
+        );
     }
 }

@@ -111,7 +111,10 @@ pub struct HybridConfig {
 
 impl Default for HybridConfig {
     fn default() -> HybridConfig {
-        HybridConfig { elephant_threshold_bytes: 100_000, resolve_coalesce_ns: 0 }
+        HybridConfig {
+            elephant_threshold_bytes: 100_000,
+            resolve_coalesce_ns: 0,
+        }
     }
 }
 
@@ -330,7 +333,11 @@ impl HybridSimulation {
             space,
             hcfg,
         };
-        HybridSimulation { sim, fluid, flow_map: Vec::new() }
+        HybridSimulation {
+            sim,
+            fluid,
+            flow_map: Vec::new(),
+        }
     }
 
     /// Admits a flow, classifying it by size. Returns the global flow id
@@ -358,7 +365,8 @@ impl HybridSimulation {
                 stalled: false,
                 fct_ns: None,
             });
-            self.flow_map.push(FlowRef::Elephant(fl.elephants.len() as u32 - 1));
+            self.flow_map
+                .push(FlowRef::Elephant(fl.elephants.len() as u32 - 1));
         } else {
             let id = self.sim.add_flow(src, dst, bytes, start_ns)?;
             self.flow_map.push(FlowRef::Mouse(id));
@@ -376,12 +384,23 @@ impl HybridSimulation {
         baseline: Arc<ForwardingState>,
         schedule: FailureSchedule,
     ) -> Result<(), SimError> {
-        self.sim.set_failure_schedule(topo, baseline.clone(), schedule.clone())?;
+        self.sim
+            .set_failure_schedule(topo, baseline.clone(), schedule.clone())?;
         let fl = &mut self.fluid;
         // The fluid copy samples routes and never forwards a packet, so
         // its rebuilt planes need no FIB cache.
-        let cfg = SimConfig { datapath: Datapath::Reference, ..fl.cfg };
-        let agenda = Agenda::new(topo, baseline, schedule, self.sim.plant(), fl.fs.routers(), &cfg)?;
+        let cfg = SimConfig {
+            datapath: Datapath::Reference,
+            ..fl.cfg
+        };
+        let agenda = Agenda::new(
+            topo,
+            baseline,
+            schedule,
+            self.sim.plant(),
+            fl.fs.routers(),
+            &cfg,
+        )?;
         fl.agenda = Some(agenda);
         Ok(())
     }
@@ -435,7 +454,10 @@ impl HybridSimulation {
             .iter()
             .enumerate()
             .map(|(gid, r)| match *r {
-                FlowRef::Mouse(m) => FlowRecord { id: gid as u32, ..packet.flows[m as usize] },
+                FlowRef::Mouse(m) => FlowRecord {
+                    id: gid as u32,
+                    ..packet.flows[m as usize]
+                },
                 FlowRef::Elephant(x) => {
                     let e = &fl.elephants[x as usize];
                     FlowRecord {
@@ -451,7 +473,11 @@ impl HybridSimulation {
                 }
             })
             .collect();
-        let delivered: f64 = fl.elephants.iter().map(|e| e.bytes as f64 - e.remaining).sum();
+        let delivered: f64 = fl
+            .elephants
+            .iter()
+            .map(|e| e.bytes as f64 - e.remaining)
+            .sum();
         let last_live = self.sim.last_live().max(fl.fluid_end.ceil() as Ns);
         HybridReport {
             end_ns: run_end(&flows, fl.cfg.max_time_ns, last_live),
@@ -477,9 +503,9 @@ impl FluidPlane {
         let mut last_t = 0.0f64;
         let horizon = self.cfg.max_time_ns;
         loop {
-            let t_arr = order
-                .get(next_arr)
-                .map_or(f64::INFINITY, |&i| self.elephants[i as usize].start_ns as f64);
+            let t_arr = order.get(next_arr).map_or(f64::INFINITY, |&i| {
+                self.elephants[i as usize].start_ns as f64
+            });
             let mut t_dep = f64::INFINITY;
             for &i in &active {
                 let e = &self.elephants[i as usize];
@@ -541,13 +567,18 @@ impl FluidPlane {
 
     /// Time of the next failure-schedule action, `∞` once none is left.
     fn next_action(&self) -> f64 {
-        self.agenda.as_ref().and_then(Agenda::next_time).map_or(f64::INFINITY, |t| t as f64)
+        self.agenda
+            .as_ref()
+            .and_then(Agenda::next_time)
+            .map_or(f64::INFINITY, |t| t as f64)
     }
 
     /// Applies every failure-schedule action at or before `t`; whether
     /// there was any.
     fn apply_actions_through(&mut self, t: f64) -> bool {
-        let Some(agenda) = self.agenda.as_mut() else { return false };
+        let Some(agenda) = self.agenda.as_mut() else {
+            return false;
+        };
         // The agenda keeps its own alive map; the flips are not needed.
         let (mut flips, mut applied) = (Vec::new(), false);
         while agenda.next_time().is_some_and(|at| at as f64 <= t) {
@@ -714,10 +745,7 @@ mod tests {
     use spineless_routing::RoutingScheme;
     use spineless_topo::leafspine::LeafSpine;
 
-    fn build(
-        racks: u32,
-        spines: u32,
-    ) -> (Topology, Arc<ForwardingState>) {
+    fn build(racks: u32, spines: u32) -> (Topology, Arc<ForwardingState>) {
         let t = LeafSpine::new(racks, spines).build();
         let fs = Arc::new(ForwardingState::build(&t.graph, RoutingScheme::Ecmp));
         (t, fs)
@@ -733,7 +761,11 @@ mod tests {
             if src == dst {
                 continue;
             }
-            let bytes = if i % 4 == 0 { 400_000 + (i as u64) * 10_000 } else { 20_000 + (i as u64) * 500 };
+            let bytes = if i % 4 == 0 {
+                400_000 + (i as u64) * 10_000
+            } else {
+                20_000 + (i as u64) * 500
+            };
             v.push((src, dst, bytes, (i as u64) * 2_000));
         }
         v
@@ -764,13 +796,23 @@ mod tests {
             .link_up(300_000, leaf0_spine_edge(&t));
         for datapath in [Datapath::Fast, Datapath::Reference] {
             for sched in [None, Some(&schedule)] {
-                let cfg = SimConfig { datapath, ..Default::default() };
-                let hcfg = HybridConfig { elephant_threshold_bytes: u64::MAX, ..Default::default() };
+                let cfg = SimConfig {
+                    datapath,
+                    ..Default::default()
+                };
+                let hcfg = HybridConfig {
+                    elephant_threshold_bytes: u64::MAX,
+                    ..Default::default()
+                };
                 let mut plain = Simulation::new(&t, fs.clone(), cfg, 42);
                 let mut hybrid = HybridSimulation::new(&t, fs.clone(), cfg, hcfg, 42);
                 if let Some(s) = sched {
-                    plain.set_failure_schedule(&t, fs.clone(), s.clone()).unwrap();
-                    hybrid.set_failure_schedule(&t, fs.clone(), s.clone()).unwrap();
+                    plain
+                        .set_failure_schedule(&t, fs.clone(), s.clone())
+                        .unwrap();
+                    hybrid
+                        .set_failure_schedule(&t, fs.clone(), s.clone())
+                        .unwrap();
                 }
                 for &(s, d, b, at) in &mixed_flows(t.num_servers()) {
                     plain.add_flow(s, d, b, at).unwrap();
@@ -783,7 +825,12 @@ mod tests {
                 assert_eq!(rh.flows, rp.flows, "{case}");
                 assert_eq!(rh.end_ns, rp.end_ns, "{case}");
                 assert_eq!((rh.elephant_count, rh.floor_clamps), (0, 0), "{case}");
-                assert_eq!(rh.resolves > 0, sched.is_some(), "{case}: {} re-solves", rh.resolves);
+                assert_eq!(
+                    rh.resolves > 0,
+                    sched.is_some(),
+                    "{case}: {} re-solves",
+                    rh.resolves
+                );
                 if sched.is_some() {
                     assert!(rp.dropped_packets > 0, "{case}: the cut hit no traffic");
                 }
@@ -826,8 +873,11 @@ mod tests {
     fn second_failure_schedule_is_rejected() {
         let (t, fs) = build(4, 2);
         let mut h = hybrid_new(&t, &fs, HybridConfig::default(), 1);
-        h.set_failure_schedule(&t, fs.clone(), FailureSchedule::new(0)).unwrap();
-        let err = h.set_failure_schedule(&t, fs.clone(), FailureSchedule::new(0)).unwrap_err();
+        h.set_failure_schedule(&t, fs.clone(), FailureSchedule::new(0))
+            .unwrap();
+        let err = h
+            .set_failure_schedule(&t, fs.clone(), FailureSchedule::new(0))
+            .unwrap_err();
         assert_eq!(err, SimError::ScheduleAlreadySet);
     }
 
@@ -837,7 +887,10 @@ mod tests {
         let n = t.num_servers();
         // At threshold 0 every flow, even an empty one, is an elephant.
         for threshold in [0, 100_000, u64::MAX] {
-            let hcfg = HybridConfig { elephant_threshold_bytes: threshold, ..Default::default() };
+            let hcfg = HybridConfig {
+                elephant_threshold_bytes: threshold,
+                ..Default::default()
+            };
             let mut h = hybrid_new(&t, &fs, hcfg, 1);
             for bytes in [1_000, 1_000_000] {
                 assert_eq!(h.add_flow(0, n, bytes, 0), Err(SimError::BadServer(n)));
@@ -864,7 +917,11 @@ mod tests {
             }
         }
         let r = h.run();
-        assert_eq!(r.unfinished(), 0, "all flows must finish on an intact fabric");
+        assert_eq!(
+            r.unfinished(),
+            0,
+            "all flows must finish on an intact fabric"
+        );
         assert_eq!(r.elephant_count, n_ele);
         assert_eq!(r.elephant_bytes_delivered, total_ele);
         // One re-solve per elephant arrival and departure, minimum.
@@ -937,10 +994,16 @@ mod tests {
         let floor = (bytes as f64 / (0.45 * 1.25)) as u64;
         for f in &r.flows {
             let fct = f.fct_ns.unwrap();
-            assert!(fct >= floor, "fct {fct} beats the elephant share bound {floor}");
+            assert!(
+                fct >= floor,
+                "fct {fct} beats the elephant share bound {floor}"
+            );
         }
         // The shared downlink (and each uplink) sat at the floor.
-        assert!(r.floor_clamps > 0, "no re-solve clamped a residual at the floor");
+        assert!(
+            r.floor_clamps > 0,
+            "no re-solve clamped a residual at the floor"
+        );
         assert!(r.floor_clamps <= r.resolves * h.sim.num_dir_links() as u64);
     }
 
@@ -949,17 +1012,33 @@ mod tests {
         // With coalescing, the last window reaches a full slack past the
         // last elephant departure; the run still ends at the departure.
         let (t, fs) = build(4, 2);
-        let hcfg = HybridConfig { resolve_coalesce_ns: 10_000, ..Default::default() };
+        let hcfg = HybridConfig {
+            resolve_coalesce_ns: 10_000,
+            ..Default::default()
+        };
         let mut h = hybrid_new(&t, &fs, hcfg, 13);
         h.add_flow(0, 20, 30_000, 0).unwrap();
         h.add_flow(1, 21, 2_000_000, 0).unwrap();
         let r = h.run();
-        let done: Vec<Ns> = r.flows.iter().map(|f| f.start_ns + f.fct_ns.unwrap()).collect();
-        assert!(done[1] > done[0], "the elephant should finish last: {done:?}");
+        let done: Vec<Ns> = r
+            .flows
+            .iter()
+            .map(|f| f.start_ns + f.fct_ns.unwrap())
+            .collect();
+        assert!(
+            done[1] > done[0],
+            "the elephant should finish last: {done:?}"
+        );
         assert_eq!(r.end_ns, done[1]);
-        assert!(h.fluid.fluid_end > done[1] as f64, "the last window should run past the departure");
+        assert!(
+            h.fluid.fluid_end > done[1] as f64,
+            "the last window should run past the departure"
+        );
         // A flow cut short by the horizon: the run ends at the horizon.
-        let cfg = SimConfig { max_time_ns: 400_000, ..Default::default() };
+        let cfg = SimConfig {
+            max_time_ns: 400_000,
+            ..Default::default()
+        };
         let mut h = HybridSimulation::new(&t, fs.clone(), cfg, hcfg, 13);
         h.add_flow(0, 20, 30_000, 0).unwrap();
         h.add_flow(1, 21, 2_000_000, 0).unwrap();
@@ -995,7 +1074,9 @@ mod tests {
         let bytes = 1_000_000u64;
         let f = h.add_flow(0, 4, bytes, 0).unwrap();
         let r = h.run();
-        let fct = r.flows[f as usize].fct_ns.expect("elephant must finish after repair");
+        let fct = r.flows[f as usize]
+            .fct_ns
+            .expect("elephant must finish after repair");
         // It was severed from 200 us until repair+reconvergence at
         // 1.05 ms; the FCT must reflect that dead time.
         assert!(
@@ -1007,14 +1088,20 @@ mod tests {
         let f2 = h2.add_flow(0, 4, bytes, 0).unwrap();
         let fast = h2.run().flows[f2 as usize].fct_ns.unwrap();
         assert!(fast < cut_at + 800_000, "uncut fct {fast}");
-        assert!(fct > fast, "cut run ({fct}) must be slower than uncut ({fast})");
+        assert!(
+            fct > fast,
+            "cut run ({fct}) must be slower than uncut ({fast})"
+        );
     }
 
     #[test]
     fn coalescing_preserves_completion_and_accounting() {
         let (t, fs) = build(4, 2);
         let run = |coalesce: Ns| {
-            let hcfg = HybridConfig { resolve_coalesce_ns: coalesce, ..Default::default() };
+            let hcfg = HybridConfig {
+                resolve_coalesce_ns: coalesce,
+                ..Default::default()
+            };
             let mut h = hybrid_new(&t, &fs, hcfg, 13);
             for &(s, d, b, at) in &mixed_flows(t.num_servers()) {
                 h.add_flow(s, d, b, at).unwrap();
@@ -1027,7 +1114,10 @@ mod tests {
         assert_eq!(u0, 0);
         assert_eq!(u1, 0);
         assert_eq!(b0, b1, "coalescing must not lose elephant bytes");
-        assert!(r1 <= r0, "coalescing cannot increase re-solves ({r1} vs {r0})");
+        assert!(
+            r1 <= r0,
+            "coalescing cannot increase re-solves ({r1} vs {r0})"
+        );
     }
 
     /// FNV-1a over everything a hybrid run reports except `end_ns`: the
@@ -1075,7 +1165,10 @@ mod tests {
         // pipelined run must reproduce it bit for bit.
         let coalesced = || {
             let (t, fs) = build(4, 2);
-            let hcfg = HybridConfig { resolve_coalesce_ns: 5_000, ..Default::default() };
+            let hcfg = HybridConfig {
+                resolve_coalesce_ns: 5_000,
+                ..Default::default()
+            };
             let mut h = hybrid_new(&t, &fs, hcfg, 13);
             for &(s, d, b, at) in &mixed_flows(t.num_servers()) {
                 h.add_flow(s, d, b, at).unwrap();
@@ -1103,16 +1196,25 @@ mod tests {
         };
         let truncated = || {
             let (t, fs) = build(4, 2);
-            let cfg = SimConfig { max_time_ns: 50_000, ..Default::default() };
+            let cfg = SimConfig {
+                max_time_ns: 50_000,
+                ..Default::default()
+            };
             let mut h = HybridSimulation::new(&t, fs.clone(), cfg, HybridConfig::default(), 3);
             for &(s, d, b, at) in &mixed_flows(t.num_servers()) {
                 h.add_flow(s, d, b, at).unwrap();
             }
             let (d, r) = run_digest(&mut h);
             let open = |ele: bool| {
-                r.flows.iter().filter(|f| (f.bytes >= 100_000) == ele && f.fct_ns.is_none()).count()
+                r.flows
+                    .iter()
+                    .filter(|f| (f.bytes >= 100_000) == ele && f.fct_ns.is_none())
+                    .count()
             };
-            assert!(open(true) > 0 && open(false) > 0, "the horizon must cut both planes short");
+            assert!(
+                open(true) > 0 && open(false) > 0,
+                "the horizon must cut both planes short"
+            );
             d
         };
         // Coalescing folds arrivals into windows that end at an action:
@@ -1126,7 +1228,10 @@ mod tests {
             let schedule = FailureSchedule::new(50_000)
                 .link_down(200_000, leaf0_spine_edge(&t))
                 .link_up(1_000_000, leaf0_spine_edge(&t));
-            let hcfg = HybridConfig { resolve_coalesce_ns: 20_000, ..Default::default() };
+            let hcfg = HybridConfig {
+                resolve_coalesce_ns: 20_000,
+                ..Default::default()
+            };
             let mut h = hybrid_new(&t, &fs, hcfg, 19);
             h.set_failure_schedule(&t, fs.clone(), schedule).unwrap();
             h.add_flow(0, 4, 1_000_000, 0).unwrap();
@@ -1137,7 +1242,13 @@ mod tests {
             }
             run_digest(&mut h).0
         };
-        let got = [coalesced(), failure(1), failure(2), truncated(), coalesced_failure()];
+        let got = [
+            coalesced(),
+            failure(1),
+            failure(2),
+            truncated(),
+            coalesced_failure(),
+        ];
         let want = [
             0x3912_6b98_794f_74ed,
             0xa2a8_19e1_17c7_ee60,
@@ -1188,6 +1299,9 @@ mod tests {
         // least the elephant's bytes (fluid) plus the mouse's (packet).
         assert!(total >= 2_000_000.0, "combined switch-link bytes {total}");
         let pkt_only: u64 = h.sim.switch_link_tx_bytes().iter().sum();
-        assert!((total - pkt_only as f64) >= 2_000_000.0 * 0.99, "fluid share missing");
+        assert!(
+            (total - pkt_only as f64) >= 2_000_000.0 * 0.99,
+            "fluid share missing"
+        );
     }
 }

@@ -61,12 +61,7 @@ impl LinkQueue {
     /// *waiting* bytes; `ecn_threshold` (if set) marks the packet when the
     /// backlog at arrival is at or above it (DCTCP's instantaneous-queue
     /// marking).
-    pub fn offer(
-        &mut self,
-        mut pkt: Packet,
-        cap_bytes: u64,
-        ecn_threshold: Option<u64>,
-    ) -> Offer {
+    pub fn offer(&mut self, mut pkt: Packet, cap_bytes: u64, ecn_threshold: Option<u64>) -> Offer {
         if let Some(k) = ecn_threshold {
             if self.queued_bytes >= k {
                 pkt.ecn = true;
@@ -282,7 +277,10 @@ mod tests {
         q.offer(pkt(200), 10_000, None);
         q.pause();
         q.pause(); // idempotent
-        assert!(q.resume().is_none(), "wire still busy: tx_done chain owns it");
+        assert!(
+            q.resume().is_none(),
+            "wire still busy: tx_done chain owns it"
+        );
         assert!(!q.is_paused());
         // Normal drain resumes.
         assert_eq!(q.tx_done().unwrap().size, 200);

@@ -117,7 +117,11 @@ impl Owners {
                 (sh, slot)
             })
             .collect();
-        let owners = Owners { links, base_up: plant.base_up(), servers: plant.server_switch.len() as u32 };
+        let owners = Owners {
+            links,
+            base_up: plant.base_up(),
+            servers: plant.server_switch.len() as u32,
+        };
         (owners, counts)
     }
 
@@ -318,7 +322,9 @@ impl<F: Forwarding> Sharded<F> {
     ) -> Sharded<F> {
         let k = partition.shards;
         let (owners, links) = Owners::new(plant, &partition.shard_of, k);
-        let home = |server: u32| partition.shard_of[plant.server_switch[server as usize] as usize] as usize;
+        let home = |server: u32| {
+            partition.shard_of[plant.server_switch[server as usize] as usize] as usize
+        };
         let mut flows = vec![(0usize, 0usize); k as usize];
         for sp in &plant.specs {
             flows[home(sp.src)].0 += 1;
@@ -337,7 +343,14 @@ impl<F: Forwarding> Sharded<F> {
                     receiver_of: Vec::with_capacity(senders),
                     sender_of: Vec::with_capacity(receivers),
                 };
-                let mut core = Core::new(cfg, fs.clone(), plant.clone(), hot.clone(), sink, links as usize);
+                let mut core = Core::new(
+                    cfg,
+                    fs.clone(),
+                    plant.clone(),
+                    hot.clone(),
+                    sink,
+                    links as usize,
+                );
                 if faults {
                     core.enable_faults();
                 }
@@ -438,7 +451,8 @@ impl<F: Forwarding> Sharded<F> {
     /// Bytes sent on each of the first `n` directed links, from the
     /// shards owning their tails.
     pub(crate) fn switch_link_tx_bytes(&self, n: usize) -> Vec<u64> {
-        let tx = |&(sh, slot): &(u32, u32)| self.shards[sh as usize].core.queues[slot as usize].tx_bytes;
+        let tx =
+            |&(sh, slot): &(u32, u32)| self.shards[sh as usize].core.queues[slot as usize].tx_bytes;
         self.owners.links[..n].iter().map(tx).collect()
     }
 
@@ -451,10 +465,17 @@ impl<F: Forwarding> Sharded<F> {
         for (s, t) in self.shards.iter_mut().zip(&sync.next_time) {
             t.store(s.core.sink.head_time(), Ordering::Release);
         }
-        let coord = Mutex::new(Coordinator { agenda, lookahead: self.lookahead, deadline });
+        let coord = Mutex::new(Coordinator {
+            agenda,
+            lookahead: self.lookahead,
+            deadline,
+        });
         let barrier = SpinBarrier::new(self.shards.len() as u32, self.spin);
         let lead = || {
-            let plan = coord.lock().expect("a shard panicked while leading").step(sync);
+            let plan = coord
+                .lock()
+                .expect("a shard panicked while leading")
+                .step(sync);
             for slot in &sync.plans {
                 *slot.lock().expect("a shard panicked while leading") = plan.clone();
             }
@@ -500,7 +521,10 @@ impl Coordinator<'_> {
                 .min()
                 .unwrap_or(u64::MAX);
             let limit = gm.min(self.deadline);
-            let due = self.agenda.as_deref_mut().filter(|a| a.next_time().is_some_and(|t| t <= limit));
+            let due = self
+                .agenda
+                .as_deref_mut()
+                .filter(|a| a.next_time().is_some_and(|t| t <= limit));
             if let Some(tc) = due.and_then(|a| a.apply_next(&mut flips)) {
                 transitions.extend(flips.drain(..).map(|(l, alive)| (tc, l, alive)));
                 floor = floor.min(tc);
@@ -652,7 +676,8 @@ impl SpinBarrier {
             std::hint::spin_loop();
         }
         let mut sleepers = self.sleepers.lock().expect("barrier lock");
-        while self.round.load(Ordering::Acquire) == round && !self.poisoned.load(Ordering::Acquire) {
+        while self.round.load(Ordering::Acquire) == round && !self.poisoned.load(Ordering::Acquire)
+        {
             *sleepers += 1;
             sleepers = self.wake.wait(sleepers).expect("barrier lock");
             *sleepers -= 1;
@@ -777,7 +802,15 @@ mod tests {
         flows: &Flows,
         schedule: Option<&FailureSchedule>,
     ) -> Totals {
-        let mut sim = sharded(topo, RoutingScheme::Ecmp, cfg, seed, shards, flows, schedule);
+        let mut sim = sharded(
+            topo,
+            RoutingScheme::Ecmp,
+            cfg,
+            seed,
+            shards,
+            flows,
+            schedule,
+        );
         let report = sim.run();
         Totals {
             report,
@@ -801,7 +834,12 @@ mod tests {
                 while d == s {
                     d = rng.gen_range(0..ns);
                 }
-                (s, d, rng.gen_range(2_000..120_000), rng.gen_range(0..50_000))
+                (
+                    s,
+                    d,
+                    rng.gen_range(2_000..120_000),
+                    rng.gen_range(0..50_000),
+                )
             })
             .collect()
     }
@@ -810,14 +848,28 @@ mod tests {
     fn sharded_matches_serial_reference_leafspine() {
         let t = LeafSpine::new(4, 2).build();
         let flows = workload(&t, 40, 1);
-        assert_engines_agree(&t, RoutingScheme::Ecmp, SimConfig::default(), 7, &flows, None);
+        assert_engines_agree(
+            &t,
+            RoutingScheme::Ecmp,
+            SimConfig::default(),
+            7,
+            &flows,
+            None,
+        );
     }
 
     #[test]
     fn sharded_matches_serial_reference_dring() {
         let t = DRing::uniform(8, 2, 12).build();
         let flows = workload(&t, 60, 2);
-        assert_engines_agree(&t, RoutingScheme::Ecmp, SimConfig::default(), 7, &flows, None);
+        assert_engines_agree(
+            &t,
+            RoutingScheme::Ecmp,
+            SimConfig::default(),
+            7,
+            &flows,
+            None,
+        );
     }
 
     #[test]
@@ -843,7 +895,14 @@ mod tests {
             .link_up(400_000, 0)
             .switch_up(500_000, 3)
             .link_up(520_000, 5);
-        assert_engines_agree(&t, RoutingScheme::Ecmp, SimConfig::default(), 7, &flows, Some(&schedule));
+        assert_engines_agree(
+            &t,
+            RoutingScheme::Ecmp,
+            SimConfig::default(),
+            7,
+            &flows,
+            Some(&schedule),
+        );
     }
 
     #[test]
@@ -852,7 +911,10 @@ mod tests {
         // strictly monotone per link, every key stays unique and the
         // lookahead stays positive: the fabric really shards.
         let t = DRing::uniform(8, 2, 12).build();
-        let cfg = SimConfig { ack_bytes: 0, ..SimConfig::default() };
+        let cfg = SimConfig {
+            ack_bytes: 0,
+            ..SimConfig::default()
+        };
         let mut sim = crate::Simulation::new(&t, plane(&t, RoutingScheme::Ecmp), cfg, 7);
         sim.set_shards(8);
         assert_eq!(sim.shards(), 8);
@@ -867,7 +929,10 @@ mod tests {
         let t = DRing::uniform(8, 2, 12).build();
         let flows = workload(&t, 60, 2);
         for max_time_ns in [300_000, u64::MAX] {
-            let cfg = SimConfig { max_time_ns, ..SimConfig::default() };
+            let cfg = SimConfig {
+                max_time_ns,
+                ..SimConfig::default()
+            };
             let (r, _, _) = assert_engines_agree(&t, RoutingScheme::Ecmp, cfg, 7, &flows, None);
             assert_eq!(r.unfinished(), 0);
             let last = r.flows.iter().map(|f| f.start_ns + f.fct_ns.unwrap()).max();
@@ -875,7 +940,10 @@ mod tests {
             assert!(r.end_ns < 300_000);
         }
         // A horizon that does cut off live work ends the run there.
-        let cfg = SimConfig { max_time_ns: 100_000, ..SimConfig::default() };
+        let cfg = SimConfig {
+            max_time_ns: 100_000,
+            ..SimConfig::default()
+        };
         let (r, _, _) = assert_engines_agree(&t, RoutingScheme::Ecmp, cfg, 7, &flows, None);
         assert!(r.unfinished() > 0);
         assert_eq!(r.end_ns, 100_000);
@@ -883,8 +951,14 @@ mod tests {
         // end the run at the last event that did any work — on the fast
         // serial datapath, which never sees a stale RTO, too.
         let schedule = FailureSchedule::new(50_000).switch_down(80_000, 3);
-        let (r, _, _) =
-            assert_engines_agree(&t, RoutingScheme::Ecmp, SimConfig::default(), 7, &flows, Some(&schedule));
+        let (r, _, _) = assert_engines_agree(
+            &t,
+            RoutingScheme::Ecmp,
+            SimConfig::default(),
+            7,
+            &flows,
+            Some(&schedule),
+        );
         assert!(r.unfinished() > 0);
         assert!(r.end_ns < u64::MAX);
     }
@@ -898,10 +972,18 @@ mod tests {
         // events at 1 700 ns too, or the packet would slip onto a spine
         // link.
         let t = LeafSpine::new(4, 2).build();
-        let schedule = FailureSchedule::new(50_000).switch_down(1_700, 0).switch_up(400_000, 0);
+        let schedule = FailureSchedule::new(50_000)
+            .switch_down(1_700, 0)
+            .switch_up(400_000, 0);
         let flows = [(0, 23, 200_000, 0)];
-        let (r, _, _) =
-            assert_engines_agree(&t, RoutingScheme::Ecmp, SimConfig::default(), 7, &flows, Some(&schedule));
+        let (r, _, _) = assert_engines_agree(
+            &t,
+            RoutingScheme::Ecmp,
+            SimConfig::default(),
+            7,
+            &flows,
+            Some(&schedule),
+        );
         assert_eq!(r.unfinished(), 0);
         assert!(r.dropped_packets > 0);
     }
@@ -914,10 +996,18 @@ mod tests {
         // first, they would be lost on the wire instead, one `Arrive`
         // event later) and recover by RTO after the repair.
         let t = LeafSpine::new(4, 2).build();
-        let schedule = FailureSchedule::new(50_000).switch_down(0, 0).switch_up(300_000, 0);
+        let schedule = FailureSchedule::new(50_000)
+            .switch_down(0, 0)
+            .switch_up(300_000, 0);
         let flows: Vec<(u32, u32, u64, Ns)> = (0..8).map(|i| (i, 16 + i, 100_000, 0)).collect();
-        let (r, _, _) =
-            assert_engines_agree(&t, RoutingScheme::Ecmp, SimConfig::default(), 7, &flows, Some(&schedule));
+        let (r, _, _) = assert_engines_agree(
+            &t,
+            RoutingScheme::Ecmp,
+            SimConfig::default(),
+            7,
+            &flows,
+            Some(&schedule),
+        );
         assert_eq!(r.unfinished(), 0);
         assert!(r.dropped_packets > 0, "nothing dropped at the dead leaf");
     }
@@ -929,14 +1019,20 @@ mod tests {
         // and a fault one nanosecond later never applies.
         let t = DRing::uniform(8, 2, 12).build();
         let flows = workload(&t, 60, 2);
-        let cfg = SimConfig { max_time_ns: 200_000, ..SimConfig::default() };
+        let cfg = SimConfig {
+            max_time_ns: 200_000,
+            ..SimConfig::default()
+        };
         let (clean, _, _) = assert_engines_agree(&t, RoutingScheme::Ecmp, cfg, 7, &flows, None);
         let late = FailureSchedule::new(10_000).switch_down(200_001, 3);
         let (r, _, _) = assert_engines_agree(&t, RoutingScheme::Ecmp, cfg, 7, &flows, Some(&late));
         assert_eq!(r, clean, "a fault past the horizon applied");
         let at = FailureSchedule::new(10_000).switch_down(200_000, 3);
         let (r, _, _) = assert_engines_agree(&t, RoutingScheme::Ecmp, cfg, 7, &flows, Some(&at));
-        assert!(r.dropped_packets > clean.dropped_packets, "the fault at the horizon did not apply");
+        assert!(
+            r.dropped_packets > clean.dropped_packets,
+            "the fault at the horizon did not apply"
+        );
     }
 
     #[test]
@@ -946,14 +1042,21 @@ mod tests {
         // severed flow's first RTO is abandoned instead of retransmitting
         // into the void until the horizon.
         let t = DRing::uniform(8, 2, 12).build();
-        let cfg = SimConfig { max_time_ns: 20_000_000, ..SimConfig::default() };
+        let cfg = SimConfig {
+            max_time_ns: 20_000_000,
+            ..SimConfig::default()
+        };
         let schedule = FailureSchedule::new(1_000_000_000).switch_down(50_000, 3);
         let mut flows = workload(&t, 30, 6);
         flows.push((t.servers_on(3).start, t.servers_on(6).start, 5_000_000, 0));
-        let (r, _, _) = assert_engines_agree(&t, RoutingScheme::Ecmp, cfg, 7, &flows, Some(&schedule));
+        let (r, _, _) =
+            assert_engines_agree(&t, RoutingScheme::Ecmp, cfg, 7, &flows, Some(&schedule));
         let victim = r.flows.last().expect("victim admitted");
         assert!(victim.fct_ns.is_none(), "a severed flow cannot finish");
-        assert_eq!(victim.timeouts, 0, "the RTO guard let a timer retransmit: {victim:?}");
+        assert_eq!(
+            victim.timeouts, 0,
+            "the RTO guard let a timer retransmit: {victim:?}"
+        );
     }
 
     #[test]
@@ -964,22 +1067,40 @@ mod tests {
         // dead rack: each must judge its RTO abandoned from the alive map
         // of a link it does not own, and never retransmit.
         let t = DRing::uniform(8, 2, 12).build();
-        let cfg = SimConfig { max_time_ns: 20_000_000, ..SimConfig::default() };
+        let cfg = SimConfig {
+            max_time_ns: 20_000_000,
+            ..SimConfig::default()
+        };
         let dead = 3;
         let schedule = FailureSchedule::new(1_000_000_000).switch_down(50_000, dead);
         let mut flows = workload(&t, 30, 6);
         let dst = t.servers_on(dead);
         for sw in (0..t.num_switches()).filter(|&sw| sw != dead) {
-            flows.push((t.servers_on(sw).start, dst.start + sw % dst.len() as u32, 5_000_000, 0));
+            flows.push((
+                t.servers_on(sw).start,
+                dst.start + sw % dst.len() as u32,
+                5_000_000,
+                0,
+            ));
         }
-        let (r, _, _) = assert_engines_agree(&t, RoutingScheme::Ecmp, cfg, 7, &flows, Some(&schedule));
+        let (r, _, _) =
+            assert_engines_agree(&t, RoutingScheme::Ecmp, cfg, 7, &flows, Some(&schedule));
         for victim in &r.flows[30..] {
-            assert!(victim.fct_ns.is_none(), "a severed flow finished: {victim:?}");
-            assert_eq!(victim.timeouts, 0, "the RTO guard let a timer retransmit: {victim:?}");
+            assert!(
+                victim.fct_ns.is_none(),
+                "a severed flow finished: {victim:?}"
+            );
+            assert_eq!(
+                victim.timeouts, 0,
+                "the RTO guard let a timer retransmit: {victim:?}"
+            );
         }
         let partition = spineless_topo::partition_domains(&t, 2);
         let home = |s: u32| partition.shard_of[t.switch_of(s) as usize];
-        assert!(r.flows[30..].iter().any(|f| home(f.src) != home(f.dst)), "no victim crosses shards");
+        assert!(
+            r.flows[30..].iter().any(|f| home(f.src) != home(f.dst)),
+            "no victim crosses shards"
+        );
     }
 
     #[test]
@@ -992,12 +1113,25 @@ mod tests {
         let t = DRing::uniform(8, 2, 12).build();
         let flows = workload(&t, 60, 2);
         let state = |k: u32| {
-            let mut sim = sharded(&t, RoutingScheme::Ecmp, SimConfig::default(), 7, k, &flows, None);
+            let mut sim = sharded(
+                &t,
+                RoutingScheme::Ecmp,
+                SimConfig::default(),
+                7,
+                k,
+                &flows,
+                None,
+            );
             sim.run();
             (sim.num_dir_links(), sim.shard_state(), sim.state_bytes())
         };
         let total = |shards: &[Vec<(&str, usize, usize)>], name: &str| -> usize {
-            shards.iter().flatten().filter(|v| v.0 == name).map(|v| v.1).sum()
+            shards
+                .iter()
+                .flatten()
+                .filter(|v| v.0 == name)
+                .map(|v| v.1)
+                .sum()
         };
         let (links, serial, one) = state(1);
         assert_eq!(total(&serial, "queues"), links);
@@ -1012,7 +1146,10 @@ mod tests {
                 assert_ne!(*len, links, "k={k}: {name} is sized by every link");
             }
             let spread = (all as f64 / one as f64 - 1.0).abs();
-            assert!(spread <= 0.02, "k={k}: {all} state bytes against {one} on one shard");
+            assert!(
+                spread <= 0.02,
+                "k={k}: {all} state bytes against {one} on one shard"
+            );
         }
         // Flowlet state exists only in flowlet runs: (entries, bytes) of
         // `flowlet_id` and `last_emit_ns` over both shards.
@@ -1026,7 +1163,10 @@ mod tests {
                 .fold((0, 0), |(len, bytes), v| (len + v.1, bytes + v.2))
         };
         assert_eq!(flowlet_state(SimConfig::default()), (0, 0));
-        let flowlets = SimConfig { flowlet_gap_ns: Some(40_000), ..SimConfig::default() };
+        let flowlets = SimConfig {
+            flowlet_gap_ns: Some(40_000),
+            ..SimConfig::default()
+        };
         assert_eq!(flowlet_state(flowlets).0, 2 * flows.len());
     }
 
@@ -1038,14 +1178,30 @@ mod tests {
         // down for good.
         let t = DRing::uniform(8, 2, 12).build();
         let flows = workload(&t, 60, 2);
-        let flap = FailureSchedule::new(50_000).switch_down(100_000, 3).switch_up(100_000, 3);
-        let (r, _, _) =
-            assert_engines_agree(&t, RoutingScheme::Ecmp, SimConfig::default(), 7, &flows, Some(&flap));
+        let flap = FailureSchedule::new(50_000)
+            .switch_down(100_000, 3)
+            .switch_up(100_000, 3);
+        let (r, _, _) = assert_engines_agree(
+            &t,
+            RoutingScheme::Ecmp,
+            SimConfig::default(),
+            7,
+            &flows,
+            Some(&flap),
+        );
         assert_eq!(r.unfinished(), 0);
         assert!(r.dropped_packets > 0, "the flap flushed nothing");
-        let down = FailureSchedule::new(50_000).switch_up(100_000, 3).switch_down(100_000, 3);
-        let (r, _, _) =
-            assert_engines_agree(&t, RoutingScheme::Ecmp, SimConfig::default(), 7, &flows, Some(&down));
+        let down = FailureSchedule::new(50_000)
+            .switch_up(100_000, 3)
+            .switch_down(100_000, 3);
+        let (r, _, _) = assert_engines_agree(
+            &t,
+            RoutingScheme::Ecmp,
+            SimConfig::default(),
+            7,
+            &flows,
+            Some(&down),
+        );
         assert!(r.unfinished() > 0);
     }
 
@@ -1058,10 +1214,19 @@ mod tests {
         // shows up as differing drops/FCTs.
         let t = DRing::uniform(8, 2, 12).build();
         let ns = t.num_servers();
-        let flows: Vec<(u32, u32, u64, Ns)> =
-            (1..ns).map(|s| (s, 0, 30_000u64, 0)).collect();
-        let reference = run_serial(&t, RoutingScheme::Ecmp, SimConfig::default(), 9, &flows, None);
-        assert!(reference.0.dropped_packets > 0, "incast should drop packets");
+        let flows: Vec<(u32, u32, u64, Ns)> = (1..ns).map(|s| (s, 0, 30_000u64, 0)).collect();
+        let reference = run_serial(
+            &t,
+            RoutingScheme::Ecmp,
+            SimConfig::default(),
+            9,
+            &flows,
+            None,
+        );
+        assert!(
+            reference.0.dropped_packets > 0,
+            "incast should drop packets"
+        );
         for shards in [2, 4, 8] {
             let got = run_sharded(&t, SimConfig::default(), 9, shards, &flows, None);
             assert_eq!(
@@ -1087,15 +1252,34 @@ mod tests {
         for f in &mut flows[30..] {
             f.3 += 60_000;
         }
-        let reference = run_serial(&t, RoutingScheme::Ecmp, SimConfig::default(), 7, &flows, None);
+        let reference = run_serial(
+            &t,
+            RoutingScheme::Ecmp,
+            SimConfig::default(),
+            7,
+            &flows,
+            None,
+        );
         for k in [1, 2, 3] {
-            let mut sim = sharded(&t, RoutingScheme::Ecmp, SimConfig::default(), 7, k, &flows[..30], None);
+            let mut sim = sharded(
+                &t,
+                RoutingScheme::Ecmp,
+                SimConfig::default(),
+                7,
+                k,
+                &flows[..30],
+                None,
+            );
             sim.run_until(60_000);
             for &(s, d, b, at) in &flows[30..] {
                 sim.add_flow(s, d, b, at).unwrap();
             }
             let r = sim.run();
-            assert_eq!((r, sim.pkt_hops(), sim.switch_link_tx_bytes()), reference, "k={k}");
+            assert_eq!(
+                (r, sim.pkt_hops(), sim.switch_link_tx_bytes()),
+                reference,
+                "k={k}"
+            );
         }
     }
 
@@ -1107,19 +1291,53 @@ mod tests {
         let t = DRing::uniform(8, 2, 12).build();
         let flows = workload(&t, 60, 12);
         let run = |k: u32| {
-            let mut sim = sharded(&t, RoutingScheme::Ecmp, SimConfig::default(), 7, k, &flows, None);
+            let mut sim = sharded(
+                &t,
+                RoutingScheme::Ecmp,
+                SimConfig::default(),
+                7,
+                k,
+                &flows,
+                None,
+            );
             let n = sim.num_dir_links();
-            sim.set_link_residuals(&(0..n).map(|l| if l % 3 == 0 { 0.5 } else { 1.0 }).collect::<Vec<_>>()).unwrap();
+            sim.set_link_residuals(
+                &(0..n)
+                    .map(|l| if l % 3 == 0 { 0.5 } else { 1.0 })
+                    .collect::<Vec<_>>(),
+            )
+            .unwrap();
             sim.run_until(40_000);
-            sim.set_link_residuals(&(0..n).map(|l| if l % 5 == 0 { 0.25 } else { 0.9 }).collect::<Vec<_>>()).unwrap();
+            sim.set_link_residuals(
+                &(0..n)
+                    .map(|l| if l % 5 == 0 { 0.25 } else { 0.9 })
+                    .collect::<Vec<_>>(),
+            )
+            .unwrap();
             sim.run_until(90_000);
             sim.set_link_residuals(&vec![1.0; n]).unwrap();
             let r = sim.run();
-            (r, sim.pkt_hops(), sim.switch_link_tx_bytes(), sim.mean_switch_link_utilization().to_bits())
+            (
+                r,
+                sim.pkt_hops(),
+                sim.switch_link_tx_bytes(),
+                sim.mean_switch_link_utilization().to_bits(),
+            )
         };
         let serial = run(1);
-        let (plain, _, _) = run_serial(&t, RoutingScheme::Ecmp, SimConfig::default(), 7, &flows, None);
-        assert_ne!(serial.0.fcts(), plain.fcts(), "the residuals slowed nothing");
+        let (plain, _, _) = run_serial(
+            &t,
+            RoutingScheme::Ecmp,
+            SimConfig::default(),
+            7,
+            &flows,
+            None,
+        );
+        assert_ne!(
+            serial.0.fcts(),
+            plain.fcts(),
+            "the residuals slowed nothing"
+        );
         for k in [2, 3] {
             assert_eq!(run(k), serial, "k={k}");
         }
@@ -1153,7 +1371,11 @@ mod tests {
         assert_eq!(choose_engine(80, 158, 42_000_000, 2), 1);
         assert_eq!(choose_engine(80, 158, 42_000_000, 64), 1);
         // Anything at one thread: serial.
-        for (sw, flows, est) in [(102, 100_000, 43_400_000), (80, 158, 42_000_000), (600, 10_000_000, u64::MAX)] {
+        for (sw, flows, est) in [
+            (102, 100_000, 43_400_000),
+            (80, 158, 42_000_000),
+            (600, 10_000_000, u64::MAX),
+        ] {
             assert_eq!(choose_engine(sw, flows, est, 1), 1);
         }
     }
@@ -1171,7 +1393,10 @@ mod tests {
         // A lossless run pays the pause/resume + un-elided TxDone
         // surcharge on top of the data-plane estimate.
         let base = estimate_events([100_000u64; 4], 1500, false);
-        assert_eq!(estimate_events([100_000u64; 4], 1500, true), base + base / 4);
+        assert_eq!(
+            estimate_events([100_000u64; 4], 1500, true),
+            base + base / 4
+        );
         // Saturation stays saturation.
         assert_eq!(estimate_events([u64::MAX; 3], 1, true), u64::MAX);
     }
@@ -1188,13 +1413,17 @@ mod tests {
         let t = DRing::uniform(8, 2, 12).build();
         let cfg = SimConfig {
             transport: Transport::GoBackN,
-            pfc: Some(PfcConfig { xoff_bytes: 20_000, xon_bytes: 8_000 }),
+            pfc: Some(PfcConfig {
+                xoff_bytes: 20_000,
+                xon_bytes: 8_000,
+            }),
             // Cyclic buffer dependencies can deadlock PFC on a mesh.
             max_time_ns: 50_000_000,
             ..SimConfig::default()
         };
-        let mut flows: Vec<(u32, u32, u64, Ns)> =
-            (1..t.num_switches()).map(|sw| (t.servers_on(sw).start, 0, 150_000, 0)).collect();
+        let mut flows: Vec<(u32, u32, u64, Ns)> = (1..t.num_switches())
+            .map(|sw| (t.servers_on(sw).start, 0, 150_000, 0))
+            .collect();
         flows.extend(workload(&t, 40, 8));
         let schedule = FailureSchedule::new(100_000)
             .link_down(150_000, 0)
@@ -1223,7 +1452,8 @@ mod tests {
         let (plant, _) = Plant::build(&t, &fs, &cfg, 1, None);
         for (next_event, lbts) in [(20_000, 5_600), (u64::MAX, 5_600)] {
             let schedule = FailureSchedule::new(1_000_000).link_down(5_000, 0);
-            let mut agenda = Agenda::new(&t, fs.clone(), schedule, &plant, fs.routers(), &cfg).unwrap();
+            let mut agenda =
+                Agenda::new(&t, fs.clone(), schedule, &plant, fs.routers(), &cfg).unwrap();
             let mut coord = Coordinator {
                 agenda: Some(&mut agenda),
                 lookahead: 600,
@@ -1252,20 +1482,32 @@ mod tests {
         let (done, finished) = channel();
         let workers: Vec<_> = (0..n)
             .map(|_| {
-                let (barrier, arrived, led, done) = (barrier.clone(), arrived.clone(), led.clone(), done.clone());
+                let (barrier, arrived, led, done) =
+                    (barrier.clone(), arrived.clone(), led.clone(), done.clone());
                 std::thread::spawn(move || {
                     let _poison = PoisonOnPanic(&barrier);
                     let n = n as u64;
                     for r in 0..rounds {
                         arrived.fetch_add(1, Ordering::SeqCst);
                         let released = barrier.wait(|| {
-                            assert_eq!(arrived.load(Ordering::SeqCst), n * (r + 1), "leader ran early");
+                            assert_eq!(
+                                arrived.load(Ordering::SeqCst),
+                                n * (r + 1),
+                                "leader ran early"
+                            );
                             led.fetch_add(1, Ordering::SeqCst);
                         });
                         assert!(released, "poisoned");
-                        assert_eq!(led.load(Ordering::SeqCst), r + 1, "released before the leader acted");
+                        assert_eq!(
+                            led.load(Ordering::SeqCst),
+                            r + 1,
+                            "released before the leader acted"
+                        );
                         let seen = arrived.load(Ordering::SeqCst);
-                        assert!((n * (r + 1)..n * (r + 2)).contains(&seen), "round {r}: {seen} arrivals");
+                        assert!(
+                            (n * (r + 1)..n * (r + 2)).contains(&seen),
+                            "round {r}: {seen} arrivals"
+                        );
                     }
                     done.send(()).expect("watchdog gone");
                 })
@@ -1275,7 +1517,9 @@ mod tests {
         for _ in 0..n {
             finished
                 .recv_timeout(Duration::from_secs(60))
-                .unwrap_or_else(|e| panic!("n={n} spin={spin}: barrier stuck or a thread failed ({e})"));
+                .unwrap_or_else(|e| {
+                    panic!("n={n} spin={spin}: barrier stuck or a thread failed ({e})")
+                });
         }
         for w in workers {
             w.join().expect("barrier thread panicked");
@@ -1309,7 +1553,10 @@ mod tests {
             let waiters: Vec<_> = (0..2).map(|_| s.spawn(|| barrier.wait(|| {}))).collect();
             barrier.poison();
             for w in waiters {
-                assert!(!w.join().expect("waiter panicked"), "a poisoned wait returned true");
+                assert!(
+                    !w.join().expect("waiter panicked"),
+                    "a poisoned wait returned true"
+                );
             }
         });
     }
@@ -1330,10 +1577,18 @@ mod tests {
     /// tx bytes and retransmit and timeout counters.
     fn golden_digest(t: &Totals) -> u64 {
         let r = &t.report;
-        let mut w: Vec<u64> = r.flows.iter().map(|f| f.fct_ns.unwrap_or(u64::MAX)).collect();
+        let mut w: Vec<u64> = r
+            .flows
+            .iter()
+            .map(|f| f.fct_ns.unwrap_or(u64::MAX))
+            .collect();
         w.extend([r.dropped_packets, r.delivered_bytes, t.pkt_hops]);
         w.extend(t.tx_bytes.iter().copied());
-        w.extend(r.flows.iter().map(|f| (f.retransmits as u64) << 32 | f.timeouts as u64));
+        w.extend(
+            r.flows
+                .iter()
+                .map(|f| (f.retransmits as u64) << 32 | f.timeouts as u64),
+        );
         fnv(w)
     }
 
@@ -1370,7 +1625,10 @@ mod tests {
             flowlet_gap_ns: Some(40_000),
             ..SimConfig::default()
         };
-        let reference = SimConfig { datapath: Datapath::Reference, ..SimConfig::default() };
+        let reference = SimConfig {
+            datapath: Datapath::Reference,
+            ..SimConfig::default()
+        };
         // (name, topology, config, flows, schedule, digest, drops,
         // delivered bytes, pkt-hops, events, drain ns)
         type Golden<'a> = (
@@ -1412,7 +1670,14 @@ mod tests {
                 SimConfig::default(),
                 workload(&dr, 50, 4),
                 Some(&failures),
-                [0x2adb_d5b2_ae4f_2a3c, 13, 2_625_269, 11_527, 18_022, 1_214_821],
+                [
+                    0x2adb_d5b2_ae4f_2a3c,
+                    13,
+                    2_625_269,
+                    11_527,
+                    18_022,
+                    1_214_821,
+                ],
             ),
             (
                 "dring reference datapath",
@@ -1420,13 +1685,27 @@ mod tests {
                 reference,
                 workload(&dr, 30, 5),
                 None,
-                [0xbaba_93bf_54f9_a078, 0, 1_955_489, 8_578, 18_502, 1_215_066],
+                [
+                    0xbaba_93bf_54f9_a078,
+                    0,
+                    1_955_489,
+                    8_578,
+                    18_502,
+                    1_215_066,
+                ],
             ),
         ];
         for (name, topo, cfg, flows, sched, want) in cases {
             let pin = |t: &Totals| {
                 let r = &t.report;
-                [golden_digest(t), r.dropped_packets, r.delivered_bytes, t.pkt_hops, r.events, t.drain_ns]
+                [
+                    golden_digest(t),
+                    r.dropped_packets,
+                    r.delivered_bytes,
+                    t.pkt_hops,
+                    r.events,
+                    t.drain_ns,
+                ]
             };
             for k in [1, 2] {
                 let got = pin(&run_sharded(topo, cfg, 7, k, &flows, sched));

@@ -106,7 +106,14 @@ impl TcpSender {
         initial_cwnd: u32,
         min_rto_ns: Ns,
     ) -> TcpSender {
-        Self::with_transport(flow, total_bytes, mss, initial_cwnd, min_rto_ns, Transport::NewReno)
+        Self::with_transport(
+            flow,
+            total_bytes,
+            mss,
+            initial_cwnd,
+            min_rto_ns,
+            Transport::NewReno,
+        )
     }
 
     /// Creates a sender with an explicit congestion-control algorithm.
@@ -226,7 +233,8 @@ impl TcpSender {
             // Pre-update hook (DCTCP mark accounting; no-op otherwise) —
             // runs before cum_acked/next_seq move, exactly where the
             // pre-seam inline code sat.
-            self.alg.on_ack_data(ack, newly, ece, self.in_recovery, self.next_seq);
+            self.alg
+                .on_ack_data(ack, newly, ece, self.in_recovery, self.next_seq);
             self.cum_acked = ack;
             self.next_seq = self.next_seq.max(ack);
             if echo_epoch == self.rtx_epoch {
@@ -378,7 +386,11 @@ impl TcpSender {
             if is_rtx {
                 self.retransmits += 1;
             }
-            out.send.push(SendAction { seq: self.next_seq, size, is_rtx });
+            out.send.push(SendAction {
+                seq: self.next_seq,
+                size,
+                is_rtx,
+            });
             self.next_seq += size as u64;
         }
         self.high_water = self.high_water.max(self.next_seq);
@@ -387,7 +399,11 @@ impl TcpSender {
     /// Retransmits the segment at the left edge of the window.
     fn retransmit_hole(&mut self, out: &mut TcpOutput) {
         let size = (self.total_bytes - self.cum_acked).min(self.mss as u64) as u32;
-        out.send.push(SendAction { seq: self.cum_acked, size, is_rtx: true });
+        out.send.push(SendAction {
+            seq: self.cum_acked,
+            size,
+            is_rtx: true,
+        });
         self.retransmits += 1;
     }
 
@@ -513,7 +529,14 @@ mod tests {
         let mut s = sender(10_000);
         let out = s.start(0);
         assert_eq!(out.send.len(), 2); // initial cwnd = 2
-        assert_eq!(out.send[0], SendAction { seq: 0, size: 1000, is_rtx: false });
+        assert_eq!(
+            out.send[0],
+            SendAction {
+                seq: 0,
+                size: 1000,
+                is_rtx: false
+            }
+        );
         assert_eq!(out.send[1].seq, 1000);
         assert!(out.set_timer.is_some());
         assert!(!out.completed);
@@ -523,7 +546,14 @@ mod tests {
     fn small_flow_sends_short_segment() {
         let mut s = sender(700);
         let out = s.start(0);
-        assert_eq!(out.send, vec![SendAction { seq: 0, size: 700, is_rtx: false }]);
+        assert_eq!(
+            out.send,
+            vec![SendAction {
+                seq: 0,
+                size: 700,
+                is_rtx: false
+            }]
+        );
     }
 
     #[test]
@@ -571,7 +601,14 @@ mod tests {
         s.on_ack(11, 0, 0, 0);
         let out = s.on_ack(12, 0, 0, 0);
         assert_eq!(s.retransmits, 1);
-        assert_eq!(out.send[0], SendAction { seq: 0, size: 1000, is_rtx: true });
+        assert_eq!(
+            out.send[0],
+            SendAction {
+                seq: 0,
+                size: 1000,
+                is_rtx: true
+            }
+        );
         assert!(s.in_recovery);
         // Epoch bumped: old RTT echoes are ignored now.
         assert_eq!(s.epoch(), 1);
@@ -589,7 +626,14 @@ mod tests {
         assert!(recover > 1000);
         let out = s.on_ack(20, 1000, 0, 1);
         assert!(s.in_recovery, "partial ack keeps recovery");
-        assert_eq!(out.send[0], SendAction { seq: 1000, size: 1000, is_rtx: true });
+        assert_eq!(
+            out.send[0],
+            SendAction {
+                seq: 1000,
+                size: 1000,
+                is_rtx: true
+            }
+        );
     }
 
     #[test]
@@ -601,7 +645,14 @@ mod tests {
         let o = s.on_timer(deadline, gen);
         assert_eq!(s.timeouts, 1);
         assert_eq!(s.cwnd(), 1.0);
-        assert_eq!(o.send[0], SendAction { seq: 0, size: 1000, is_rtx: true });
+        assert_eq!(
+            o.send[0],
+            SendAction {
+                seq: 0,
+                size: 1000,
+                is_rtx: true
+            }
+        );
         // Backoff doubles the next deadline.
         let (d2, _) = o.set_timer.unwrap();
         assert_eq!(d2, deadline + 2 * MIN_RTO);
@@ -618,7 +669,14 @@ mod tests {
         assert_eq!(o.send.len(), 2); // seqs 0 and 1000 — both presumed lost
         let (deadline, gen) = o.set_timer.unwrap();
         let o = s.on_timer(deadline, gen);
-        assert_eq!(o.send[0], SendAction { seq: 0, size: 1000, is_rtx: true });
+        assert_eq!(
+            o.send[0],
+            SendAction {
+                seq: 0,
+                size: 1000,
+                is_rtx: true
+            }
+        );
         let o = s.on_ack(deadline + 100, 1000, deadline, 1);
         assert!(
             o.send.iter().any(|a| a.seq == 1000 && a.is_rtx),
@@ -660,7 +718,7 @@ mod tests {
         let mut s = sender(100_000);
         s.start(0);
         s.on_ack(500_000, 1000, 400_000, 0); // 100 us RTT
-        // SRTT = 100us, RTTVAR = 50us → RTO = 300us, floored to MIN_RTO.
+                                             // SRTT = 100us, RTTVAR = 50us → RTO = 300us, floored to MIN_RTO.
         assert_eq!(s.rto_ns, MIN_RTO);
         let mut s2 = TcpSender::new(0, 100_000, MSS, 2, 1000);
         s2.start(0);
@@ -771,13 +829,20 @@ mod tests {
         let mut s = gbn(1_000_000);
         s.start(0); // seqs 0..4000 in flight, epoch 0
         s.on_ack(10, 1000, 0, 0); // cum 1000, sends seq 4000
-        // Segment 1000 lost; receiver NACKs 1000 on seeing 2000 (epoch 0).
+                                  // Segment 1000 lost; receiver NACKs 1000 on seeing 2000 (epoch 0).
         let o = s.on_nack(20, 1000, 0);
         assert_eq!(s.epoch(), 1, "rollback bumps the epoch");
         // Window = 4 segs from cum 1000: 1000..5000, all retransmissions
         // except the never-sent 5000... high water was 5000, so all 4 rtx.
         assert_eq!(o.send.len(), 4);
-        assert_eq!(o.send[0], SendAction { seq: 1000, size: 1000, is_rtx: true });
+        assert_eq!(
+            o.send[0],
+            SendAction {
+                seq: 1000,
+                size: 1000,
+                is_rtx: true
+            }
+        );
         assert!(o.send.iter().take(4).all(|a| a.is_rtx));
         assert_eq!(s.retransmits, 4);
         assert!(o.set_timer.is_some());

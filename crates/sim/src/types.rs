@@ -139,7 +139,10 @@ impl Default for PfcConfig {
     /// Half the default 150 kB queue as XOFF, a fifth as XON: ample
     /// headroom for one RTT of in-flight packets at 10 Gbps.
     fn default() -> Self {
-        PfcConfig { xoff_bytes: 75_000, xon_bytes: 30_000 }
+        PfcConfig {
+            xoff_bytes: 75_000,
+            xon_bytes: 30_000,
+        }
     }
 }
 
@@ -276,7 +279,10 @@ mod tests {
 
     #[test]
     fn tx_time_rounds_up() {
-        let c = SimConfig { link_rate_gbps: 7.0, ..Default::default() };
+        let c = SimConfig {
+            link_rate_gbps: 7.0,
+            ..Default::default()
+        };
         // 1500 / 0.875 = 1714.28... -> 1715.
         assert_eq!(c.tx_ns(1500), 1715);
     }

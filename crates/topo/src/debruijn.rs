@@ -28,7 +28,11 @@ pub struct DeBruijn {
 impl DeBruijn {
     /// The builder for `B(symbols, word_length)` at the given radix.
     pub fn new(symbols: u32, word_length: u32, ports_per_switch: u32) -> DeBruijn {
-        DeBruijn { symbols, word_length, ports_per_switch }
+        DeBruijn {
+            symbols,
+            word_length,
+            ports_per_switch,
+        }
     }
 
     /// Switch count `symbols^word_length` (`None` on u32 overflow).

@@ -31,12 +31,18 @@ pub struct DRing {
 impl DRing {
     /// A DRing with `supernodes` supernodes of `tors` ToRs each.
     pub fn uniform(supernodes: u32, tors: u32, ports_per_switch: u32) -> DRing {
-        DRing { sizes: vec![tors; supernodes as usize], ports_per_switch }
+        DRing {
+            sizes: vec![tors; supernodes as usize],
+            ports_per_switch,
+        }
     }
 
     /// A DRing with explicitly sized supernodes.
     pub fn with_sizes(sizes: Vec<u32>, ports_per_switch: u32) -> DRing {
-        DRing { sizes, ports_per_switch }
+        DRing {
+            sizes,
+            ports_per_switch,
+        }
     }
 
     /// The paper's §5.1 evaluation configuration: 12 supernodes, 80 racks,

@@ -49,7 +49,12 @@ impl FatTree {
             let capacity = leaves as u64 * servers_per_leaf.min(spines) as u64;
             let servers = leaves as u64 * servers_per_leaf as u64;
             let switches = leaves + spines;
-            let cand = FatTree { leaves, spines, servers_per_leaf, ports_per_switch };
+            let cand = FatTree {
+                leaves,
+                spines,
+                servers_per_leaf,
+                ports_per_switch,
+            };
             let better = match &best {
                 None => true,
                 Some((bc, bs, bw, _)) => {
@@ -177,12 +182,22 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_designs() {
-        assert!(FatTree { leaves: 1, spines: 1, servers_per_leaf: 2, ports_per_switch: 4 }
-            .try_build()
-            .is_err());
+        assert!(FatTree {
+            leaves: 1,
+            spines: 1,
+            servers_per_leaf: 2,
+            ports_per_switch: 4
+        }
+        .try_build()
+        .is_err());
         assert!(matches!(
-            FatTree { leaves: 9, spines: 1, servers_per_leaf: 2, ports_per_switch: 8 }
-                .try_build(),
+            FatTree {
+                leaves: 9,
+                spines: 1,
+                servers_per_leaf: 2,
+                ports_per_switch: 8
+            }
+            .try_build(),
             Err(TopoError::PortOverflow { .. })
         ));
     }

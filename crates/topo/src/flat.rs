@@ -59,7 +59,11 @@ mod tests {
 
     #[test]
     fn even_distribution_sums_and_balances() {
-        let eq = Equipment { switches: 7, ports_per_switch: 10, servers: 23 };
+        let eq = Equipment {
+            switches: 7,
+            ports_per_switch: 10,
+            servers: 23,
+        };
         let d = even_server_distribution(eq);
         assert_eq!(d.iter().sum::<u32>(), 23);
         assert_eq!(d.iter().max().unwrap() - d.iter().min().unwrap(), 1);
@@ -68,7 +72,11 @@ mod tests {
 
     #[test]
     fn even_distribution_exact_division() {
-        let eq = Equipment { switches: 4, ports_per_switch: 10, servers: 20 };
+        let eq = Equipment {
+            switches: 4,
+            ports_per_switch: 10,
+            servers: 20,
+        };
         assert_eq!(even_server_distribution(eq), vec![5; 4]);
     }
 
@@ -102,8 +110,7 @@ mod tests {
         // topology rounds to 38/39, averaging exactly 38.4.
         let ls = LeafSpine::paper_config().build();
         let f = flatten(&ls, 1).unwrap();
-        let mean =
-            f.servers.iter().map(|&s| s as f64).sum::<f64>() / f.num_switches() as f64;
+        let mean = f.servers.iter().map(|&s| s as f64).sum::<f64>() / f.num_switches() as f64;
         assert!((mean - 38.4).abs() < 1e-9);
     }
 }

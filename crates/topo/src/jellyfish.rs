@@ -48,8 +48,14 @@ impl Jellyfish {
                 "Jellyfish expansion needs network degree >= 2, got {net_degree}"
             )));
         }
-        let t = Rrg::uniform(switches, net_degree, servers_per_switch, ports_per_switch, seed)
-            .try_build()?;
+        let t = Rrg::uniform(
+            switches,
+            net_degree,
+            servers_per_switch,
+            ports_per_switch,
+            seed,
+        )
+        .try_build()?;
         let edges: Vec<(NodeId, NodeId)> = t.graph.edges().to_vec();
         let mut adj = vec![BTreeSet::new(); switches as usize];
         for &(u, v) in &edges {
@@ -102,7 +108,8 @@ impl Jellyfish {
         // orientation), then the surviving new cables.
         removed.resize(self.edges.len(), false);
         let mut removed = removed.into_iter();
-        self.edges.retain(|_| !removed.next().expect("one flag per cable"));
+        self.edges
+            .retain(|_| !removed.next().expect("one flag per cable"));
         Ok(())
     }
 
@@ -186,7 +193,11 @@ mod tests {
         let after = jf.topology().unwrap().graph.edges().to_vec();
         // Surviving cables come first, in their old order and orientation;
         // every cable after them belongs to a new switch.
-        let survivors: Vec<_> = before.iter().filter(|e| after.contains(e)).copied().collect();
+        let survivors: Vec<_> = before
+            .iter()
+            .filter(|e| after.contains(e))
+            .copied()
+            .collect();
         assert_eq!(after[..survivors.len()], survivors[..]);
         assert!(after[survivors.len()..].iter().all(|&(u, _)| u >= 10));
         // Each new switch replaces degree/2 cables — though the second may

@@ -30,7 +30,10 @@ pub struct LeafSpine {
 impl LeafSpine {
     /// `leaf-spine(x, y)` with `x` servers per leaf and `y` spines.
     pub fn new(x: u32, y: u32) -> LeafSpine {
-        LeafSpine { servers_per_leaf: x, spines: y }
+        LeafSpine {
+            servers_per_leaf: x,
+            spines: y,
+        }
     }
 
     /// The paper's evaluation configuration: `leaf-spine(48, 16)` —
@@ -72,7 +75,12 @@ impl LeafSpine {
         }
         let mut servers = vec![x; leaves as usize];
         servers.extend(std::iter::repeat_n(0, y as usize));
-        Topology::new(format!("leaf-spine({x},{y})"), b.build(), servers, self.radix())
+        Topology::new(
+            format!("leaf-spine({x},{y})"),
+            b.build(),
+            servers,
+            self.radix(),
+        )
     }
 
     /// Builds the topology.

@@ -46,7 +46,11 @@ pub fn nsr(t: &Topology) -> Result<NsrStats, TopoError> {
         max = max.max(v);
         sum += v;
     }
-    Ok(NsrStats { min, max, mean: sum / racks.len() as f64 })
+    Ok(NsrStats {
+        min,
+        max,
+        mean: sum / racks.len() as f64,
+    })
 }
 
 /// UDF of a topology, measured on *constructed* graphs:

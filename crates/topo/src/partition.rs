@@ -108,7 +108,10 @@ pub fn partition_domains(topo: &Topology, shards: u32) -> DomainPartition {
         }
     }
 
-    DomainPartition { shard_of, shards: k }
+    DomainPartition {
+        shard_of,
+        shards: k,
+    }
 }
 
 #[cfg(test)]
@@ -132,8 +135,7 @@ mod tests {
         let t = DRing::uniform(12, 2, 20).build();
         let p = partition_domains(&t, 4);
         assert_eq!(p.shards, 4);
-        let rack_shards: Vec<u32> =
-            t.racks().iter().map(|&r| p.shard_of[r as usize]).collect();
+        let rack_shards: Vec<u32> = t.racks().iter().map(|&r| p.shard_of[r as usize]).collect();
         // Non-decreasing over id order = contiguous blocks.
         assert!(rack_shards.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(*rack_shards.last().unwrap(), 3);

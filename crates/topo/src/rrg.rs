@@ -61,9 +61,13 @@ impl Rrg {
         let servers: Vec<u32> = (0..s)
             .map(|i| if i < extra { base + 1 } else { base })
             .collect();
-        let network_ports: Vec<u32> =
-            servers.iter().map(|&sv| eq.ports_per_switch - sv).collect();
-        Rrg { network_ports, servers, ports_per_switch: eq.ports_per_switch, seed }
+        let network_ports: Vec<u32> = servers.iter().map(|&sv| eq.ports_per_switch - sv).collect();
+        Rrg {
+            network_ports,
+            servers,
+            ports_per_switch: eq.ports_per_switch,
+            seed,
+        }
     }
 
     /// Total network ports (twice the link count if all are matched).
@@ -77,7 +81,9 @@ impl Rrg {
     pub fn try_build(&self) -> Result<Topology, TopoError> {
         let n = self.network_ports.len();
         if n < 2 {
-            return Err(TopoError::BadParameter("RRG needs at least 2 switches".into()));
+            return Err(TopoError::BadParameter(
+                "RRG needs at least 2 switches".into(),
+            ));
         }
         if self.servers.len() != n {
             return Err(TopoError::BadParameter(
@@ -108,8 +114,10 @@ impl Rrg {
         let mut edges = None;
         let mut last_err = None;
         for attempt in 0..16u64 {
-            let mut rng =
-                SmallRng::seed_from_u64(self.seed.wrapping_add(attempt.wrapping_mul(0x9E3779B97F4A7C15)));
+            let mut rng = SmallRng::seed_from_u64(
+                self.seed
+                    .wrapping_add(attempt.wrapping_mul(0x9E3779B97F4A7C15)),
+            );
             let result = if dense {
                 // An odd stub total cannot be fully matched; leave one port
                 // of a max-degree switch unused *before* complementing, so
@@ -192,10 +200,7 @@ fn complement_edges(n: u32, edges: &[(NodeId, NodeId)]) -> Vec<(NodeId, NodeId)>
 /// Produces a simple random graph realizing the degree sequence `target`
 /// (except possibly one leftover port when the total is odd, matching
 /// Jellyfish, which leaves an odd port unused).
-fn random_wiring(
-    target: &[u32],
-    rng: &mut SmallRng,
-) -> Result<Vec<(NodeId, NodeId)>, TopoError> {
+fn random_wiring(target: &[u32], rng: &mut SmallRng) -> Result<Vec<(NodeId, NodeId)>, TopoError> {
     let n = target.len();
     let mut free: Vec<u32> = target.to_vec();
     let mut adj: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); n];

@@ -40,7 +40,11 @@ pub struct SlimFly {
 impl SlimFly {
     /// Creates the builder.
     pub fn new(q: u32, servers_per_router: u32, ports_per_switch: u32) -> SlimFly {
-        SlimFly { q, servers_per_router, ports_per_switch }
+        SlimFly {
+            q,
+            servers_per_router,
+            ports_per_switch,
+        }
     }
 
     /// Number of routers (`2q²`).
@@ -73,9 +77,8 @@ impl SlimFly {
                 radix: self.ports_per_switch,
             });
         }
-        let xi = primitive_root(q).ok_or_else(|| {
-            TopoError::ConstructionFailed(format!("no primitive root mod {q}"))
-        })?;
+        let xi = primitive_root(q)
+            .ok_or_else(|| TopoError::ConstructionFailed(format!("no primitive root mod {q}")))?;
         // Even and odd powers of the primitive root.
         let mut even = Vec::new();
         let mut odd = Vec::new();

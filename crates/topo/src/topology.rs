@@ -36,7 +36,11 @@ pub enum TopoError {
 impl fmt::Display for TopoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TopoError::PortOverflow { switch, needed, radix } => write!(
+            TopoError::PortOverflow {
+                switch,
+                needed,
+                radix,
+            } => write!(
                 f,
                 "switch {switch} needs {needed} ports but the radix is {radix}"
             ),
@@ -110,7 +114,11 @@ impl Topology {
         for v in 0..graph.num_nodes() {
             let needed = graph.degree(v) + servers[v as usize];
             if needed > ports_per_switch {
-                return Err(TopoError::PortOverflow { switch: v, needed, radix: ports_per_switch });
+                return Err(TopoError::PortOverflow {
+                    switch: v,
+                    needed,
+                    radix: ports_per_switch,
+                });
             }
         }
         let mut server_offsets = Vec::with_capacity(servers.len() + 1);
@@ -120,7 +128,13 @@ impl Topology {
             acc += s;
             server_offsets.push(acc);
         }
-        Ok(Topology { name, graph, servers, server_offsets, ports_per_switch })
+        Ok(Topology {
+            name,
+            graph,
+            servers,
+            server_offsets,
+            ports_per_switch,
+        })
     }
 
     /// Number of switches.
@@ -255,7 +269,11 @@ mod tests {
         assert_eq!(t.ports_used(2), 1 + 3);
         assert_eq!(
             t.equipment(),
-            Equipment { switches: 3, ports_per_switch: 8, servers: 5 }
+            Equipment {
+                switches: 3,
+                ports_per_switch: 8,
+                servers: 5
+            }
         );
     }
 
@@ -264,7 +282,14 @@ mod tests {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 1);
         let err = Topology::new("x", b.build(), vec![4, 0], 4).unwrap_err();
-        assert_eq!(err, TopoError::PortOverflow { switch: 0, needed: 5, radix: 4 });
+        assert_eq!(
+            err,
+            TopoError::PortOverflow {
+                switch: 0,
+                needed: 5,
+                radix: 4
+            }
+        );
     }
 
     #[test]
@@ -278,7 +303,11 @@ mod tests {
 
     #[test]
     fn equipment_arithmetic() {
-        let e = Equipment { switches: 10, ports_per_switch: 64, servers: 400 };
+        let e = Equipment {
+            switches: 10,
+            ports_per_switch: 64,
+            servers: 400,
+        };
         assert_eq!(e.total_ports(), 640);
         assert_eq!(e.network_ports(), 240);
     }

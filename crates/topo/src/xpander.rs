@@ -42,7 +42,13 @@ impl Xpander {
         ports_per_switch: u32,
         seed: u64,
     ) -> Xpander {
-        Xpander { net_degree, lift, servers_per_switch, ports_per_switch, seed }
+        Xpander {
+            net_degree,
+            lift,
+            servers_per_switch,
+            ports_per_switch,
+            seed,
+        }
     }
 
     /// Number of switches in the built topology.
@@ -75,7 +81,8 @@ impl Xpander {
         let mut graph = None;
         for attempt in 0..32u64 {
             let mut rng = SmallRng::seed_from_u64(
-                self.seed.wrapping_add(attempt.wrapping_mul(0x9E3779B97F4A7C15)),
+                self.seed
+                    .wrapping_add(attempt.wrapping_mul(0x9E3779B97F4A7C15)),
             );
             let mut b = GraphBuilder::new(n);
             // Metanode g occupies switches g*l .. (g+1)*l.

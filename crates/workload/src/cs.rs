@@ -29,7 +29,10 @@ pub enum CsError {
 impl fmt::Display for CsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CsError::NotEnoughCapacity { requested, available } => {
+            CsError::NotEnoughCapacity {
+                requested,
+                available,
+            } => {
                 write!(f, "requested {requested} hosts, only {available} available")
             }
             CsError::EmptySet => write!(f, "client and server sets must be non-empty"),
@@ -98,7 +101,12 @@ impl CsAssignment {
                 }
             }
         }
-        Ok(CsAssignment { clients, servers, client_racks, server_racks })
+        Ok(CsAssignment {
+            clients,
+            servers,
+            client_racks,
+            server_racks,
+        })
     }
 
     /// All client→server demand pairs (the full C×S bipartite demand).

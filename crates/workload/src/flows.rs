@@ -124,7 +124,10 @@ impl FlowSet {
                 ..*f
             })
             .collect();
-        FlowSet { flows, window_ns: self.window_ns }
+        FlowSet {
+            flows,
+            window_ns: self.window_ns,
+        }
     }
 
     /// Total bytes across all flows.
@@ -246,8 +249,22 @@ mod tests {
         let t = topo();
         let tm = TrafficMatrix::uniform(&t);
         let sizes = ParetoFlowSizes::paper();
-        let a = FlowSet::from_tm(&tm, &t, 5_000_000, &sizes, 1_000_000, &mut SmallRng::seed_from_u64(7));
-        let b = FlowSet::from_tm(&tm, &t, 5_000_000, &sizes, 1_000_000, &mut SmallRng::seed_from_u64(7));
+        let a = FlowSet::from_tm(
+            &tm,
+            &t,
+            5_000_000,
+            &sizes,
+            1_000_000,
+            &mut SmallRng::seed_from_u64(7),
+        );
+        let b = FlowSet::from_tm(
+            &tm,
+            &t,
+            5_000_000,
+            &sizes,
+            1_000_000,
+            &mut SmallRng::seed_from_u64(7),
+        );
         assert_eq!(a.flows, b.flows);
     }
 }

@@ -104,7 +104,12 @@ pub fn poisson_from_tm<R: Rng>(
                 break d;
             }
         };
-        flows.push(FlowSpec { src, dst, bytes: sizes.sample(rng), start_ns: t as u64 });
+        flows.push(FlowSpec {
+            src,
+            dst,
+            bytes: sizes.sample(rng),
+            start_ns: t as u64,
+        });
     }
     FlowSet { flows, window_ns }
 }
@@ -136,8 +141,22 @@ mod tests {
         let t = topo();
         let tm = TrafficMatrix::uniform(&t);
         let sizes = ParetoFlowSizes::paper();
-        let a = poisson_from_tm(&tm, &t, 0.05, &sizes, 2_000_000, &mut SmallRng::seed_from_u64(11));
-        let b = poisson_from_tm(&tm, &t, 0.05, &sizes, 2_000_000, &mut SmallRng::seed_from_u64(11));
+        let a = poisson_from_tm(
+            &tm,
+            &t,
+            0.05,
+            &sizes,
+            2_000_000,
+            &mut SmallRng::seed_from_u64(11),
+        );
+        let b = poisson_from_tm(
+            &tm,
+            &t,
+            0.05,
+            &sizes,
+            2_000_000,
+            &mut SmallRng::seed_from_u64(11),
+        );
         assert_eq!(a.flows, b.flows);
     }
 
@@ -167,7 +186,10 @@ mod tests {
         let expect = rate * window as f64 / sizes.truncated_mean();
         let got = fs.len() as f64;
         // Poisson sd = sqrt(mean) ≈ 228 at mean ≈ 52k; 5% is > 10 sd.
-        assert!((got - expect).abs() / expect < 0.05, "got {got}, expect {expect}");
+        assert!(
+            (got - expect).abs() / expect < 0.05,
+            "got {got}, expect {expect}"
+        );
     }
 
     #[test]
@@ -188,7 +210,10 @@ mod tests {
         let n = gaps.len() as f64;
         let mean = gaps.iter().sum::<f64>() / n;
         // Exponential: mean = 1/λ and coefficient of variation = 1.
-        assert!((mean - 1.0 / lambda).abs() / (1.0 / lambda) < 0.05, "mean {mean}");
+        assert!(
+            (mean - 1.0 / lambda).abs() / (1.0 / lambda) < 0.05,
+            "mean {mean}"
+        );
         let var = gaps.iter().map(|g| (g - mean) * (g - mean)).sum::<f64>() / n;
         let cv2 = var / (mean * mean);
         // u64 truncation of arrival times shaves a little variance at
@@ -209,7 +234,10 @@ mod tests {
         let got = fs.total_bytes() as f64;
         // Heavy-tailed sizes: the byte total is much noisier than the
         // flow count — ballpark band only.
-        assert!(got > 0.5 * offered && got < 2.0 * offered, "got {got}, offered {offered}");
+        assert!(
+            got > 0.5 * offered && got < 2.0 * offered,
+            "got {got}, offered {offered}"
+        );
     }
 
     #[test]

@@ -40,7 +40,11 @@ impl ParetoFlowSizes {
         assert!(mean_bytes > 0.0);
         let min_bytes = mean_bytes * (shape - 1.0) / shape;
         assert!(max_bytes > min_bytes);
-        ParetoFlowSizes { shape, min_bytes, max_bytes }
+        ParetoFlowSizes {
+            shape,
+            min_bytes,
+            max_bytes,
+        }
     }
 
     /// Draws one flow size (at least 1 byte).
@@ -118,8 +122,8 @@ mod tests {
         let p = ParetoFlowSizes::paper();
         let mut rng = SmallRng::seed_from_u64(3);
         let samples: Vec<u64> = (0..100_000).map(|_| p.sample(&mut rng)).collect();
-        let below_10k = samples.iter().filter(|&&x| x < 10_000).count() as f64
-            / samples.len() as f64;
+        let below_10k =
+            samples.iter().filter(|&&x| x < 10_000).count() as f64 / samples.len() as f64;
         // P(X < 10k) = 1 - (4762/10000)^1.05 ≈ 0.54.
         assert!((below_10k - 0.54).abs() < 0.02, "{below_10k}");
     }

@@ -54,7 +54,12 @@ impl TrafficMatrix {
             acc += w;
             cumulative.push(acc);
         }
-        TrafficMatrix { racks, weights, cumulative, name: name.into() }
+        TrafficMatrix {
+            racks,
+            weights,
+            cumulative,
+            name: name.into(),
+        }
     }
 
     /// Number of racks.
@@ -70,7 +75,10 @@ impl TrafficMatrix {
     /// Samples an ordered rack-index pair proportionally to weight.
     pub fn sample_pair<R: Rng>(&self, rng: &mut R) -> (usize, usize) {
         let u: f64 = rng.gen();
-        let idx = self.cumulative.partition_point(|&c| c < u).min(self.weights.len() - 1);
+        let idx = self
+            .cumulative
+            .partition_point(|&c| c < u)
+            .min(self.weights.len() - 1);
         (idx / self.racks.len(), idx % self.racks.len())
     }
 
@@ -79,9 +87,7 @@ impl TrafficMatrix {
     pub fn participating_racks(&self) -> usize {
         let n = self.racks.len();
         (0..n)
-            .filter(|&i| {
-                (0..n).any(|j| self.weight(i, j) > 0.0 || self.weight(j, i) > 0.0)
-            })
+            .filter(|&i| (0..n).any(|j| self.weight(i, j) > 0.0 || self.weight(j, i) > 0.0))
             .count()
     }
 
@@ -151,12 +157,7 @@ impl TrafficMatrix {
     }
 
     /// Shared profile-based generator for the FB-like families.
-    fn fb_profile<R: Rng>(
-        topo: &Topology,
-        rng: &mut R,
-        sigma: f64,
-        name: &str,
-    ) -> TrafficMatrix {
+    fn fb_profile<R: Rng>(topo: &Topology, rng: &mut R, sigma: f64, name: &str) -> TrafficMatrix {
         const PROFILE: usize = 256;
         let out_profile: Vec<f64> = (0..PROFILE).map(|_| lognormal(rng, sigma)).collect();
         let in_profile: Vec<f64> = (0..PROFILE).map(|_| lognormal(rng, sigma)).collect();
@@ -201,7 +202,11 @@ pub fn gini(values: &[f64]) -> f64 {
     if sum == 0.0 {
         return 0.0;
     }
-    let weighted: f64 = v.iter().enumerate().map(|(i, x)| (i as f64 + 1.0) * x).sum();
+    let weighted: f64 = v
+        .iter()
+        .enumerate()
+        .map(|(i, x)| (i as f64 + 1.0) * x)
+        .sum();
     (2.0 * weighted) / (n * sum) - (n + 1.0) / n
 }
 

@@ -64,17 +64,31 @@ fn main() {
         "{} cells: {} cold builds, {} memo hits, {} solves pruned",
         s.cells, s.cold, s.memo, s.pruned
     );
-    println!("memoized forwarding tables: {:.1} MiB", s.memo_heap_bytes as f64 / (1 << 20) as f64);
+    println!(
+        "memoized forwarding tables: {:.1} MiB",
+        s.memo_heap_bytes as f64 / (1 << 20) as f64
+    );
 
     // The frontier must not depend on how the sweep was parallelized or
     // accelerated.
     let base = fingerprint(&result);
     for workers in [1usize, 2] {
-        let alt = run_search(&SearchSpec { workers, ..spec.clone() });
-        assert_eq!(fingerprint(&alt), base, "frontier drifted at {workers} workers");
+        let alt = run_search(&SearchSpec {
+            workers,
+            ..spec.clone()
+        });
+        assert_eq!(
+            fingerprint(&alt),
+            base,
+            "frontier drifted at {workers} workers"
+        );
     }
     let cold = run_search_reference(&spec);
-    assert_eq!(fingerprint(&cold), base, "accelerations changed the frontier");
+    assert_eq!(
+        fingerprint(&cold),
+        base,
+        "accelerations changed the frontier"
+    );
     println!("frontier identical across worker counts and vs the cold reference");
 
     // The paper's side of the story: some flat design should beat the

@@ -51,10 +51,15 @@ fn drill_run(
     schedule: Option<FailureSchedule>,
     seed: u64,
 ) -> DrillOutcome {
-    let cfg = SimConfig { max_time_ns: 30_000_000_000, ..SimConfig::default() };
+    let cfg = SimConfig {
+        max_time_ns: 30_000_000_000,
+        ..SimConfig::default()
+    };
     let mut sim = Simulation::new(topo, fs.clone(), cfg, seed);
-    sim.add_flow(victim.0, victim.1, victim.2, 0).expect("victim endpoints valid");
-    sim.add_flow(bystander.0, bystander.1, bystander.2, 0).expect("bystander endpoints valid");
+    sim.add_flow(victim.0, victim.1, victim.2, 0)
+        .expect("victim endpoints valid");
+    sim.add_flow(bystander.0, bystander.1, bystander.2, 0)
+        .expect("bystander endpoints valid");
     if let Some(sched) = schedule {
         sim.set_failure_schedule(topo, fs.clone(), sched)
             .expect("schedule targets this topology's own edges");
@@ -70,7 +75,10 @@ fn drill_run(
 
 fn live_drill(quick: bool) {
     let topo = DRing::uniform(6, 3, 32).build();
-    let fs = Arc::new(ForwardingState::build(&topo.graph, RoutingScheme::ShortestUnion(2)));
+    let fs = Arc::new(ForwardingState::build(
+        &topo.graph,
+        RoutingScheme::ShortestUnion(2),
+    ));
     let seed = 11;
 
     // Victim: rack 0 to a maximally distant rack (a multi-hop path, so a
@@ -82,8 +90,14 @@ fn live_drill(quick: bool) {
         .iter()
         .max_by_key(|&&r| dist[racks[0] as usize][r as usize])
         .expect("topology has racks");
-    let src = topo.servers_on(racks[0]).next().expect("rack 0 has servers");
-    let dst = topo.servers_on(far_rack).next().expect("far rack has servers");
+    let src = topo
+        .servers_on(racks[0])
+        .next()
+        .expect("rack 0 has servers");
+    let dst = topo
+        .servers_on(far_rack)
+        .next()
+        .expect("far rack has servers");
     let by_pair: Vec<u32> = topo.servers_on(racks[1]).take(2).collect();
     let victim = (src, dst, 1_000_000u64);
     let bystander = (by_pair[0], by_pair[1], 250_000u64);
@@ -94,8 +108,12 @@ fn live_drill(quick: bool) {
     // belongs to the victim.
     let cfg = SimConfig::default();
     let mut probe = Simulation::new(&topo, fs.clone(), cfg, seed);
-    probe.add_flow(victim.0, victim.1, victim.2, 0).expect("victim endpoints valid");
-    probe.add_flow(bystander.0, bystander.1, bystander.2, 0).expect("bystander endpoints valid");
+    probe
+        .add_flow(victim.0, victim.1, victim.2, 0)
+        .expect("victim endpoints valid");
+    probe
+        .add_flow(bystander.0, bystander.1, bystander.2, 0)
+        .expect("bystander endpoints valid");
     let probe_r = probe.run();
     let tx = probe.switch_link_tx_bytes();
     let busiest = tx
@@ -150,7 +168,10 @@ fn live_drill(quick: bool) {
             o.bystander.fct_ns.is_some() && o.bystander.retransmits == 0,
             "{label}: intra-rack bystander must be untouched by the cut"
         );
-        assert!(o.used_fib_cache, "{label}: fast datapath lost its FIB hot-cache");
+        assert!(
+            o.used_fib_cache,
+            "{label}: fast datapath lost its FIB hot-cache"
+        );
     }
 
     if quick {

@@ -35,7 +35,10 @@ fn main() {
     let threshold = 100_000u64;
     let window: u64 = if quick { 1_000_000 } else { 4_000_000 };
     let rate = 0.5; // bytes/ns offered — moderate load on 24 servers
-    let cfg = SimConfig { max_time_ns: 50_000_000, ..Default::default() };
+    let cfg = SimConfig {
+        max_time_ns: 50_000_000,
+        ..Default::default()
+    };
     let seeds: &[u64] = if quick { &[3, 7] } else { &[3, 5, 7, 11, 13] };
 
     let mut mice_ratio_sum = 0.0f64;
@@ -49,35 +52,59 @@ fn main() {
         // 1. Bit-identity without elephants, intact and under a flap.
         let mut plain = Simulation::new(&topo, fs.clone(), cfg, seed);
         for f in &flows.flows {
-            plain.add_flow(f.src, f.dst, f.bytes, f.start_ns).expect("valid flow");
+            plain
+                .add_flow(f.src, f.dst, f.bytes, f.start_ns)
+                .expect("valid flow");
         }
         let t0 = Instant::now();
         let rp = plain.run();
         pure_wall += t0.elapsed().as_secs_f64();
-        let flap = FailureSchedule::new(50_000).link_down(window / 4, 0).link_up(window / 2, 0);
+        let flap = FailureSchedule::new(50_000)
+            .link_down(window / 4, 0)
+            .link_up(window / 2, 0);
         for schedule in [None, Some(flap)] {
             let mut plain = Simulation::new(&topo, fs.clone(), cfg, seed);
-            let pcfg = HybridConfig { elephant_threshold_bytes: u64::MAX, ..Default::default() };
+            let pcfg = HybridConfig {
+                elephant_threshold_bytes: u64::MAX,
+                ..Default::default()
+            };
             let mut mice = HybridSimulation::new(&topo, fs.clone(), cfg, pcfg, seed);
             if let Some(s) = &schedule {
-                plain.set_failure_schedule(&topo, fs.clone(), s.clone()).expect("valid schedule");
-                mice.set_failure_schedule(&topo, fs.clone(), s.clone()).expect("valid schedule");
+                plain
+                    .set_failure_schedule(&topo, fs.clone(), s.clone())
+                    .expect("valid schedule");
+                mice.set_failure_schedule(&topo, fs.clone(), s.clone())
+                    .expect("valid schedule");
             }
             for f in &flows.flows {
-                plain.add_flow(f.src, f.dst, f.bytes, f.start_ns).expect("valid flow");
-                mice.add_flow(f.src, f.dst, f.bytes, f.start_ns).expect("valid flow");
+                plain
+                    .add_flow(f.src, f.dst, f.bytes, f.start_ns)
+                    .expect("valid flow");
+                mice.add_flow(f.src, f.dst, f.bytes, f.start_ns)
+                    .expect("valid flow");
             }
             let (want, got) = (plain.run(), mice.run());
-            assert_eq!(want, got.packet, "a hybrid run without elephants diverged from the plain engine");
+            assert_eq!(
+                want, got.packet,
+                "a hybrid run without elephants diverged from the plain engine"
+            );
             assert_eq!((want.flows, want.end_ns), (got.flows, got.end_ns));
-            assert_eq!(got.resolves > 0, schedule.is_some(), "only a schedule's actions open windows");
+            assert_eq!(
+                got.resolves > 0,
+                schedule.is_some(),
+                "only a schedule's actions open windows"
+            );
         }
 
         // 2. Hybrid agreement.
-        let hcfg = HybridConfig { elephant_threshold_bytes: threshold, ..Default::default() };
+        let hcfg = HybridConfig {
+            elephant_threshold_bytes: threshold,
+            ..Default::default()
+        };
         let mut hyb = HybridSimulation::new(&topo, fs.clone(), cfg, hcfg, seed);
         for f in &flows.flows {
-            hyb.add_flow(f.src, f.dst, f.bytes, f.start_ns).expect("valid flow");
+            hyb.add_flow(f.src, f.dst, f.bytes, f.start_ns)
+                .expect("valid flow");
         }
         let t0 = Instant::now();
         let rh = hyb.run();

@@ -18,7 +18,12 @@ fn main() {
     let ls = LeafSpine::new(x, y).build();
     let flat = flatten(&ls, 7).expect("flat rewiring");
     println!("baseline : {}", ls.name);
-    println!("rewired  : {} (same {} switches, {} servers)", flat.name, flat.num_switches(), flat.num_servers());
+    println!(
+        "rewired  : {} (same {} switches, {} servers)",
+        flat.name,
+        flat.num_switches(),
+        flat.num_servers()
+    );
     let nsr_ls = nsr(&ls).expect("leaf-spine is connected with >=2 racks");
     let nsr_flat = nsr(&flat).expect("flat rewiring preserves connectivity");
     println!(
@@ -50,7 +55,10 @@ fn main() {
     println!("skewed traffic (hot rack out):");
     println!("  leaf-spine aggregate : {t_ls:.2} link-rates");
     println!("  flat aggregate       : {t_flat:.2} link-rates");
-    println!("  flat / leaf-spine    : {:.2}  (UDF bound: 2.0)\n", t_flat / t_ls);
+    println!(
+        "  flat / leaf-spine    : {:.2}  (UDF bound: 2.0)\n",
+        t_flat / t_ls
+    );
 
     // Uniform: everyone talks to everyone — no single rack bottleneck, so
     // flatness buys little.
@@ -71,5 +79,8 @@ fn main() {
     println!("uniform traffic (200 random pairs):");
     println!("  leaf-spine mean rate : {u_ls:.3}");
     println!("  flat mean rate       : {u_flat:.3}");
-    println!("  flat / leaf-spine    : {:.2}  (expected ≈ 1)", u_flat / u_ls);
+    println!(
+        "  flat / leaf-spine    : {:.2}  (expected ≈ 1)",
+        u_flat / u_ls
+    );
 }

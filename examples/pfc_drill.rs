@@ -71,14 +71,18 @@ fn run_incast(
     };
     let mut sim = Simulation::new(topo, fs, cfg, seed);
     let racks = topo.racks();
-    let victim = topo.servers_on(racks[0]).next().expect("victim rack has servers");
+    let victim = topo
+        .servers_on(racks[0])
+        .next()
+        .expect("victim rack has servers");
     // Synchronized incast: the first few servers of every remote rack all
     // fire at the victim at t = 0 — the many-to-one pattern that builds
     // the deepest pause tree.
     let mut incast = 0usize;
     for &r in &racks[1..] {
         for src in topo.servers_on(r).take(senders_per_rack) {
-            sim.add_flow(src, victim, bytes, 0).expect("incast endpoints valid");
+            sim.add_flow(src, victim, bytes, 0)
+                .expect("incast endpoints valid");
             incast += 1;
         }
     }
@@ -87,9 +91,16 @@ fn run_incast(
     // downlinks in a leaf-spine, transit mesh links in a flat topology —
     // so its FCT measures how much of the pause tree lands on paths that
     // innocent traffic cannot avoid.
-    let by_src = topo.servers_on(racks[1]).nth(senders_per_rack).expect("spare server");
-    let by_dst = topo.servers_on(racks[2]).nth(senders_per_rack).expect("spare server");
-    sim.add_flow(by_src, by_dst, 200_000, 0).expect("bystander endpoints valid");
+    let by_src = topo
+        .servers_on(racks[1])
+        .nth(senders_per_rack)
+        .expect("spare server");
+    let by_dst = topo
+        .servers_on(racks[2])
+        .nth(senders_per_rack)
+        .expect("spare server");
+    sim.add_flow(by_src, by_dst, 200_000, 0)
+        .expect("bystander endpoints valid");
 
     let r = sim.run();
     let incast_done = r.flows[..incast]
@@ -111,9 +122,15 @@ fn run_incast(
 }
 
 fn check_lossless(label: &str, cell: &Cell, total_bytes: u64) {
-    assert_eq!(cell.congestion_drops, 0, "{label}: PFC tail-dropped a data packet");
+    assert_eq!(
+        cell.congestion_drops, 0,
+        "{label}: PFC tail-dropped a data packet"
+    );
     assert_eq!(cell.unfinished, 0, "{label}: lossless incast must complete");
-    assert!(cell.pauses > 0, "{label}: an incast this deep must trigger XOFF");
+    assert!(
+        cell.pauses > 0,
+        "{label}: an incast this deep must trigger XOFF"
+    );
     assert!(
         cell.delivered >= total_bytes,
         "{label}: delivered {} below offered {total_bytes}",
@@ -127,14 +144,21 @@ fn main() {
     if quick {
         // Small fabrics, invariants only: lossless means lossless, the
         // pause tree exists, and go-back-N delivers every byte.
-        let pfc = PfcConfig { xoff_bytes: 20_000, xon_bytes: 8_000 };
+        let pfc = PfcConfig {
+            xoff_bytes: 20_000,
+            xon_bytes: 8_000,
+        };
         for (label, topo, scheme) in [
             (
                 "dring",
                 DRing::uniform(6, 2, 24).build(),
                 RoutingScheme::ShortestUnion(2),
             ),
-            ("leaf-spine", LeafSpine::new(6, 2).build(), RoutingScheme::Ecmp),
+            (
+                "leaf-spine",
+                LeafSpine::new(6, 2).build(),
+                RoutingScheme::Ecmp,
+            ),
         ] {
             let n_senders = (topo.num_racks() - 1) as u64;
             let cell = run_incast(&topo, scheme, 1, 150_000, Some(pfc), 42);
@@ -172,7 +196,11 @@ fn main() {
             DeBruijn::new(2, 3, 16).build(),
             RoutingScheme::ShortestUnion(2),
         ),
-        ("leaf-spine(8,4)", LeafSpine::new(8, 4).build(), RoutingScheme::Ecmp),
+        (
+            "leaf-spine(8,4)",
+            LeafSpine::new(8, 4).build(),
+            RoutingScheme::Ecmp,
+        ),
     ];
 
     println!("== PFC pause-tree spreading under synchronized incast (P7) ==");
@@ -182,12 +210,23 @@ fn main() {
     );
     println!(
         "{:<18} {:<9} {:>7} {:>7} {:>12} {:>12} {:>10} {:>11} {:>6}",
-        "topology", "switching", "drops", "pauses", "links paused", "backlog KB", "incast ms", "bystander", "unfin"
+        "topology",
+        "switching",
+        "drops",
+        "pauses",
+        "links paused",
+        "backlog KB",
+        "incast ms",
+        "bystander",
+        "unfin"
     );
     // Shallow-buffer thresholds (20 KB XOFF / 8 KB XON — less than one
     // sender's window): the regime where PFC actually fires hop-by-hop
     // instead of absorbing the whole incast in one port's headroom.
-    let pfc_cfg = PfcConfig { xoff_bytes: 20_000, xon_bytes: 8_000 };
+    let pfc_cfg = PfcConfig {
+        xoff_bytes: 20_000,
+        xon_bytes: 8_000,
+    };
     for (label, topo, scheme) in &combos {
         for (mode, pfc) in [("lossy", None), ("pfc", Some(pfc_cfg))] {
             let cell = run_incast(topo, *scheme, 2, 150_000, pfc, 42);

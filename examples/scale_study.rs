@@ -10,7 +10,10 @@ use spineless::sim::SimConfig;
 fn main() {
     // Structure: absolute bisection cut, DRing vs equal-hardware RRG.
     println!("== bisection bandwidth vs scale ==");
-    println!("{:>6} {:>12} {:>12} {:>8}", "racks", "DRing cut", "RRG cut", "ratio");
+    println!(
+        "{:>6} {:>12} {:>12} {:>8}",
+        "racks", "DRing cut", "RRG cut", "ratio"
+    );
     for (racks, dring_cut, rrg_cut) in bisection_sweep(5..=12, 7) {
         println!(
             "{racks:>6} {dring_cut:>12} {rrg_cut:>12} {:>8.2}",
@@ -31,7 +34,10 @@ fn main() {
         seed: 11,
         sim: SimConfig::default(),
     };
-    println!("{:>6} {:>14} {:>14} {:>8}", "racks", "DRing p99(ms)", "RRG p99(ms)", "ratio");
+    println!(
+        "{:>6} {:>14} {:>14} {:>8}",
+        "racks", "DRing p99(ms)", "RRG p99(ms)", "ratio"
+    );
     for p in run_fig6(&cfg) {
         println!(
             "{:>6} {:>14.3} {:>14.3} {:>8.2}",

@@ -146,7 +146,10 @@ fn cmd_topo(opts: &HashMap<String, String>) {
     println!("mean path length  : {:.3}", s.mean_path.unwrap_or(f64::NAN));
     println!("spectral gap      : {:.3}", s.spectral_gap);
     println!("bisection / switch: {:.3}", s.bisection_per_node);
-    println!("NSR (min/mean/max): {:.3} / {:.3} / {:.3}", s.nsr.min, s.nsr.mean, s.nsr.max);
+    println!(
+        "NSR (min/mean/max): {:.3} / {:.3} / {:.3}",
+        s.nsr.min, s.nsr.mean, s.nsr.max
+    );
     println!("flat              : {}", t.is_flat());
 }
 
@@ -194,8 +197,7 @@ fn cmd_simulate(opts: &HashMap<String, String>) {
     let load: f64 = get(opts, "utilization", 0.3);
     // Anchor offered load to the host injection capacity (works for any
     // topology, spine or not).
-    let offered =
-        (load * t.num_servers() as f64 * 1.25 * window as f64 * 0.3).max(1.0) as u64;
+    let offered = (load * t.num_servers() as f64 * 1.25 * window as f64 * 0.3).max(1.0) as u64;
     let flows = generate_workload(tm, &t, offered, window, seed);
     let cell = run_cell(&t, scheme, &flows, "cli", SimConfig::default(), seed);
     println!("topology : {}", t.name);
@@ -211,12 +213,18 @@ fn cmd_simulate(opts: &HashMap<String, String>) {
 fn cmd_configs(opts: &HashMap<String, String>) {
     let t = build_topo(opts);
     let k: u32 = get(opts, "k", 2);
-    let out = opts.get("out").cloned().unwrap_or_else(|| "configs".to_owned());
+    let out = opts
+        .get("out")
+        .cloned()
+        .unwrap_or_else(|| "configs".to_owned());
     let vrf = VrfGraph::build(&t.graph, k);
     let cfgs = configgen::generate(&vrf, t.graph.edges());
     std::fs::create_dir_all(&out).expect("create output dir");
     for c in &cfgs {
         std::fs::write(format!("{out}/r{}.conf", c.router), &c.text).expect("write config");
     }
-    println!("wrote {} configs (Shortest-Union({k})) to {out}/", cfgs.len());
+    println!(
+        "wrote {} configs (Shortest-Union({k})) to {out}/",
+        cfgs.len()
+    );
 }

@@ -41,7 +41,10 @@ fn adaptive_interpolates_path_length() {
             ecmp.expected_route_hops(s, d).unwrap()
         }
     });
-    assert!(h_ecmp < h_dual && h_dual < h_su, "{h_ecmp} < {h_dual} < {h_su}");
+    assert!(
+        h_ecmp < h_dual && h_dual < h_su,
+        "{h_ecmp} < {h_dual} < {h_su}"
+    );
 }
 
 /// Adaptive flows complete through the packet simulator and the chosen
@@ -104,10 +107,16 @@ fn failure_impact_grows_with_cut_fraction() {
     // one and per-seed (hence family-mean) stretch is monotone.
     let light = family_mean(0.05);
     let heavy = family_mean(0.25);
-    assert!(heavy >= light, "more cuts must not shrink stretch: {light} vs {heavy}");
+    assert!(
+        heavy >= light,
+        "more cuts must not shrink stretch: {light} vs {heavy}"
+    );
     // At a 25% cut, at least one plan in the family must stretch some
     // route past the K=2 cost floor.
-    assert!(heavy > 2.0, "25% cuts must stretch paths somewhere in the family: {heavy}");
+    assert!(
+        heavy > 2.0,
+        "25% cuts must stretch paths somewhere in the family: {heavy}"
+    );
 }
 
 /// A degraded topology still runs the full simulator pipeline.
@@ -147,7 +156,10 @@ fn topology_family_panorama() {
     let g_xp = spectral::spectral_gap(&xp.graph, 300, &mut rng);
     assert!(g_rrg > g_dring + 0.1, "rrg {g_rrg} vs dring {g_dring}");
     assert!(g_xp > g_dring + 0.1, "xpander {g_xp} vs dring {g_dring}");
-    assert!((g_xp - g_rrg).abs() < 0.25, "expanders comparable: {g_xp} vs {g_rrg}");
+    assert!(
+        (g_xp - g_rrg).abs() < 0.25,
+        "expanders comparable: {g_xp} vs {g_rrg}"
+    );
     // Dragonfly: diameter <= 3 by construction, much denser local links.
     let df = Dragonfly::balanced(4, 2, 4, 16).build();
     assert!(bfs::diameter(&df.graph).unwrap() <= 3);

@@ -39,7 +39,12 @@ fn topo_and_flows() -> impl Strategy<Value = (Topology, RandomFlows)> {
                     }
                 };
                 // Straddle the elephant threshold so both planes see work.
-                (src, dst, rng.gen_range(1..400_000u64), rng.gen_range(0..500_000u64))
+                (
+                    src,
+                    dst,
+                    rng.gen_range(1..400_000u64),
+                    rng.gen_range(0..500_000u64),
+                )
             })
             .collect();
         (topo, flows)
@@ -56,12 +61,15 @@ fn maybe_schedule() -> impl Strategy<Value = Option<FailureSchedule>> {
         on.then(|| {
             let topo = LeafSpine::new(6, 2).build();
             let (ne, nsw) = (topo.graph.num_edges(), topo.num_switches());
-            events.into_iter().fold(FailureSchedule::new(delay), |s, (t, kind, target)| match kind {
-                0 => s.link_down(t, target % ne),
-                1 => s.link_up(t, target % ne),
-                2 => s.switch_down(t, target % nsw),
-                _ => s.switch_up(t, target % nsw),
-            })
+            events.into_iter().fold(
+                FailureSchedule::new(delay),
+                |s, (t, kind, target)| match kind {
+                    0 => s.link_down(t, target % ne),
+                    1 => s.link_up(t, target % ne),
+                    2 => s.switch_down(t, target % nsw),
+                    _ => s.switch_up(t, target % nsw),
+                },
+            )
         })
     })
 }
@@ -193,7 +201,10 @@ fn hybrid_statistically_agrees_with_pure_packet() {
         use rand::SeedableRng;
         let mut rng = SmallRng::seed_from_u64(seed);
         let flowset = poisson_from_tm(&tm, &topo, rate, &sizes, window, &mut rng);
-        let cfg = SimConfig { max_time_ns: 50_000_000, ..Default::default() };
+        let cfg = SimConfig {
+            max_time_ns: 50_000_000,
+            ..Default::default()
+        };
 
         let mut pure = Simulation::new(&topo, fs.clone(), cfg, seed);
         for f in &flowset.flows {
@@ -272,11 +283,20 @@ fn lone_elephant_fct_is_bounded_by_fluid_serialization() {
     let fct_h = h.run().flows[f as usize].fct_ns.unwrap() as f64;
     // Fluid floor: 0.9 link share at 1.25 B/ns.
     let floor = bytes as f64 / (0.9 * 1.25);
-    assert!(fct_h >= floor * 0.999, "hybrid fct {fct_h} beats the fluid floor {floor}");
+    assert!(
+        fct_h >= floor * 0.999,
+        "hybrid fct {fct_h} beats the fluid floor {floor}"
+    );
     let mut p = Simulation::new(&topo, fs, SimConfig::default(), 3);
     let fp = p.add_flow(0, 20, bytes, 0).unwrap();
     let fct_p = p.run().flows[fp as usize].fct_ns.unwrap() as f64;
     // Hybrid may be faster (no slow-start) but within 2x on a quiet net.
-    assert!(fct_h <= fct_p * 1.05, "hybrid fct {fct_h} much slower than packet {fct_p}");
-    assert!(fct_p <= fct_h * 2.0, "packet fct {fct_p} more than 2x hybrid {fct_h}");
+    assert!(
+        fct_h <= fct_p * 1.05,
+        "hybrid fct {fct_h} much slower than packet {fct_p}"
+    );
+    assert!(
+        fct_p <= fct_h * 2.0,
+        "packet fct {fct_p} more than 2x hybrid {fct_h}"
+    );
 }

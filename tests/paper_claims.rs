@@ -60,8 +60,11 @@ fn claim_bgp_realizes_shortest_union() {
                 continue;
             }
             let mut a = pr.fib[v as usize].clone();
-            let mut b: Vec<_> =
-                dag.next_hops(v).iter().map(|&arc| (fs.next_vnode(arc), arc)).collect();
+            let mut b: Vec<_> = dag
+                .next_hops(v)
+                .iter()
+                .map(|&arc| (fs.next_vnode(arc), arc))
+                .collect();
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "dst {dst} vnode {v}");
@@ -85,8 +88,7 @@ fn claim_flat_beats_leafspine_on_skewed_fct() {
     let mut dr_p99 = 0.0;
     const SEEDS: u64 = 4;
     for seed in 9..9 + SEEDS {
-        let ls_flows =
-            generate_workload(TmKind::FbSkewed, &topos.leafspine, offered, window, seed);
+        let ls_flows = generate_workload(TmKind::FbSkewed, &topos.leafspine, offered, window, seed);
         let dr_flows = generate_workload(TmKind::FbSkewed, &topos.dring, offered, window, seed);
         ls_p99 += run_cell(
             &topos.leafspine,
@@ -134,7 +136,10 @@ fn claim_su2_fixes_rack_to_rack() {
     // 4 ms = 12 Gbps. ECMP funnels all of it onto the single shortest
     // path; SU(2) spreads it over 5 disjoint paths (≈ 2.4 Gbps each).
     let window = 4_000_000u64;
-    let mut flows = spineless::workload::FlowSet { flows: Vec::new(), window_ns: window };
+    let mut flows = spineless::workload::FlowSet {
+        flows: Vec::new(),
+        window_ns: window,
+    };
     for (i, &s) in src_servers.iter().enumerate() {
         for k in 0..4u64 {
             let d = dst_servers[(i + k as usize) % dst_servers.len()];
@@ -146,7 +151,14 @@ fn claim_su2_fixes_rack_to_rack() {
             });
         }
     }
-    let ecmp = run_cell(dring, RoutingScheme::Ecmp, &flows, "R2R", SimConfig::default(), 13);
+    let ecmp = run_cell(
+        dring,
+        RoutingScheme::Ecmp,
+        &flows,
+        "R2R",
+        SimConfig::default(),
+        13,
+    );
     let su2 = run_cell(
         dring,
         RoutingScheme::ShortestUnion(2),
@@ -161,7 +173,12 @@ fn claim_su2_fixes_rack_to_rack() {
         su2.p99_ms,
         ecmp.p99_ms
     );
-    assert!(su2.mean_ms < ecmp.mean_ms, "mean too: {} vs {}", su2.mean_ms, ecmp.mean_ms);
+    assert!(
+        su2.mean_ms < ecmp.mean_ms,
+        "mean too: {} vs {}",
+        su2.mean_ms,
+        ecmp.mean_ms
+    );
 }
 
 /// §6.2: the skewed corner of the Fig. 5 heatmap favours the DRing, and
@@ -180,7 +197,11 @@ fn claim_fig5_shape() {
             .expect("cell")
     };
     // Skewed cell: DRing wins under SU(2).
-    assert!(cell(&su2, 12, 48) > 1.2, "skewed SU2 {}", cell(&su2, 12, 48));
+    assert!(
+        cell(&su2, 12, 48) > 1.2,
+        "skewed SU2 {}",
+        cell(&su2, 12, 48)
+    );
     // Lower-left: SU(2) at least matches ECMP.
     assert!(cell(&su2, 4, 4) >= cell(&ecmp, 4, 4) - 1e-9);
 }
@@ -203,8 +224,7 @@ fn claim_equipment_parity() {
     for scale in [Scale::Small, Scale::Paper] {
         let topos = EvalTopos::build(scale, 29);
         assert_eq!(topos.rrg.equipment(), topos.leafspine.equipment());
-        let deficit =
-            1.0 - topos.dring.num_servers() as f64 / topos.leafspine.num_servers() as f64;
+        let deficit = 1.0 - topos.dring.num_servers() as f64 / topos.leafspine.num_servers() as f64;
         assert!((0.0..0.05).contains(&deficit), "{scale:?}: {deficit}");
     }
 }

@@ -35,7 +35,12 @@ fn topo_and_flows() -> impl Strategy<Value = (Topology, RoutingScheme, RandomFlo
                         break d;
                     }
                 };
-                (src, dst, rng.gen_range(1..200_000u64), rng.gen_range(0..500_000u64))
+                (
+                    src,
+                    dst,
+                    rng.gen_range(1..200_000u64),
+                    rng.gen_range(0..500_000u64),
+                )
             })
             .collect();
         (topo, scheme, flows)
@@ -50,13 +55,25 @@ fn topo_and_flows() -> impl Strategy<Value = (Topology, RoutingScheme, RandomFlo
 /// assume full reachability.
 fn datapath_topo_and_flows(
 ) -> impl Strategy<Value = (Topology, RoutingScheme, RandomFlows, bool, bool)> {
-    (0u8..3, any::<u64>(), 1usize..24, any::<bool>(), any::<bool>()).prop_map(
-        |(kind, seed, nflows, dctcp, flowlets)| {
+    (
+        0u8..3,
+        any::<u64>(),
+        1usize..24,
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(|(kind, seed, nflows, dctcp, flowlets)| {
             use rand::rngs::SmallRng;
             use rand::{Rng, SeedableRng};
             let (topo, scheme) = match kind {
-                0 => (DRing::uniform(6, 2, 24).build(), RoutingScheme::ShortestUnion(2)),
-                1 => (Rrg::uniform(8, 3, 2, 5, seed).build(), RoutingScheme::ShortestUnion(2)),
+                0 => (
+                    DRing::uniform(6, 2, 24).build(),
+                    RoutingScheme::ShortestUnion(2),
+                ),
+                1 => (
+                    Rrg::uniform(8, 3, 2, 5, seed).build(),
+                    RoutingScheme::ShortestUnion(2),
+                ),
                 _ => (LeafSpine::new(6, 2).build(), RoutingScheme::Ecmp),
             };
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xDA7A);
@@ -70,12 +87,16 @@ fn datapath_topo_and_flows(
                             break d;
                         }
                     };
-                    (src, dst, rng.gen_range(1..200_000u64), rng.gen_range(0..500_000u64))
+                    (
+                        src,
+                        dst,
+                        rng.gen_range(1..200_000u64),
+                        rng.gen_range(0..500_000u64),
+                    )
                 })
                 .collect();
             (topo, scheme, flows, dctcp, flowlets)
-        },
-    )
+        })
 }
 
 proptest! {
