@@ -454,16 +454,39 @@ fn frontier_fingerprint(r: &SearchResult) -> Vec<(String, u64, u64, u64)> {
         .collect()
 }
 
+/// Timed runs per sweep in the design-search tier.
+const DESIGN_RUNS: usize = 3;
+
+/// Median, minimum and maximum of a set of wall times, in seconds.
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut runs: Vec<f64>) -> Spread {
+        runs.sort_by(f64::total_cmp);
+        Spread {
+            median: runs[runs.len() / 2],
+            min: runs[0],
+            max: runs[runs.len() - 1],
+        }
+    }
+}
+
 /// The design-search tier: sweep the equipment envelope (family × radix ×
-/// switch budget) once through the cold reference (every cell builds its
-/// forwarding state from scratch) and once through the accelerated engine
-/// (structural memo + dominance pruning), each on one row worker. Each
-/// row's `ForwardingState::build` still fans its DAG builds out over the
-/// host's threads, and the cold reference builds far more states than the
-/// memoized sweep, so the ratio mixes the algorithmic layers with thread
-/// scaling; the tier prints the build thread count beside it. Both sweeps must agree on every frontier bit,
-/// and the frontier must not move across 1/2/4 workers. The full tier
-/// asserts the >=2x cells/sec bar; quick mode just records.
+/// switch budget) through the cold reference (every cell builds its
+/// forwarding state from scratch) and through the accelerated engine
+/// (structural memo + dominance pruning), each on one row worker, and
+/// report each sweep's median wall time over [`DESIGN_RUNS`] alternating
+/// runs with its min and max. Each row's `ForwardingState::build` still
+/// fans its DAG builds out over the host's threads, and the cold
+/// reference builds far more states than the memoized sweep, so the ratio
+/// mixes the algorithmic layers with thread scaling; the tier prints the
+/// build thread count beside it. Both sweeps must agree on every frontier
+/// bit, and the frontier must not move across 1/2/4 workers. The full
+/// tier asserts the >=2x cells/sec bar; quick mode just records.
 fn run_design_search_tier(quick: bool, seed: u64) -> String {
     // The radius band 16..=23 is where structure coincides: every DRing
     // design shares (supernodes, tors) across it, and Jellyfish shares its
@@ -495,12 +518,23 @@ fn run_design_search_tier(quick: bool, seed: u64) -> String {
         spec.max_pairs
     );
 
-    let t0 = Instant::now();
-    let cold = run_search_reference(&spec);
-    let cold_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let accel = run_search(&spec);
-    let accel_s = t0.elapsed().as_secs_f64();
+    // Each sweep's wall time is the median of DESIGN_RUNS runs, cold and
+    // accelerated alternating so host drift hits both alike.
+    let (mut cold_runs, mut accel_runs) = (Vec::new(), Vec::new());
+    let (mut cold, mut accel) = (None, None);
+    for _ in 0..DESIGN_RUNS {
+        let t0 = Instant::now();
+        let r = run_search_reference(&spec);
+        cold_runs.push(t0.elapsed().as_secs_f64());
+        cold = Some(r);
+        let t0 = Instant::now();
+        let r = run_search(&spec);
+        accel_runs.push(t0.elapsed().as_secs_f64());
+        accel = Some(r);
+    }
+    let (cold, accel) = (cold.unwrap(), accel.unwrap());
+    let (cold_t, accel_t) = (Spread::of(cold_runs), Spread::of(accel_runs));
+    let (cold_s, accel_s) = (cold_t.median, accel_t.median);
 
     let base = frontier_fingerprint(&accel);
     assert_eq!(
@@ -529,12 +563,21 @@ fn run_design_search_tier(quick: bool, seed: u64) -> String {
     // `build_dags` threads inside every forwarding-state build.
     let build_threads = par::host_threads();
     let s = accel.stats;
+    let memo_peak_mib = s.memo_heap_bytes as f64 / (1 << 20) as f64;
     eprintln!(
-        "design_search: {cells} cells — cold {:.2} cells/s, accelerated {:.2} cells/s \
+        "design_search: {cells} cells — cold {:.2} cells/s ({:.3} s [{:.3}, {:.3}]), \
+         accelerated {:.2} cells/s ({:.3} s [{:.3}, {:.3}]), medians of {DESIGN_RUNS} \
          ({speedup:.2}x, {build_threads} build threads); \
-         {} cold builds, {} memo hits, {} pruned; frontier of {} identical across 1/2/4 workers",
+         {} cold builds, {} memo hits, {} pruned, memo peak {memo_peak_mib:.1} MiB; \
+         frontier of {} identical across 1/2/4 workers",
         cells as f64 / cold_s,
+        cold_s,
+        cold_t.min,
+        cold_t.max,
         cells as f64 / accel_s,
+        accel_s,
+        accel_t.min,
+        accel_t.max,
         s.cold,
         s.memo,
         s.pruned,
@@ -554,14 +597,19 @@ fn run_design_search_tier(quick: bool, seed: u64) -> String {
     "scheme": "shortest-union(2)",
     "cells": {cells},
     "frontier_size": {frontier},
-    "cold": {{ "wall_s": {cold_s:.3}, "cells_per_sec": {cold_cps:.3} }},
-    "accelerated": {{ "wall_s": {accel_s:.3}, "cells_per_sec": {accel_cps:.3}, "cold_builds": {cb}, "memo_hits": {memo}, "solves_pruned": {pruned} }},
+    "runs": {DESIGN_RUNS},
+    "cold": {{ "wall_s": {cold_s:.3}, "wall_s_min": {cmin:.3}, "wall_s_max": {cmax:.3}, "cells_per_sec": {cold_cps:.3} }},
+    "accelerated": {{ "wall_s": {accel_s:.3}, "wall_s_min": {amin:.3}, "wall_s_max": {amax:.3}, "cells_per_sec": {accel_cps:.3}, "cold_builds": {cb}, "memo_hits": {memo}, "solves_pruned": {pruned}, "memo_peak_mib": {memo_peak_mib:.3} }},
     "speedup": {speedup:.3},
     "build_threads": {build_threads},
     "frontier_identical_across_workers": [1, 2, 4],
     "results_identical": true
   }}"#,
         frontier = base.len(),
+        cmin = cold_t.min,
+        cmax = cold_t.max,
+        amin = accel_t.min,
+        amax = accel_t.max,
         cold_cps = cells as f64 / cold_s,
         accel_cps = cells as f64 / accel_s,
         cb = s.cold,

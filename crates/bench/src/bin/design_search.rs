@@ -90,7 +90,7 @@ fn main() {
         s.cells, s.cold, s.memo, s.pruned
     );
     eprintln!(
-        "memoized forwarding tables: {:.1} MiB",
+        "structural memo held at most {:.2} MiB of forwarding tables",
         s.memo_heap_bytes as f64 / (1 << 20) as f64
     );
 }

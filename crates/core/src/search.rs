@@ -26,20 +26,27 @@
 //!
 //! 1. **Structural memoization** — designs that coincide (the same graph
 //!    at two envelope points, within or across families) share one
-//!    forwarding state through a sweep-wide memo keyed by the exact
-//!    `(scheme, graph)`; state construction is a pure function of that
-//!    key, so a hit is bit-identical to the build it skips.
+//!    forwarding state. Before any state is built the sweep is planned:
+//!    every cell is designed (cheap next to a state build), each design's
+//!    exact `(scheme, switches, edge list)` key is interned into a dense
+//!    id, and the cells using each id are counted. The row pass takes a
+//!    cell's state from its id's slot, building it cold at the first use,
+//!    and drops the slot's handle after the last, so a state lives only
+//!    while a later cell still needs it. State construction is a pure
+//!    function of the key, so a hit is bit-identical to the build it
+//!    skips.
 //! 2. **Dominance pruning** — before the fluid solve, a cell's throughput
 //!    is bounded above by its rack cuts; if an already-evaluated cell of
 //!    the same row dominates the candidate even at that bound (≤ cost,
 //!    ≤ NSR, strictly more throughput), the solve is skipped. Pruned
 //!    cells are strictly dominated, so the frontier is unchanged.
 //!
-//! Rows are independent, so the sweep fans out one worker per row with
-//! the same dispenser idiom as the Fig. 5 grid; every cell's seed derives
-//! from its lattice coordinates alone and pruning compares only within a
-//! row, so the result is bit-identical across worker counts (asserted in
-//! tests and in the bench gate).
+//! Rows are independent, so the plan and the sweep both map them over
+//! [`par::map_ordered`]; every cell's seed derives from its lattice
+//! coordinates alone and pruning compares only within a row, so the
+//! result is bit-identical across worker counts (asserted in tests and in
+//! the bench gate). A slot stays locked while its state builds, so each
+//! distinct design is built exactly once at any worker count.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -53,6 +60,7 @@ use spineless_topo::fattree::FatTree;
 use spineless_topo::jellyfish::Jellyfish;
 use spineless_topo::{metrics, Topology};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A topology family the search can design at an envelope cell.
@@ -95,7 +103,8 @@ pub struct SearchSpec {
     pub families: Vec<Family>,
     /// Switch radix axis.
     pub radii: Vec<u32>,
-    /// Switch-budget axis; **must ascend** so rows can grow incrementally.
+    /// Switch-budget axis; **must ascend**: a Jellyfish row grows its
+    /// network from one budget to the next.
     pub counts: Vec<u32>,
     /// Routing scheme every design is evaluated under.
     pub scheme: RoutingScheme,
@@ -125,14 +134,15 @@ impl SearchSpec {
 }
 
 /// How a cell's forwarding state was obtained — perf accounting only.
-/// Memo hits depend on cross-row timing, so this field (unlike every
-/// metric field) may differ between runs with different worker counts.
+/// When rows of different workers share a design, which of their cells
+/// builds it depends on timing, so this field (unlike every metric field)
+/// may differ between runs with different worker counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StateSource {
     /// Full `ForwardingState::build`.
     Cold,
-    /// Served from the structural memo (or unchanged from the row's
-    /// previous cell).
+    /// Served from the structural memo: an earlier cell (of this row or
+    /// another) built the same design.
     Memo,
 }
 
@@ -172,9 +182,9 @@ impl DesignCell {
     }
 }
 
-/// Aggregate sweep accounting. Like [`StateSource`], the split between
-/// `cold`/`memo` can shift with worker timing; `cells` and `pruned`
-/// cannot.
+/// Aggregate sweep accounting. Every design is built once, so `cells`,
+/// `cold`, `memo` and `pruned` are fixed by the spec; only
+/// `memo_heap_bytes` can shift with worker timing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Evaluated cells (valid designs).
@@ -189,9 +199,10 @@ pub struct SweepStats {
     pub memo: usize,
     /// Fluid solves skipped by dominance pruning.
     pub pruned: usize,
-    /// Heap bytes of the forwarding tables held by the structural memo at
-    /// the end of the sweep ([`ForwardingState::heap_bytes`] over its
-    /// distinct states; 0 without the memo).
+    /// High-water mark of the heap bytes the structural memo held at once
+    /// ([`ForwardingState::heap_bytes`] over the states kept for a later
+    /// cell; a design used by one cell is never held; 0 without the
+    /// memo). The memo holds nothing once the sweep ends.
     pub memo_heap_bytes: usize,
 }
 
@@ -294,15 +305,135 @@ fn rate_upper_bound(topo: &Topology, pairs: &[(u32, u32)]) -> f64 {
     (cap(&out) / total).min(cap(&inn) / total).min(1.0)
 }
 
-/// Sweep-wide structural memo: exact `(scheme, switch count, edge list)`
-/// key. `ForwardingState::build` is a pure function of the key, so a hit
-/// returns a state bit-identical to the build it skips — the memo can
-/// only change *when* states are built, never *what* the sweep reports.
+/// Exact structural key of a design: `(scheme, switch count, edge list)`.
+/// `ForwardingState::build` is a pure function of it, so every cell with
+/// the same key can share one state bit-identical to its own build.
 type MemoKey = (RoutingScheme, u32, Vec<(u32, u32)>);
-type Memo = Mutex<HashMap<MemoKey, Arc<ForwardingState>>>;
 
 fn memo_key(scheme: RoutingScheme, topo: &Topology) -> MemoKey {
     (scheme, topo.num_switches(), topo.graph.edges().to_vec())
+}
+
+/// Lattice index of cell `(fi, ri, ci)`: rows in [`rows`] order, budgets
+/// within a row.
+fn cell_index(spec: &SearchSpec, fi: usize, ri: usize, ci: usize) -> usize {
+    (fi * spec.radii.len() + ri) * spec.counts.len() + ci
+}
+
+/// One distinct design's forwarding state and the cells yet to take it.
+struct Slot {
+    state: Option<Arc<ForwardingState>>,
+    remaining: usize,
+}
+
+/// Sweep-wide structural memo, planned before any state is built.
+///
+/// The plan designs every cell, interns each design's [`MemoKey`] into a
+/// dense id and counts the cells that use each id; only the ids are kept.
+/// The row pass re-designs (deterministic per row seed) and takes each
+/// cell's state from its id's slot: built cold at the first use, shared
+/// while later uses remain, and dropped from the slot at the last. The
+/// memo can only change *when* a state lives, never *what* the sweep
+/// reports.
+struct Memo {
+    /// Per lattice cell ([`cell_index`]): the design's id, `None` where
+    /// the family has no design.
+    ids: Vec<Option<usize>>,
+    slots: Vec<Mutex<Slot>>,
+    /// Heap bytes of the states the slots hold now, and at most
+    /// (statistics only, so `Relaxed`: they publish no other data).
+    held_bytes: AtomicUsize,
+    peak_bytes: AtomicUsize,
+}
+
+impl Memo {
+    fn plan(spec: &SearchSpec) -> Memo {
+        let keys = par::map_ordered(
+            &rows(spec),
+            workers(spec),
+            || (),
+            |_, &(fi, ri)| {
+                let mut designer = RowDesigner::new(spec.families[fi], spec.radii[ri]);
+                spec.counts
+                    .iter()
+                    .map(|&c| {
+                        designer
+                            .design(c, spec.seed)
+                            .map(|t| memo_key(spec.scheme, &t))
+                    })
+                    .collect::<Vec<_>>()
+            },
+        );
+        let mut interned: HashMap<MemoKey, usize> = HashMap::new();
+        let mut uses: Vec<usize> = Vec::new();
+        let ids = keys
+            .into_iter()
+            .flatten()
+            .map(|key| {
+                let next = interned.len();
+                let id = *interned.entry(key?).or_insert(next);
+                if id == uses.len() {
+                    uses.push(0);
+                }
+                uses[id] += 1;
+                Some(id)
+            })
+            .collect();
+        let slots = uses
+            .into_iter()
+            .map(|remaining| {
+                Mutex::new(Slot {
+                    state: None,
+                    remaining,
+                })
+            })
+            .collect();
+        Memo {
+            ids,
+            slots,
+            held_bytes: AtomicUsize::new(0),
+            peak_bytes: AtomicUsize::new(0),
+        }
+    }
+
+    /// The state of designed cell `cell`, built by `build` at its design's
+    /// first use. The slot stays locked while it builds, so a design is
+    /// built once whatever the worker count.
+    fn take(
+        &self,
+        cell: usize,
+        build: impl FnOnce() -> ForwardingState,
+    ) -> (Arc<ForwardingState>, StateSource) {
+        let id = self.ids[cell].expect("the plan designed every cell the sweep designs");
+        let mut slot = self.slots[id].lock().expect("a row worker panicked");
+        slot.remaining = slot
+            .remaining
+            .checked_sub(1)
+            .expect("a design was used more often than planned");
+        let (fs, source) = match slot.state.take() {
+            Some(fs) => {
+                self.held_bytes
+                    .fetch_sub(fs.heap_bytes(), Ordering::Relaxed);
+                (fs, StateSource::Memo)
+            }
+            None => (Arc::new(build()), StateSource::Cold),
+        };
+        if slot.remaining > 0 {
+            let bytes = fs.heap_bytes();
+            let held = self.held_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+            self.peak_bytes.fetch_max(held, Ordering::Relaxed);
+            slot.state = Some(Arc::clone(&fs));
+        }
+        (fs, source)
+    }
+
+    /// Every design reached its last planned use and left its slot.
+    fn is_drained(&self) -> bool {
+        self.slots.iter().all(|s| {
+            let slot = s.lock().expect("a row worker panicked");
+            slot.remaining == 0 && slot.state.is_none()
+        })
+    }
 }
 
 /// Designs one row (fixed family and radix) across the ascending switch
@@ -389,37 +520,36 @@ impl RowDesigner {
     }
 }
 
-/// Runs one (family, radix) row across the budget axis.
+/// Runs one (family, radix) row across the budget axis, taking each
+/// designed cell's forwarding state from `memo` (a cold build without it).
 fn run_row(
     spec: &SearchSpec,
     fi: usize,
     ri: usize,
-    memo: &Memo,
-    accelerated: bool,
+    memo: Option<&Memo>,
 ) -> (Vec<DesignCell>, SweepStats) {
     let family = spec.families[fi];
     let radix = spec.radii[ri];
+    let accelerated = memo.is_some();
     let mut designer = RowDesigner::new(family, radix);
     let mut stats = SweepStats::default();
     let mut cells = Vec::new();
-    let mut prev_state: Option<Arc<ForwardingState>> = None;
     // Name of the row's previous design, for coincidence detection.
     let mut prev_name: Option<String> = None;
     // (cost, nsr, throughput) of this row's solved cells, for pruning.
     let mut solved: Vec<(u64, f64, f64)> = Vec::new();
     for (ci, &max_switches) in spec.counts.iter().enumerate() {
         let Some(topo) = designer.design(max_switches, spec.seed) else {
-            prev_state = None;
             continue;
         };
         let same_as_prev = prev_name.as_deref() == Some(topo.name.as_str());
         prev_name = Some(topo.name.clone());
         let seed = cell_seed(spec.seed, fi, ri, ci);
 
-        // Forwarding state: repeat > structural memo > cold.
-        let (fs, source) = match &prev_state {
-            Some(prev) if same_as_prev && accelerated => (Arc::clone(prev), StateSource::Memo),
-            _ => obtain_state(spec.scheme, &topo, memo, accelerated),
+        let build = || ForwardingState::build(&topo.graph, spec.scheme);
+        let (fs, source) = match memo {
+            Some(memo) => memo.take(cell_index(spec, fi, ri, ci), build),
+            None => (Arc::new(build()), StateSource::Cold),
         };
         match source {
             StateSource::Cold => stats.cold += 1,
@@ -438,13 +568,11 @@ fn run_row(
                 };
                 stats.cells += 1;
                 cells.push(dup);
-                prev_state = Some(fs);
                 continue;
             }
         }
 
         let Ok(nsr) = metrics::nsr(&topo).map(|s| s.mean) else {
-            prev_state = None;
             continue;
         };
         let udf = metrics::udf(&topo, seed ^ 0xF1A7).ok();
@@ -483,53 +611,38 @@ fn run_row(
             throughput,
             source,
         });
-        prev_state = Some(fs);
     }
     (cells, stats)
 }
 
-fn obtain_state(
-    scheme: RoutingScheme,
-    topo: &Topology,
-    memo: &Memo,
-    use_memo: bool,
-) -> (Arc<ForwardingState>, StateSource) {
-    if use_memo {
-        let key = memo_key(scheme, topo);
-        if let Some(hit) = memo.lock().expect("a row worker panicked").get(&key) {
-            return (Arc::clone(hit), StateSource::Memo);
-        }
-        let built = Arc::new(ForwardingState::build(&topo.graph, scheme));
-        let mut guard = memo.lock().expect("a row worker panicked");
-        let entry = guard.entry(key).or_insert_with(|| Arc::clone(&built));
-        (Arc::clone(entry), StateSource::Cold)
-    } else {
-        (
-            Arc::new(ForwardingState::build(&topo.graph, scheme)),
-            StateSource::Cold,
-        )
-    }
-}
-
-fn run_search_with(spec: &SearchSpec, accelerated: bool) -> SearchResult {
+/// The sweep's rows, `(family index, radix index)` in cell order.
+/// Panics unless the budget axis ascends.
+fn rows(spec: &SearchSpec) -> Vec<(usize, usize)> {
     assert!(
         spec.counts.windows(2).all(|w| w[0] <= w[1]),
         "switch-budget axis must ascend for row growth"
     );
-    let rows: Vec<(usize, usize)> = (0..spec.families.len())
+    (0..spec.families.len())
         .flat_map(|fi| (0..spec.radii.len()).map(move |ri| (fi, ri)))
-        .collect();
-    let workers = if spec.workers == 0 {
+        .collect()
+}
+
+fn workers(spec: &SearchSpec) -> usize {
+    if spec.workers == 0 {
         par::host_threads()
     } else {
         spec.workers
-    };
-    let memo: Memo = Mutex::new(HashMap::new());
+    }
+}
+
+/// Runs every row, with the planned `memo` (the accelerated sweep) or
+/// without it (the cold reference).
+fn sweep(spec: &SearchSpec, memo: Option<&Memo>) -> SearchResult {
     let row_results = par::map_ordered(
-        &rows,
-        workers,
+        &rows(spec),
+        workers(spec),
         || (),
-        |_, &(fi, ri)| run_row(spec, fi, ri, &memo, accelerated),
+        |_, &(fi, ri)| run_row(spec, fi, ri, memo),
     );
 
     let mut cells = Vec::new();
@@ -541,12 +654,7 @@ fn run_search_with(spec: &SearchSpec, accelerated: bool) -> SearchResult {
         stats.memo += row_stats.memo;
         stats.pruned += row_stats.pruned;
     }
-    stats.memo_heap_bytes = memo
-        .into_inner()
-        .expect("a row worker panicked")
-        .values()
-        .map(|fs| fs.heap_bytes())
-        .sum();
+    stats.memo_heap_bytes = memo.map_or(0, |m| m.peak_bytes.load(Ordering::Relaxed));
     let frontier = pareto_frontier(&cells);
     SearchResult {
         cells,
@@ -559,14 +667,17 @@ fn run_search_with(spec: &SearchSpec, accelerated: bool) -> SearchResult {
 /// Bit-identical frontier to [`run_search_reference`] and across worker
 /// counts.
 pub fn run_search(spec: &SearchSpec) -> SearchResult {
-    run_search_with(spec, true)
+    let memo = Memo::plan(spec);
+    let result = sweep(spec, Some(&memo));
+    assert!(memo.is_drained(), "a planned state outlived the sweep");
+    result
 }
 
 /// The cold reference sweep: every cell builds its forwarding state from
 /// scratch and runs the fluid solve. The bench gate measures the
 /// accelerated sweep against this.
 pub fn run_search_reference(spec: &SearchSpec) -> SearchResult {
-    run_search_with(spec, false)
+    sweep(spec, None)
 }
 
 #[cfg(test)]
@@ -648,6 +759,62 @@ mod tests {
         }
         assert_eq!(cold.stats.memo, 0);
         assert_eq!(cold.stats.pruned, 0);
+    }
+
+    #[test]
+    fn memo_is_empty_after_the_sweep_at_every_worker_count() {
+        for workers in [1, 2, 4] {
+            let spec = SearchSpec {
+                workers,
+                ..tiny_spec(19)
+            };
+            let memo = Memo::plan(&spec);
+            let r = sweep(&spec, Some(&memo));
+            for slot in &memo.slots {
+                let slot = slot.lock().unwrap();
+                assert!(
+                    slot.state.is_none(),
+                    "workers={workers}: a state outlived the sweep"
+                );
+                assert_eq!(
+                    slot.remaining, 0,
+                    "workers={workers}: a planned use never came"
+                );
+            }
+            assert_eq!(memo.held_bytes.load(Ordering::Relaxed), 0);
+            // One cold build per distinct design, whatever the timing.
+            assert_eq!(r.stats.cold, memo.slots.len(), "workers={workers}");
+            assert!(r.stats.memo > 0, "the tiny envelope shares designs");
+        }
+    }
+
+    #[test]
+    fn memo_peak_stays_below_the_states_built() {
+        let spec = tiny_spec(23);
+        let mut distinct: HashMap<MemoKey, Topology> = HashMap::new();
+        for (fi, ri) in rows(&spec) {
+            let mut designer = RowDesigner::new(spec.families[fi], spec.radii[ri]);
+            for &c in &spec.counts {
+                if let Some(t) = designer.design(c, spec.seed) {
+                    distinct.entry(memo_key(spec.scheme, &t)).or_insert(t);
+                }
+            }
+        }
+        let built: usize = distinct
+            .values()
+            .map(|t| ForwardingState::build(&t.graph, spec.scheme).heap_bytes())
+            .sum();
+        let peak = run_search(&spec).stats.memo_heap_bytes;
+        assert!(peak > 0 && peak < built, "peak {peak} B of {built} B built");
+        assert_eq!(run_search_reference(&spec).stats.memo_heap_bytes, 0);
+    }
+
+    #[test]
+    fn every_designed_cell_takes_one_state_in_both_sweeps() {
+        let spec = tiny_spec(29);
+        for r in [run_search(&spec), run_search_reference(&spec)] {
+            assert_eq!(r.stats.cold + r.stats.memo, r.stats.cells, "{:?}", r.stats);
+        }
     }
 
     #[test]

@@ -65,7 +65,7 @@ fn main() {
         s.cells, s.cold, s.memo, s.pruned
     );
     println!(
-        "memoized forwarding tables: {:.1} MiB",
+        "structural memo held at most {:.2} MiB of forwarding tables",
         s.memo_heap_bytes as f64 / (1 << 20) as f64
     );
 
