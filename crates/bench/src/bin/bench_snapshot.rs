@@ -8,9 +8,13 @@
 //! The Fig. 4 grid runs through `run_fig4` under both schedulers; the
 //! Fig. 5 panel is timed on its own. Writes `BENCH_sim.json` (wall time,
 //! events/sec, pkt-hops/sec, cells/sec, speedups) and prints a summary.
-//! Tier sections add the at-scale sharded engine, the hybrid open-loop
-//! regime, and the design-search envelope sweep (per-cell cold rebuilds
-//! vs structural memoization + dominance pruning).
+//! Every timing is one run per side.
+//!
+//! These are the layer pairs no `spinebench` workload isolates. The
+//! at-scale sharded engine, the hybrid open-loop regime, the design
+//! sweep and the lossless incast are timed end to end, with repeats, by
+//! `spinebench`'s `a2a_production`, `hybrid_openloop`, `design_sweep`
+//! and `pfc_incast` workloads (`bash crates/benchmark/run.sh`).
 //!
 //! Build with `--features count-allocs` to additionally report measured
 //! allocations per packet-hop for both datapaths (a counting global
@@ -28,22 +32,16 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use spineless_bench::{parse_args_quick, warn_if_serial_fallback};
+use spineless_bench::parse_seed;
 use spineless_core::fct::{generate_workload, run_fig4, FctCell, FctConfig, TmKind};
-use spineless_core::search::{run_search, run_search_reference, SearchResult, SearchSpec};
 use spineless_core::throughput::{cs_axis_values, run_fig5_panel};
 use spineless_core::{EvalTopos, Scale};
 use spineless_fluid::{max_min_rates, max_min_rates_reference, LinkSpace};
 use spineless_graph::par;
 use spineless_routing::failures::{incremental_rebuild, FailurePlan};
 use spineless_routing::{Forwarding, ForwardingState, RoutingScheme};
-use spineless_sim::{
-    estimate_events, Datapath, FailureSchedule, HybridConfig, HybridSimulation, Scheduler,
-    SimConfig, Simulation,
-};
+use spineless_sim::{Datapath, FailureSchedule, Scheduler, SimConfig, Simulation};
 use spineless_topo::dring::DRing;
-use spineless_workload::pareto::ParetoFlowSizes;
-use spineless_workload::{poisson_from_tm, TrafficMatrix};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -83,668 +81,10 @@ fn assert_grids_identical(a: &[FctCell], b: &[FctCell], what: &str) {
     }
 }
 
-/// One at-scale tier (`scale=paper` / `scale=production`): the regime
-/// sharding exists for. Measures the serial loop (one shard) under both
-/// schedulers (asserted bit-identical) and the window protocol across
-/// shard counts on one heavy uniform-TM DRing workload, asserts every
-/// shard count equals the serial loop on the whole report, event count
-/// included, and runs the workload once more unpinned, recording the
-/// shard count that run used. Returns a JSON fragment
-/// (`,\n  "scale_<tier>": {...}`).
-fn run_scale_tier(scale: Scale, quick: bool, seed: u64, threads: usize) -> String {
-    let label = match scale {
-        Scale::Paper => "paper",
-        Scale::Production => "production",
-        Scale::Small => unreachable!("small tier is the base snapshot"),
-    };
-    let topo = EvalTopos::dring_config(scale).build();
-    let scheme = RoutingScheme::ShortestUnion(2);
-    let fs = Arc::new(ForwardingState::build(&topo.graph, scheme));
-    // Production pins ≥10⁵ flows regardless of --quick — the tier's whole
-    // point; paper shrinks under --quick so CI stays fast.
-    let target_flows: u64 = match (scale, quick) {
-        (Scale::Production, _) => 100_000,
-        (Scale::Paper, true) => 6_000,
-        (Scale::Paper, false) => 25_000,
-        (Scale::Small, _) => unreachable!(),
-    };
-    let window_ns: u64 = if scale == Scale::Production {
-        2_000_000
-    } else {
-        1_000_000
-    };
-    let sizes = ParetoFlowSizes::paper();
-    let offered = (target_flows as f64 * sizes.truncated_mean()) as u64;
-    let flows = generate_workload(TmKind::Uniform, &topo, offered, window_ns, seed);
-    let nflows = flows.flows.len();
-    let cfg = SimConfig::default();
-    let est = estimate_events(flows.flows.iter().map(|f| f.bytes), cfg.mss_bytes, false);
-    eprintln!(
-        "scale={label}: dring {} racks / {} servers, {nflows} flows over {window_ns} ns, ~{est} est events"
-    , topo.num_racks(), topo.num_servers());
-
-    // Serial loop, both schedulers (identical results by construction).
-    let run_serial = |scheduler| {
-        let cfg = SimConfig { scheduler, ..cfg };
-        let mut sim = Simulation::new(&topo, &*fs, cfg, seed);
-        sim.set_shards(1);
-        for f in &flows.flows {
-            sim.add_flow(f.src, f.dst, f.bytes, f.start_ns)
-                .expect("valid flow");
-        }
-        let t0 = Instant::now();
-        let r = sim.run();
-        (
-            t0.elapsed().as_secs_f64(),
-            (r, sim.pkt_hops(), sim.switch_link_tx_bytes()),
-        )
-    };
-    let (heap_s, heap_out) = run_serial(Scheduler::ReferenceHeap);
-    let (lanes_s, lanes_out) = run_serial(Scheduler::Auto);
-    assert_eq!(
-        lanes_out, heap_out,
-        "scale={label}: serial schedulers diverged"
-    );
-    let serial_events = heap_out.0.events;
-    eprintln!(
-        "scale={label}: serial heap {heap_s:.2}s ({:.2e} ev/s) vs delay lanes {lanes_s:.2}s ({:.2e} ev/s)",
-        serial_events as f64 / heap_s,
-        serial_events as f64 / lanes_s
-    );
-
-    // The window protocol across shard counts (one shard is the serial
-    // loop again) — every count must equal the serial loop on the whole
-    // report, event count included (the at-scale equivalence check, on
-    // top of the engine tests and proptest).
-    let shard_counts = [1u32, 2, 4, 8];
-    let mut rows = String::new();
-    let mut shard_walls: Vec<(u32, f64)> = Vec::new();
-    let best_serial = heap_s.min(lanes_s);
-    for &k in &shard_counts {
-        let mut sim = Simulation::new(&topo, fs.clone(), cfg, seed);
-        sim.set_shards(k);
-        for f in &flows.flows {
-            sim.add_flow(f.src, f.dst, f.bytes, f.start_ns)
-                .expect("valid flow");
-        }
-        let t0 = Instant::now();
-        let r = sim.run();
-        let wall = t0.elapsed().as_secs_f64();
-        assert_eq!(
-            (r, sim.pkt_hops(), sim.switch_link_tx_bytes()),
-            heap_out,
-            "scale={label}: sharded engine diverged from the serial engine at {k} shards"
-        );
-        eprintln!(
-            "scale={label}: sharded k={k} {wall:.2}s ({:.2e} ev/s, {:.2}x vs best serial)",
-            serial_events as f64 / wall,
-            best_serial / wall
-        );
-        if !rows.is_empty() {
-            rows.push_str(",\n      ");
-        }
-        rows.push_str(&format!(
-            r#"{{ "shards": {k}, "wall_s": {wall:.3}, "events_per_sec": {:.0}, "speedup_vs_best_serial": {:.3} }}"#,
-            serial_events as f64 / wall,
-            best_serial / wall
-        ));
-        shard_walls.push((k, wall));
-    }
-    let phops = heap_out.1;
-
-    // Adaptive selection: an unpinned run, and the shard count it used.
-    let mut sim = Simulation::new(&topo, fs.clone(), cfg, seed);
-    for f in &flows.flows {
-        sim.add_flow(f.src, f.dst, f.bytes, f.start_ns)
-            .expect("valid flow");
-    }
-    let t0 = Instant::now();
-    let r = sim.run();
-    let adaptive_s = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        (r, sim.pkt_hops(), sim.switch_link_tx_bytes()),
-        heap_out,
-        "scale={label}: the adaptive run diverged from the serial loop"
-    );
-    let shards = sim.shards();
-    eprintln!(
-        "scale={label}: adaptive {shards} shard(s) {adaptive_s:.2}s ({:.2}x vs best serial)",
-        best_serial / adaptive_s
-    );
-    warn_if_serial_fallback(scale, shards, &format!("bench_snapshot/scale_{label}"));
-    let choice_label = if shards == 1 {
-        "serial".to_owned()
-    } else {
-        format!("sharded_{shards}")
-    };
-    let speedup_4 = shard_walls
-        .iter()
-        .find(|&&(k, _)| k == 4)
-        .map(|&(_, w)| best_serial / w)
-        .expect("4-shard run present");
-
-    format!(
-        r#",
-  "scale_{label}": {{
-    "topology": "dring {racks} racks / {servers} servers, shortest-union(2)",
-    "workload": "uniform TM, {nflows} flows over {window_ns} ns window",
-    "estimated_events": {est},
-    "serial_events": {serial_events},
-    "serial_heap": {{ "wall_s": {heap_s:.3}, "events_per_sec": {heap_eps:.0} }},
-    "serial_lanes": {{ "wall_s": {lanes_s:.3}, "events_per_sec": {lanes_eps:.0} }},
-    "serial_results_identical": true,
-    "sharded": [
-      {rows}
-    ],
-    "sharded_results_identical": true,
-    "sharded_pkt_hops": {phops},
-    "adaptive_choice": "{choice_label}",
-    "adaptive_wall_s": {adaptive_s:.3},
-    "speedup_sharded4_vs_best_serial": {speedup_4:.3},
-    "host_threads": {threads},
-    "note": "sharded wall-clock speedup requires hardware parallelism; on a single-thread host the selector falls back to serial and the shard curve measures window-protocol overhead only"
-  }}"#,
-        racks = topo.num_racks(),
-        servers = topo.num_servers(),
-        heap_eps = serial_events as f64 / heap_s,
-        lanes_eps = serial_events as f64 / lanes_s,
-    )
-}
-
-/// Sorted-slice percentile (nearest-rank).
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len()) - 1;
-    sorted[idx]
-}
-
-/// The hybrid fluid+packet tier: an open-loop Poisson workload (uniform
-/// rack TM, paper Pareto sizes) on the paper-scale DRing, pure-packet vs
-/// hybrid on the identical flow list. The headline regime: elephants
-/// (>= 15 KB, ~85% of bytes) ride the fluid plane, so the packet engine
-/// only pays for mice. Records wall-clock speedup and the agreement
-/// deltas (mice FCT mean/p50/p99 ratio, switch-link byte ratio) that
-/// DESIGN.md §13 documents tolerances for; the full tier asserts the >=5x
-/// speedup and the agreement bands, quick mode just records. Full mode
-/// adds a million-flow hybrid-only point — the workload size the
-/// pure-packet engine cannot touch interactively.
-fn run_hybrid_tier(quick: bool, seed: u64) -> String {
-    let topo = EvalTopos::dring_config(Scale::Paper).build();
-    let scheme = RoutingScheme::ShortestUnion(2);
-    let fs = Arc::new(ForwardingState::build(&topo.graph, scheme));
-    let sizes = ParetoFlowSizes::paper();
-    let tm = TrafficMatrix::uniform(&topo);
-    let threshold = 10_000u64;
-    // Rate chosen so the expected flow count hits the tier target:
-    // lambda = rate / truncated_mean, E[flows] = lambda * window. Both
-    // tiers run the same ~385 B/ns offered rate (moderate fabric load —
-    // open-loop at saturation diverges and measures backlog, not
-    // engines); the full tier just runs 10x longer.
-    let target_flows: f64 = if quick { 10_000.0 } else { 100_000.0 };
-    let window_ns: u64 = if quick { 1_000_000 } else { 10_000_000 };
-    let rate = target_flows * sizes.truncated_mean() / window_ns as f64;
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x09E41007);
-    let flows = poisson_from_tm(&tm, &topo, rate, &sizes, window_ns, &mut rng);
-    let nflows = flows.flows.len();
-    let cfg = SimConfig {
-        max_time_ns: if quick { 30_000_000 } else { 60_000_000 },
-        ..Default::default()
-    };
-    eprintln!(
-        "hybrid_openloop: {nflows} Poisson flows over {window_ns} ns at {rate:.0} B/ns offered"
-    );
-
-    let mut pure = Simulation::new(&topo, fs.clone(), cfg, seed);
-    // One shard, like the hybrid's packet plane.
-    pure.set_shards(1);
-    for f in &flows.flows {
-        pure.add_flow(f.src, f.dst, f.bytes, f.start_ns)
-            .expect("valid flow");
-    }
-    let t0 = Instant::now();
-    let rp = pure.run();
-    let pure_s = t0.elapsed().as_secs_f64();
-    let pure_bytes: u64 = pure.switch_link_tx_bytes().iter().sum();
-
-    let hcfg = HybridConfig {
-        elephant_threshold_bytes: threshold,
-        resolve_coalesce_ns: 10_000,
-    };
-    let mut hyb = HybridSimulation::new(&topo, fs.clone(), cfg, hcfg, seed);
-    for f in &flows.flows {
-        hyb.add_flow(f.src, f.dst, f.bytes, f.start_ns)
-            .expect("valid flow");
-    }
-    let t0 = Instant::now();
-    let rh = hyb.run();
-    let hybrid_s = t0.elapsed().as_secs_f64();
-    let hybrid_bytes: f64 = hyb.switch_link_total_bytes().iter().sum();
-
-    let speedup = pure_s / hybrid_s;
-    // Mice FCT agreement over flows finished in both runs (global flow
-    // ids coincide: both engines admit the identical list in order).
-    let mut pure_mice: Vec<u64> = Vec::new();
-    let mut hyb_mice: Vec<u64> = Vec::new();
-    for (fp, fh) in rp.flows.iter().zip(&rh.flows) {
-        if fp.bytes < threshold {
-            if let (Some(a), Some(b)) = (fp.fct_ns, fh.fct_ns) {
-                pure_mice.push(a);
-                hyb_mice.push(b);
-            }
-        }
-    }
-    let mean = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len().max(1) as f64;
-    let (mp, mh) = (mean(&pure_mice), mean(&hyb_mice));
-    let mice_mean_ratio = mh / mp;
-    pure_mice.sort_unstable();
-    hyb_mice.sort_unstable();
-    let p50_ratio = percentile(&hyb_mice, 0.50) as f64 / percentile(&pure_mice, 0.50) as f64;
-    let p99_ratio = percentile(&hyb_mice, 0.99) as f64 / percentile(&pure_mice, 0.99) as f64;
-    let bytes_ratio = hybrid_bytes / pure_bytes as f64;
-    eprintln!(
-        "hybrid_openloop: pure {pure_s:.2}s vs hybrid {hybrid_s:.2}s ({speedup:.2}x), \
-         {} resolves; mice mean-FCT ratio {mice_mean_ratio:.3} (p50 {p50_ratio:.3}, p99 {p99_ratio:.3}), \
-         switch-link byte ratio {bytes_ratio:.3}",
-        rh.resolves
-    );
-    if !quick {
-        // The acceptance bar, plus the documented agreement bands
-        // (DESIGN.md §13): the speedup is only meaningful if the hybrid
-        // still tells the same statistical story.
-        assert!(
-            speedup >= 5.0,
-            "hybrid_openloop: hybrid must be >=5x faster at the full tier, got {speedup:.2}x"
-        );
-        // Hybrid mice run *fast*: elephants become smooth rate processes,
-        // so the burst congestion (queueing, drops, RTOs) pure-packet
-        // mice suffer behind TCP elephants disappears — mostly a tail
-        // effect (p99 collapses), pulling the mean below 1. The band is
-        // asymmetric-wide by design; DESIGN.md section 13 documents why.
-        assert!(
-            mice_mean_ratio > 0.5 && mice_mean_ratio < 1.5,
-            "hybrid_openloop: mice mean-FCT ratio {mice_mean_ratio:.3} outside [0.5, 1.5]"
-        );
-        assert!(
-            (bytes_ratio - 1.0).abs() < 0.15,
-            "hybrid_openloop: switch-link byte ratio {bytes_ratio:.3} outside +/-15%"
-        );
-    }
-
-    // Million-flow hybrid-only point (full mode): same offered rate, 10x
-    // the window. Pure-packet at this size is tens of minutes — the
-    // regime the hybrid split exists for — so only the hybrid runs.
-    let million = if quick {
-        String::new()
-    } else {
-        let mwindow = window_ns * 10;
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x09E41007);
-        let mflows = poisson_from_tm(&tm, &topo, rate, &sizes, mwindow, &mut rng);
-        let n = mflows.flows.len();
-        let mcfg = SimConfig {
-            max_time_ns: mwindow + 60_000_000,
-            ..cfg
-        };
-        let mut hyb = HybridSimulation::new(&topo, fs.clone(), mcfg, hcfg, seed);
-        for f in &mflows.flows {
-            hyb.add_flow(f.src, f.dst, f.bytes, f.start_ns)
-                .expect("valid flow");
-        }
-        let t0 = Instant::now();
-        let r = hyb.run();
-        let wall = t0.elapsed().as_secs_f64();
-        eprintln!(
-            "hybrid_openloop: million-flow point — {n} flows in {wall:.2}s ({:.0} flows/s, {} resolves)",
-            n as f64 / wall,
-            r.resolves
-        );
-        format!(
-            r#",
-    "million_flow_hybrid_only": {{ "flows": {n}, "wall_s": {wall:.3}, "flows_per_sec": {:.0}, "resolves": {}, "unfinished": {} }}"#,
-            n as f64 / wall,
-            r.resolves,
-            r.unfinished()
-        )
-    };
-
-    format!(
-        r#",
-  "hybrid_openloop": {{
-    "topology": "dring paper config, shortest-union(2)",
-    "workload": "open-loop Poisson, uniform TM, pareto sizes, {nflows} flows over {window_ns} ns at {rate:.0} B/ns",
-    "elephant_threshold_bytes": {threshold},
-    "resolve_coalesce_ns": 10000,
-    "elephant_count": {ele},
-    "fluid_resolves": {resolves},
-    "pure_packet": {{ "wall_s": {pure_s:.3}, "pkt_hops": {phops}, "unfinished": {pu} }},
-    "hybrid": {{ "wall_s": {hybrid_s:.3}, "pkt_hops": {hhops}, "unfinished": {hu} }},
-    "speedup": {speedup:.3},
-    "agreement": {{
-      "mice_compared": {nmice},
-      "mice_mean_fct_ratio": {mice_mean_ratio:.4},
-      "mice_p50_fct_ratio": {p50_ratio:.4},
-      "mice_p99_fct_ratio": {p99_ratio:.4},
-      "switch_link_byte_ratio": {bytes_ratio:.4},
-      "tolerances": "full tier asserts mice mean-FCT ratio in [0.5, 1.5] and switch-link bytes within 15%; see DESIGN.md section 13"
-    }}{million}
-  }}"#,
-        ele = rh.elephant_count,
-        resolves = rh.resolves,
-        phops = pure.pkt_hops(),
-        pu = rp.unfinished(),
-        hhops = hyb.pkt_hops(),
-        hu = rh.unfinished(),
-        nmice = pure_mice.len(),
-    )
-}
-
-/// Frontier fingerprint: every deterministic metric of every frontier
-/// cell, so bitwise comparison catches any drift.
-fn frontier_fingerprint(r: &SearchResult) -> Vec<(String, u64, u64, u64)> {
-    r.frontier_cells()
-        .map(|c| {
-            (
-                c.name.clone(),
-                c.cost(),
-                c.nsr.to_bits(),
-                c.throughput.unwrap_or(0.0).to_bits(),
-            )
-        })
-        .collect()
-}
-
-/// Timed runs per sweep in the design-search tier.
-const DESIGN_RUNS: usize = 3;
-
-/// Median, minimum and maximum of a set of wall times, in seconds.
-struct Spread {
-    median: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Spread {
-    fn of(mut runs: Vec<f64>) -> Spread {
-        runs.sort_by(f64::total_cmp);
-        Spread {
-            median: runs[runs.len() / 2],
-            min: runs[0],
-            max: runs[runs.len() - 1],
-        }
-    }
-}
-
-/// The design-search tier: sweep the equipment envelope (family × radix ×
-/// switch budget) through the cold reference (every cell builds its
-/// forwarding state from scratch) and through the accelerated engine
-/// (structural memo + dominance pruning), each on one row worker, and
-/// report each sweep's median wall time over [`DESIGN_RUNS`] alternating
-/// runs with its min and max. Each row's `ForwardingState::build` still
-/// fans its DAG builds out over the host's threads, and the cold
-/// reference builds far more states than the memoized sweep, so the ratio
-/// mixes the algorithmic layers with thread scaling; the tier prints the
-/// build thread count beside it. Both sweeps must agree on every frontier
-/// bit, and the frontier must not move across 1/2/4 workers. The full
-/// tier asserts the >=2x cells/sec bar; quick mode just records.
-fn run_design_search_tier(quick: bool, seed: u64) -> String {
-    // The radius band 16..=23 is where structure coincides: every DRing
-    // design shares (supernodes, tors) across it, and Jellyfish shares its
-    // net degree within {16..19} and {20..23} — so the memo layer carries
-    // the accelerated sweep. Budgets in the hundreds make
-    // ForwardingState::build dominate per-cell fixed costs.
-    let spec = if quick {
-        SearchSpec {
-            radii: vec![16, 18],
-            counts: vec![60, 70, 80],
-            max_pairs: 256,
-            workers: 1,
-            ..SearchSpec::small(seed)
-        }
-    } else {
-        SearchSpec {
-            radii: vec![16, 18, 20, 22],
-            counts: vec![360, 370, 380, 390, 400],
-            max_pairs: 512,
-            workers: 1,
-            ..SearchSpec::small(seed)
-        }
-    };
-    let envelope = format!(
-        "{} families x {:?} radii x {:?} budgets, {} pair cap",
-        spec.families.len(),
-        spec.radii,
-        spec.counts,
-        spec.max_pairs
-    );
-
-    // Each sweep's wall time is the median of DESIGN_RUNS runs, cold and
-    // accelerated alternating so host drift hits both alike.
-    let (mut cold_runs, mut accel_runs) = (Vec::new(), Vec::new());
-    let (mut cold, mut accel) = (None, None);
-    for _ in 0..DESIGN_RUNS {
-        let t0 = Instant::now();
-        let r = run_search_reference(&spec);
-        cold_runs.push(t0.elapsed().as_secs_f64());
-        cold = Some(r);
-        let t0 = Instant::now();
-        let r = run_search(&spec);
-        accel_runs.push(t0.elapsed().as_secs_f64());
-        accel = Some(r);
-    }
-    let (cold, accel) = (cold.unwrap(), accel.unwrap());
-    let (cold_t, accel_t) = (Spread::of(cold_runs), Spread::of(accel_runs));
-    let (cold_s, accel_s) = (cold_t.median, accel_t.median);
-
-    let base = frontier_fingerprint(&accel);
-    assert_eq!(
-        frontier_fingerprint(&cold),
-        base,
-        "design_search: accelerations changed the frontier"
-    );
-    assert_eq!(
-        cold.stats.cells, accel.stats.cells,
-        "design_search: cell counts diverged"
-    );
-    for workers in [2usize, 4] {
-        let alt = run_search(&SearchSpec {
-            workers,
-            ..spec.clone()
-        });
-        assert_eq!(
-            frontier_fingerprint(&alt),
-            base,
-            "design_search: frontier drifted at {workers} workers"
-        );
-    }
-
-    let cells = accel.stats.cells;
-    let speedup = cold_s / accel_s;
-    // `build_dags` threads inside every forwarding-state build.
-    let build_threads = par::host_threads();
-    let s = accel.stats;
-    let memo_peak_mib = s.memo_heap_bytes as f64 / (1 << 20) as f64;
-    eprintln!(
-        "design_search: {cells} cells — cold {:.2} cells/s ({:.3} s [{:.3}, {:.3}]), \
-         accelerated {:.2} cells/s ({:.3} s [{:.3}, {:.3}]), medians of {DESIGN_RUNS} \
-         ({speedup:.2}x, {build_threads} build threads); \
-         {} cold builds, {} memo hits, {} pruned, memo peak {memo_peak_mib:.1} MiB; \
-         frontier of {} identical across 1/2/4 workers",
-        cells as f64 / cold_s,
-        cold_s,
-        cold_t.min,
-        cold_t.max,
-        cells as f64 / accel_s,
-        accel_s,
-        accel_t.min,
-        accel_t.max,
-        s.cold,
-        s.memo,
-        s.pruned,
-        base.len()
-    );
-    if !quick {
-        assert!(
-            speedup >= 2.0,
-            "design_search: accelerated sweep must be >=2x the cold reference, got {speedup:.2}x"
-        );
-    }
-
-    format!(
-        r#",
-  "design_search": {{
-    "envelope": "{envelope}",
-    "scheme": "shortest-union(2)",
-    "cells": {cells},
-    "frontier_size": {frontier},
-    "runs": {DESIGN_RUNS},
-    "cold": {{ "wall_s": {cold_s:.3}, "wall_s_min": {cmin:.3}, "wall_s_max": {cmax:.3}, "cells_per_sec": {cold_cps:.3} }},
-    "accelerated": {{ "wall_s": {accel_s:.3}, "wall_s_min": {amin:.3}, "wall_s_max": {amax:.3}, "cells_per_sec": {accel_cps:.3}, "cold_builds": {cb}, "memo_hits": {memo}, "solves_pruned": {pruned}, "memo_peak_mib": {memo_peak_mib:.3} }},
-    "speedup": {speedup:.3},
-    "build_threads": {build_threads},
-    "frontier_identical_across_workers": [1, 2, 4],
-    "results_identical": true
-  }}"#,
-        frontier = base.len(),
-        cmin = cold_t.min,
-        cmax = cold_t.max,
-        amin = accel_t.min,
-        amax = accel_t.max,
-        cold_cps = cells as f64 / cold_s,
-        accel_cps = cells as f64 / accel_s,
-        cb = s.cold,
-        memo = s.memo,
-        pruned = s.pruned,
-    )
-}
-
-/// The lossless (PFC) tier: a synchronized incast over the small DRing
-/// with pause-frame flow control and the go-back-N transport — the
-/// workload class where pause/resume control events thread through the
-/// `(time, seq)` stream between every data packet. Measures the fast
-/// datapath (FIB hot-cache + RTO timer wheel; terminal-TxDone elision is
-/// off under PFC because a terminal TxDone discharges ingress accounting)
-/// against the reference path, asserts them byte-identical including every
-/// pause counter, and asserts the lossless invariant: zero tail drops.
-fn run_lossless_tier(quick: bool, seed: u64) -> String {
-    use spineless_sim::types::Transport;
-    use spineless_sim::PfcConfig;
-    let topo = DRing::uniform(6, 2, 24).build();
-    let scheme = RoutingScheme::ShortestUnion(2);
-    let fs = Arc::new(ForwardingState::build(&topo.graph, scheme));
-    let bytes: u64 = if quick { 150_000 } else { 600_000 };
-    let cfg = SimConfig {
-        transport: Transport::GoBackN,
-        pfc: Some(PfcConfig {
-            xoff_bytes: 20_000,
-            xon_bytes: 8_000,
-        }),
-        // Deep fixed window: the fabric's pauses, not the window, pace
-        // the senders — the regime that maximizes control-event density.
-        initial_cwnd: 32,
-        max_time_ns: 10_000_000_000,
-        ..Default::default()
-    };
-    let racks = topo.racks();
-    let victim = topo
-        .servers_on(racks[0])
-        .next()
-        .expect("victim rack has servers");
-    let mut flow_bytes: Vec<u64> = Vec::new();
-    let run = |datapath| {
-        let cfg = SimConfig { datapath, ..cfg };
-        let mut sim = Simulation::new(&topo, fs.clone(), cfg, seed);
-        for &r in &racks[1..] {
-            for src in topo.servers_on(r).take(2) {
-                sim.add_flow(src, victim, bytes, 0)
-                    .expect("incast endpoints valid");
-            }
-        }
-        let t0 = Instant::now();
-        let r = sim.run();
-        (t0.elapsed().as_secs_f64(), r, sim.pkt_hops())
-    };
-    let (fast_s, fast_r, fast_hops) = run(Datapath::Fast);
-    let (ref_s, ref_r, ref_hops) = run(Datapath::Reference);
-    for &r in &racks[1..] {
-        flow_bytes.extend(topo.servers_on(r).take(2).map(|_| bytes));
-    }
-    assert_eq!(
-        fast_r.fcts(),
-        ref_r.fcts(),
-        "lossless: datapaths diverged: FCTs"
-    );
-    assert_eq!(
-        (
-            fast_r.pause_frames,
-            fast_r.resume_frames,
-            fast_r.links_ever_paused
-        ),
-        (
-            ref_r.pause_frames,
-            ref_r.resume_frames,
-            ref_r.links_ever_paused
-        ),
-        "lossless: datapaths diverged: pause counters"
-    );
-    assert_eq!(
-        fast_hops, ref_hops,
-        "lossless: datapaths diverged: packet-hops"
-    );
-    assert_eq!(
-        fast_r.congestion_drops, 0,
-        "lossless: PFC tail-dropped a data packet"
-    );
-    assert_eq!(fast_r.unfinished(), 0, "lossless: incast must complete");
-    // The estimate the adaptive selector uses under PFC: it adds the
-    // pause/resume events a lossy estimate ignores.
-    let est = estimate_events(flow_bytes.iter().copied(), cfg.mss_bytes, true);
-    let speedup = ref_s / fast_s;
-    eprintln!(
-        "lossless: {} incast flows x {bytes} B — {} pauses over {} links, 0 tail drops; \
-         fast {fast_s:.3}s vs reference {ref_s:.3}s ({speedup:.2}x)",
-        flow_bytes.len(),
-        fast_r.pause_frames,
-        fast_r.links_ever_paused
-    );
-    format!(
-        r#",
-  "lossless": {{
-    "topology": "dring(6,2) su2, pfc xoff 20 kB / xon 8 kB",
-    "workload": "synchronized incast, 2 senders per remote rack x {bytes} B, go-back-N cwnd 32",
-    "estimated_events": {est},
-    "pause_frames": {pauses},
-    "resume_frames": {resumes},
-    "links_ever_paused": {lep},
-    "max_ingress_backlog": {backlog},
-    "congestion_drops": 0,
-    "fast": {{ "wall_s": {fast_s:.4}, "events": {fe}, "events_per_sec": {feps:.0} }},
-    "reference": {{ "wall_s": {ref_s:.4}, "events": {re}, "events_per_sec": {reps:.0} }},
-    "speedup": {speedup:.3},
-    "results_identical": true,
-    "note": "terminal-TxDone elision is disabled under PFC (a terminal TxDone discharges ingress accounting), so fast-vs-reference here measures the FIB hot-cache and timer wheel only"
-  }}"#,
-        pauses = fast_r.pause_frames,
-        resumes = fast_r.resume_frames,
-        lep = fast_r.links_ever_paused,
-        backlog = fast_r.max_ingress_backlog,
-        fe = fast_r.events,
-        feps = fast_r.events as f64 / fast_s,
-        re = ref_r.events,
-        reps = ref_r.events as f64 / ref_s,
-    )
-}
-
 fn main() {
-    let args = parse_args_quick();
-    let (scale_req, seed, quick) = (args.scale, args.seed, args.quick);
+    let seed = parse_seed();
     let threads = par::host_threads();
-    let scale_label = match scale_req {
-        Scale::Small => "small",
-        Scale::Paper => "paper",
-        Scale::Production => "production",
-    };
-    eprintln!("bench_snapshot: seed {seed}, {threads} threads, scale {scale_label}, quick {quick}");
+    eprintln!("bench_snapshot: seed {seed}, {threads} threads");
 
     // --- Scheduler microbenchmark: one dense cell, both event queues. ---
     let topos = EvalTopos::build(Scale::Small, seed);
@@ -1076,42 +416,12 @@ fn main() {
         "csr walk: {walks} routes — nested {walk_nested_s:.3}s vs CSR {walk_csr_s:.3}s ({walk_speedup:.2}x)"
     );
 
-    // --- At-scale tiers: paper (and, above it, production) measure the
-    // regime the sharded engine targets. The small sections above always
-    // run, so every snapshot stays comparable across scales. ---
-    let mut tier_sections = match scale_req {
-        Scale::Small => String::new(),
-        Scale::Paper => run_scale_tier(Scale::Paper, quick, seed, threads),
-        Scale::Production => {
-            let mut s = run_scale_tier(Scale::Paper, quick, seed, threads);
-            s.push_str(&run_scale_tier(Scale::Production, quick, seed, threads));
-            s
-        }
-    };
-
-    // --- Hybrid fluid+packet tier: always runs (quick shrinks the
-    // workload and skips the asserts), since it is the headline
-    // open-loop regime. ---
-    tier_sections.push_str(&run_hybrid_tier(quick, seed));
-
-    // --- Design-search tier: the equipment-envelope sweep, cold reference
-    // vs the memoized, pruning engine, always on (it is cheap and its
-    // determinism asserts are the frontier's contract). ---
-    tier_sections.push_str(&run_design_search_tier(quick, seed));
-
-    // --- Lossless (PFC) tier: pause-frame incast under go-back-N, fast
-    // vs reference datapath, always on — the one regime where control
-    // events outnumber-per-byte everything else in the stream. ---
-    tier_sections.push_str(&run_lossless_tier(quick, seed));
-
     // Hand-rolled JSON: the workspace deliberately carries no serde_json
     // dependency, and the document is flat enough that format! suffices.
     let json = format!(
         r#"{{
-  "schema": "bench_snapshot/v9",
+  "schema": "bench_snapshot/v10",
   "seed": {seed},
-  "scale": "{scale_label}",
-  "quick": {quick},
   "host_threads": {threads},
   "scheduler_microbench": {{
     "workload": "fig4-style A2A on DRing su2, 8 MB offered",
@@ -1186,7 +496,7 @@ fn main() {
     "csr_wall_s": {walk_csr_s:.4},
     "speedup": {walk_speedup:.3},
     "results_identical": true
-  }}{tier_sections}
+  }}
 }}
 "#,
         lanes_eps = events as f64 / lanes_s,

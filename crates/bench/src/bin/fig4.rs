@@ -16,7 +16,8 @@ fn main() {
         Scale::Production => {
             eprintln!(
                 "fig4 reproduces the paper's figure at small|paper scale; \
-                 the production tier is driven by bench_snapshot --scale production"
+                 the production tier is spinebench's a2a_production \
+                 (bash crates/benchmark/run.sh --seed 42 --workload a2a_production)"
             );
             std::process::exit(2);
         }

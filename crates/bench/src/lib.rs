@@ -77,25 +77,6 @@ pub fn warn_if_slow_path(
     degraded
 }
 
-/// Warns on stderr when a production-tier run ended up on one shard:
-/// the adaptive selector ([`spineless_sim::choose_engine`]) picks the
-/// serial loop whenever the host exposes a single hardware thread or the
-/// workload is too small to amortize windows — correct, but a
-/// production-tier measurement taken that way does not reflect the
-/// sharding the tier exists to measure. `shards` is the count the run
-/// used. Returns whether it warned.
-pub fn warn_if_serial_fallback(scale: spineless_core::Scale, shards: u32, context: &str) -> bool {
-    let fallback = scale == spineless_core::Scale::Production && shards <= 1;
-    if fallback {
-        eprintln!(
-            "warning[{context}]: adaptive selector fell back to one shard on a \
-             production-tier run (single hardware thread or sub-threshold \
-             workload); timings reflect serial execution, not sharding"
-        );
-    }
-    fallback
-}
-
 /// Parsed harness arguments; see [`parse_args`] / [`parse_args_quick`].
 #[derive(Debug, Clone, Copy)]
 pub struct BenchArgs {
@@ -112,17 +93,24 @@ pub struct BenchArgs {
 /// `--scale small|paper|production` (default small) and `--seed N`
 /// (default 42); unknown arguments abort with a usage hint.
 pub fn parse_args() -> (spineless_core::Scale, u64) {
-    let a = parse(false);
+    let a = parse(true, false);
     (a.scale, a.seed)
 }
 
-/// [`parse_args`] plus the `--quick` flag (used by `bench_snapshot`, whose
-/// CI invocation shrinks the at-scale workloads without changing paths).
+/// [`parse_args`] plus the `--quick` flag (used by `design_search`, whose
+/// quick mode sweeps a smaller small-scale envelope).
 pub fn parse_args_quick() -> BenchArgs {
-    parse(true)
+    parse(true, true)
 }
 
-fn parse(allow_quick: bool) -> BenchArgs {
+/// `--seed N` (default 42) and nothing else, for `bench_snapshot`, whose
+/// sections run at one fixed scale: `--scale`, `--quick` and any other
+/// argument abort with a usage hint.
+pub fn parse_seed() -> u64 {
+    parse(false, false).seed
+}
+
+fn parse(allow_scale: bool, allow_quick: bool) -> BenchArgs {
     let args: Vec<String> = std::env::args().collect();
     let mut out = BenchArgs {
         scale: spineless_core::Scale::Small,
@@ -132,7 +120,7 @@ fn parse(allow_quick: bool) -> BenchArgs {
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
-            "--scale" => {
+            "--scale" if allow_scale => {
                 i += 1;
                 out.scale =
                     spineless_core::Scale::parse(args.get(i).map(|s| s.as_str()).unwrap_or(""))
@@ -153,10 +141,13 @@ fn parse(allow_quick: bool) -> BenchArgs {
             }
             "--quick" if allow_quick => out.quick = true,
             other => {
+                let scale = if allow_scale {
+                    "[--scale small|paper|production] "
+                } else {
+                    ""
+                };
                 let quick = if allow_quick { " [--quick]" } else { "" };
-                eprintln!(
-                    "unknown argument {other}; usage: [--scale small|paper|production] [--seed N]{quick}"
-                );
+                eprintln!("unknown argument {other}; usage: {scale}[--seed N]{quick}");
                 std::process::exit(2);
             }
         }

@@ -13,9 +13,9 @@
 //!    switch-link bytes must land inside the DESIGN.md §13 bands against
 //!    pure-packet, averaged over a small seed family.
 //! 3. **Speed direction** — hybrid must not be slower than pure-packet on
-//!    an elephant-heavy open-loop workload (the full ≥5× bar lives in
-//!    `bench_snapshot`'s `hybrid_openloop` tier; a smoke run only pins the
-//!    sign so CI stays fast and unflaky).
+//!    an elephant-heavy open-loop workload (a smoke run only pins the
+//!    sign so CI stays fast and unflaky; the paper-scale speed is timed by
+//!    `spinebench`'s `hybrid_openloop` workload, and no bar is asserted).
 //!
 //! Run with: `cargo run --release --example hybrid_smoke`
 //! CI smoke mode (smaller, asserts only): `cargo run --release --example hybrid_smoke -- --quick`
@@ -147,7 +147,8 @@ fn main() {
         (bytes_ratio - 1.0).abs() < 0.15,
         "switch-link byte ratio {bytes_ratio:.3} outside +/-15%"
     );
-    // 3. Speed direction (full bar is in bench_snapshot). Quick mode runs
+    // 3. Speed direction (paper scale is timed by spinebench's
+    // hybrid_openloop, with no bar asserted). Quick mode runs
     // a handful of flows where wall times are noise, so only the full
     // drill pins the sign.
     if !quick {
