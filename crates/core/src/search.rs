@@ -22,7 +22,8 @@
 //! previous cell's saves nothing (DESIGN.md §14).
 //!
 //! Two accelerations make the sweep cheap without changing one bit of
-//! its output (pinned by tests, the search goldens and `bench_snapshot`):
+//! its output (pinned by tests and by `search_golden`, which checks the
+//! sweep at 1, 2 and 4 workers):
 //!
 //! 1. **Structural memoization** — designs that coincide (the same graph
 //!    at two envelope points, within or across families) share one
@@ -45,7 +46,7 @@
 //! [`par::map_ordered`]; every cell's seed derives from its lattice
 //! coordinates alone and pruning compares only within a row, so the
 //! result is bit-identical across worker counts (asserted in tests and in
-//! the bench gate). A slot stays locked while its state builds, so each
+//! `search_golden`). A slot stays locked while its state builds, so each
 //! distinct design is built exactly once at any worker count.
 
 use rand::rngs::SmallRng;
@@ -204,6 +205,16 @@ pub struct SweepStats {
     /// cell; a design used by one cell is never held; 0 without the
     /// memo). The memo holds nothing once the sweep ends.
     pub memo_heap_bytes: usize,
+}
+
+impl SweepStats {
+    /// Counts one state a cell took.
+    fn count(&mut self, source: StateSource) {
+        match source {
+            StateSource::Cold => self.cold += 1,
+            StateSource::Memo => self.memo += 1,
+        }
+    }
 }
 
 /// The outcome of one sweep.
@@ -547,13 +558,11 @@ fn run_row(
         let seed = cell_seed(spec.seed, fi, ri, ci);
 
         let build = || ForwardingState::build(&topo.graph, spec.scheme);
-        let (fs, source) = match memo {
-            Some(memo) => memo.take(cell_index(spec, fi, ri, ci), build),
-            None => (Arc::new(build()), StateSource::Cold),
-        };
-        match source {
-            StateSource::Cold => stats.cold += 1,
-            StateSource::Memo => stats.memo += 1,
+        // The planned sweep takes a state for every designed cell, as the
+        // plan counted; the reference builds one only for a cell it solves.
+        let taken = memo.map(|memo| memo.take(cell_index(spec, fi, ri, ci), build));
+        if let Some((_, source)) = &taken {
+            stats.count(*source);
         }
 
         // A budget step that reproduces the previous design verbatim is the
@@ -563,7 +572,7 @@ fn run_row(
             if let Some(prev_cell) = cells.last().filter(|c: &&DesignCell| c.name == topo.name) {
                 let dup = DesignCell {
                     max_switches,
-                    source,
+                    source: taken.map_or(prev_cell.source, |(_, source)| source),
                     ..prev_cell.clone()
                 };
                 stats.cells += 1;
@@ -571,6 +580,10 @@ fn run_row(
                 continue;
             }
         }
+        let (fs, source) = taken.unwrap_or_else(|| {
+            stats.count(StateSource::Cold);
+            (Arc::new(build()), StateSource::Cold)
+        });
 
         let Ok(nsr) = metrics::nsr(&topo).map(|s| s.mean) else {
             continue;
@@ -674,8 +687,8 @@ pub fn run_search(spec: &SearchSpec) -> SearchResult {
 }
 
 /// The cold reference sweep: every cell builds its forwarding state from
-/// scratch and runs the fluid solve. The bench gate measures the
-/// accelerated sweep against this.
+/// scratch and runs the fluid solve, but for a budget step that repeats
+/// its row's previous design, which copies that cell and builds nothing.
 pub fn run_search_reference(spec: &SearchSpec) -> SearchResult {
     sweep(spec, None)
 }
@@ -810,11 +823,25 @@ mod tests {
     }
 
     #[test]
-    fn every_designed_cell_takes_one_state_in_both_sweeps() {
+    fn planned_cells_take_one_state_and_reference_repeats_none() {
+        // The planned sweep takes one state per designed cell, so its memo
+        // drains. The reference builds one per cell but for the 3 budget
+        // steps that repeat their row's previous design: those copy the
+        // previous cell and build nothing.
         let spec = tiny_spec(29);
-        for r in [run_search(&spec), run_search_reference(&spec)] {
-            assert_eq!(r.stats.cold + r.stats.memo, r.stats.cells, "{:?}", r.stats);
-        }
+        let planned = run_search(&spec);
+        let s = planned.stats;
+        assert_eq!(s.cold + s.memo, s.cells, "{s:?}");
+        let repeats = planned
+            .cells
+            .windows(2)
+            .filter(|w| {
+                (w[0].family, w[0].radix, &w[0].name) == (w[1].family, w[1].radix, &w[1].name)
+            })
+            .count();
+        assert_eq!(repeats, 3);
+        let r = run_search_reference(&spec).stats;
+        assert_eq!((r.cells, r.cold, r.memo), (24, 21, 0), "{r:?}");
     }
 
     #[test]

@@ -26,16 +26,20 @@
 //!   events owned by another shard to its outbox.
 //!
 //! The sink also numbers the state a core holds. A core's per-flow
-//! vectors cover only the senders and receivers its shard owns, at
+//! tables cover only the senders and receivers its shard owns, at
 //! *slots* the packets carry: data names its receiver's slot, an ACK its
 //! sender's, and each endpoint keeps its peer's slot in a table of the
-//! sink's. A core's per-link vectors cover only the links whose tail its
-//! shard owns. What a link's *head* keeps — its PFC ingress account and
-//! its cut time — sits at the slot of the reverse link, whose tail is the
-//! same node. Events, ranks, the FIB cache, residuals and the 1-byte alive
-//! map keep global link and flow ids. On one shard a slot is the flow or
-//! link id itself, so the serial loop indexes as it always did and keeps
-//! no table.
+//! sink's. A slot is a flow's admission index and never changes; it maps
+//! to an entry of a [`Pool`] that holds the flow's TCP state only while
+//! the flow runs — a sender from its `FlowStart` to its completion, a
+//! receiver from its first data to the last in-order byte — after which a
+//! compact [`Outcome`] is all that is left. A core's per-link vectors
+//! cover only the links whose tail its shard owns. What a link's *head*
+//! keeps — its PFC ingress account and its cut time — sits at the slot of
+//! the reverse link, whose tail is the same node. Events, ranks, the FIB
+//! cache, residuals and the 1-byte alive map keep global link and flow
+//! ids. On one shard a slot is the flow or link id itself, so the serial
+//! loop indexes as it always did and keeps no peer table.
 
 use crate::engine::SimError;
 use crate::link::{LinkQueue, Offer};
@@ -64,7 +68,9 @@ const NEVER_CUT: Ns = Ns::MAX;
 /// Everything that can happen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Ev {
-    /// A flow's start time arrived; its sender sits at slot `.1`.
+    /// A flow's start time arrived; its sender sits at slot `.1`. Starts
+    /// never enter an event queue: the sink keeps them in a list of their
+    /// own and merges it into the event stream by key.
     FlowStart(FlowId, u32),
     /// A packet finishes propagation and arrives at the link's head.
     Arrive(DirLinkId, Packet),
@@ -81,7 +87,7 @@ pub(crate) enum Ev {
 }
 
 /// Event classes of the content rank, in tie-break order at equal time.
-const CLASS_FLOW_START: u64 = 0;
+pub(crate) const CLASS_FLOW_START: u64 = 0;
 const CLASS_ARRIVE: u64 = 1;
 const CLASS_TXDONE: u64 = 2;
 pub(crate) const CLASS_RTO: u64 = 3;
@@ -134,19 +140,130 @@ pub(crate) struct FlowSpec {
 }
 
 impl FlowSpec {
-    /// The outcome record of flow `id`, whose sender state is `sender`.
-    pub(crate) fn record(&self, id: FlowId, fct_ns: Option<Ns>, sender: &TcpSender) -> FlowRecord {
+    /// The record of flow `id`, whose sender's outcome is `o`.
+    pub(crate) fn record(&self, id: FlowId, o: Outcome) -> FlowRecord {
         FlowRecord {
             id,
             src: self.src,
             dst: self.dst,
             bytes: self.bytes,
             start_ns: self.start_ns,
-            fct_ns,
-            retransmits: sender.retransmits,
-            timeouts: sender.timeouts,
+            fct_ns: (o.fct_ns != NOT_DONE).then_some(o.fct_ns),
+            retransmits: o.retransmits,
+            timeouts: o.timeouts,
         }
     }
+}
+
+/// What a flow's sender leaves behind: written when the flow completes,
+/// read from the live sender until then.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Outcome {
+    /// Flow completion time, or [`NOT_DONE`].
+    fct_ns: Ns,
+    retransmits: u32,
+    timeouts: u32,
+}
+
+/// [`Outcome::fct_ns`] of a flow that has not completed.
+const NOT_DONE: Ns = Ns::MAX;
+
+impl Default for Outcome {
+    fn default() -> Outcome {
+        Outcome {
+            fct_ns: NOT_DONE,
+            retransmits: 0,
+            timeouts: 0,
+        }
+    }
+}
+
+/// A slot's pool entry before its flow's state exists.
+const UNSTARTED: u32 = u32::MAX;
+/// A slot's pool entry after its flow's state was returned.
+const RETIRED: u32 = u32::MAX - 1;
+
+/// Per-flow state that exists only while its flow runs: a flow takes an
+/// entry — a returned one first — and gives it back when it is done, so
+/// the pool is as large as the most flows ever live at once.
+#[derive(Debug, Clone)]
+pub(crate) struct Pool<T> {
+    entries: Vec<T>,
+    /// Returned entries, reused last-in first-out.
+    free: Vec<u32>,
+    /// Entries handed out and given back over the run.
+    taken: u64,
+    returned: u64,
+}
+
+impl<T> Pool<T> {
+    fn new() -> Pool<T> {
+        Pool {
+            entries: Vec::new(),
+            free: Vec::new(),
+            taken: 0,
+            returned: 0,
+        }
+    }
+
+    /// Stores `v` in a free entry and returns its index.
+    fn take(&mut self, v: T) -> u32 {
+        self.taken += 1;
+        match self.free.pop() {
+            Some(e) => {
+                self.entries[e as usize] = v;
+                e
+            }
+            None => {
+                self.entries.push(v);
+                self.entries.len() as u32 - 1
+            }
+        }
+    }
+
+    /// Returns entry `e`, whose flow is done with it.
+    fn give_back(&mut self, e: u32) {
+        self.returned += 1;
+        self.free.push(e);
+    }
+
+    /// Entries in use.
+    fn live(&self) -> usize {
+        self.entries.len() - self.free.len()
+    }
+}
+
+impl<T> std::ops::Index<u32> for Pool<T> {
+    type Output = T;
+    #[inline]
+    fn index(&self, e: u32) -> &T {
+        &self.entries[e as usize]
+    }
+}
+
+impl<T> std::ops::IndexMut<u32> for Pool<T> {
+    #[inline]
+    fn index_mut(&mut self, e: u32) -> &mut T {
+        &mut self.entries[e as usize]
+    }
+}
+
+/// Entry `e` of `at`, or [`UNSTARTED`] past its end.
+#[inline]
+fn entry(at: &[u32], slot: u32) -> u32 {
+    at.get(slot as usize).copied().unwrap_or(UNSTARTED)
+}
+
+/// Sets `at[slot]`, first growing `at` to the `admitted` slots when it is
+/// too short: a per-slot table is sized at its first use, to the slots
+/// admitted by then.
+fn set_slot<T: Clone>(at: &mut Vec<T>, slot: u32, v: T, admitted: u32, fill: T) {
+    let i = slot as usize;
+    if i >= at.len() {
+        debug_assert!(slot < admitted, "slot {slot} was never admitted");
+        at.resize(admitted as usize, fill);
+    }
+    at[i] = v;
 }
 
 /// The fabric and workload facts no event changes, shared read-only by
@@ -335,6 +452,10 @@ pub(crate) trait Sink {
     fn owns_tail(&self, l: DirLinkId) -> bool;
     /// Whether this core owns `l`'s head.
     fn owns_head(&self, l: DirLinkId) -> bool;
+    /// Admitted flows of this core's senders that have not started.
+    fn pending_starts(&self) -> usize;
+    /// Sender and receiver slots admitted so far.
+    fn slots(&self) -> [u32; 2];
     /// The per-flow tables the sink keeps (see [`Core::state_vecs`]).
     #[cfg(test)]
     fn state_vecs(&self) -> Vec<StateVec>;
@@ -381,13 +502,33 @@ pub(crate) struct Core<F, S> {
     /// (the link's queue lives with its tail).
     wire_drops: u64,
 
-    // ---- per-flow state, at the sink's slots ----
-    pub(crate) senders: Vec<TcpSender>,
-    pub(crate) receivers: Vec<TcpReceiver>,
-    pub(crate) fct: Vec<Option<Ns>>,
-    /// Flowlet tracking; empty unless `cfg.flowlet_gap_ns` is set.
+    // ---- per-flow state ----
+    /// Per sender slot: the flow's entry in `senders`, [`UNSTARTED`] or
+    /// [`RETIRED`]; slots past the end have not started.
+    sender_at: Vec<u32>,
+    /// Per sender slot: the flow's outcome, written at its completion;
+    /// slots past the end have none yet.
+    outcomes: Vec<Outcome>,
+    /// Per receiver slot: the flow's entry in `receivers`, [`UNSTARTED`]
+    /// or [`RETIRED`].
+    receiver_at: Vec<u32>,
+    senders: Pool<TcpSender>,
+    receivers: Pool<TcpReceiver>,
+    /// Flowlet tracking per `senders` entry; empty unless
+    /// `cfg.flowlet_gap_ns` is set.
     flowlet_id: Vec<u32>,
     last_emit_ns: Vec<Ns>,
+    /// In-order bytes of the retired receivers.
+    retired_acked: u64,
+    /// Data bytes that reached the retired receivers, duplicates that
+    /// arrived after their retirement included.
+    retired_received: u64,
+    /// Work that reached retired state: `[data, ACKs, live-looking RTOs]`.
+    #[cfg(test)]
+    pub(crate) retired_hits: [u64; 3],
+    /// `(time, flow)` of every flow start, in processing order.
+    #[cfg(test)]
+    pub(crate) start_log: Vec<(Ns, FlowId)>,
     /// Reused TCP output buffer: the steady-state loop performs no
     /// per-event allocation.
     out_scratch: TcpOutput,
@@ -485,11 +626,19 @@ impl<F: Forwarding, S: Sink> Core<F, S> {
             delivered_bytes: 0,
             no_route_drops: 0,
             wire_drops: 0,
-            senders: Vec::new(),
-            receivers: Vec::new(),
-            fct: Vec::new(),
+            sender_at: Vec::new(),
+            outcomes: Vec::new(),
+            receiver_at: Vec::new(),
+            senders: Pool::new(),
+            receivers: Pool::new(),
             flowlet_id: Vec::new(),
             last_emit_ns: Vec::new(),
+            retired_acked: 0,
+            retired_received: 0,
+            #[cfg(test)]
+            retired_hits: [0; 3],
+            #[cfg(test)]
+            start_log: Vec::new(),
             out_scratch: TcpOutput::default(),
             base_hot: hot.clone(),
             hot,
@@ -509,40 +658,82 @@ impl<F: Forwarding, S: Sink> Core<F, S> {
         }
     }
 
-    /// Makes room for `senders` more sender slots and `receivers` more
-    /// receiver slots, exactly.
-    pub(crate) fn reserve_flows(&mut self, senders: usize, receivers: usize) {
-        self.senders.reserve_exact(senders);
-        self.fct.reserve_exact(senders);
-        if self.cfg.flowlet_gap_ns.is_some() {
-            self.flowlet_id.reserve_exact(senders);
-            self.last_emit_ns.reserve_exact(senders);
-        }
-        self.receivers.reserve_exact(receivers);
+    /// The entry of the live sender at `slot`, if its flow has started
+    /// and not completed.
+    #[inline]
+    fn live_sender(&self, slot: u32) -> Option<u32> {
+        let e = entry(&self.sender_at, slot);
+        (e < RETIRED).then_some(e)
     }
 
-    /// Appends sender-side state for flow `f` at the next sender slot.
-    pub(crate) fn add_sender(&mut self, f: FlowId) {
-        let sp = self.plant.specs[f as usize];
+    /// The outcome of the flow whose sender sits at `slot`: the record
+    /// its completion wrote, else what its live sender counted so far.
+    pub(crate) fn outcome(&self, slot: u32) -> Outcome {
+        match self.live_sender(slot) {
+            Some(e) => Outcome {
+                retransmits: self.senders[e].retransmits,
+                timeouts: self.senders[e].timeouts,
+                ..Outcome::default()
+            },
+            None => self
+                .outcomes
+                .get(slot as usize)
+                .copied()
+                .unwrap_or_default(),
+        }
+    }
+
+    /// Creates the sender of flow `f` at `slot`, when the flow starts.
+    #[inline(never)]
+    fn start_sender(&mut self, f: FlowId, slot: u32) -> u32 {
         let c = &self.cfg;
-        self.senders.push(TcpSender::with_transport(
+        let e = self.senders.take(TcpSender::with_transport(
             f,
-            sp.bytes,
+            self.plant.specs[f as usize].bytes,
             c.mss_bytes,
             c.initial_cwnd,
             c.min_rto_ns,
             c.transport,
         ));
-        self.fct.push(None);
-        if self.cfg.flowlet_gap_ns.is_some() {
-            self.flowlet_id.push(0);
-            self.last_emit_ns.push(0);
+        if c.flowlet_gap_ns.is_some() {
+            let i = e as usize;
+            if i == self.flowlet_id.len() {
+                self.flowlet_id.push(0);
+                self.last_emit_ns.push(0);
+            } else {
+                self.flowlet_id[i] = 0;
+                self.last_emit_ns[i] = 0;
+            }
         }
+        debug_assert_eq!(
+            entry(&self.sender_at, slot),
+            UNSTARTED,
+            "flow started twice"
+        );
+        set_slot(
+            &mut self.sender_at,
+            slot,
+            e,
+            self.sink.slots()[0],
+            UNSTARTED,
+        );
+        e
     }
 
-    /// Appends receiver-side state at the next receiver slot.
-    pub(crate) fn add_receiver(&mut self) {
-        self.receivers.push(TcpReceiver::new());
+    /// The flow whose sender sits at `slot`, in entry `e`, completed
+    /// `fct_ns` after its start: keeps its outcome and returns the entry.
+    #[inline(never)]
+    fn retire_sender(&mut self, slot: u32, e: u32, fct_ns: Ns) {
+        let s = &self.senders[e];
+        let o = Outcome {
+            fct_ns,
+            retransmits: s.retransmits,
+            timeouts: s.timeouts,
+        };
+        let admitted = self.sink.slots()[0];
+        set_slot(&mut self.outcomes, slot, o, admitted, Outcome::default());
+        self.senders.give_back(e);
+        self.sender_at[slot as usize] = RETIRED;
     }
 
     /// Turns on the fault machinery: every link starts alive, never cut.
@@ -563,9 +754,13 @@ impl<F: Forwarding, S: Sink> Core<F, S> {
     pub(crate) fn state_vecs(&self) -> Vec<StateVec> {
         let mut all = vec![
             state_vec("queues", &self.queues),
-            state_vec("senders", &self.senders),
-            state_vec("receivers", &self.receivers),
-            state_vec("fct", &self.fct),
+            state_vec("sender_at", &self.sender_at),
+            state_vec("outcomes", &self.outcomes),
+            state_vec("receiver_at", &self.receiver_at),
+            state_vec("senders", &self.senders.entries),
+            state_vec("free senders", &self.senders.free),
+            state_vec("receivers", &self.receivers.entries),
+            state_vec("free receivers", &self.receivers.free),
             state_vec("flowlet_id", &self.flowlet_id),
             state_vec("last_emit_ns", &self.last_emit_ns),
             state_vec("link_alive", &self.link_alive),
@@ -597,10 +792,33 @@ impl<F: Forwarding, S: Sink> Core<F, S> {
             max_ingress_backlog: self.max_ingress_backlog,
             last_live: self.last_live,
             open_pauses: self.frames.iter().filter(|&&n| n % 2 == 1).count() as u64,
-            acked_bytes: self.receivers.iter().map(TcpReceiver::cum_ack).sum(),
+            acked_bytes: self.retired_acked
+                + self.live_receivers().map(|r| r.cum_ack()).sum::<u64>(),
+            received_bytes: self.retired_received
+                + self.live_receivers().map(|r| r.received_bytes).sum::<u64>(),
+            senders: [
+                self.senders.taken,
+                self.senders.returned,
+                self.sender_at.iter().filter(|&&e| e < RETIRED).count() as u64,
+            ],
+            receivers: [
+                self.receivers.taken,
+                self.receivers.returned,
+                self.live_receivers().count() as u64,
+            ],
+            pool_live: (self.senders.live() + self.receivers.live()) as u64,
+            pending_starts: self.sink.pending_starts() as u64,
             faults: !self.link_alive.is_empty(),
             lossless: self.cfg.pfc.is_some(),
         }
+    }
+
+    /// The receivers whose flows are still receiving in-order data.
+    fn live_receivers(&self) -> impl Iterator<Item = &TcpReceiver> {
+        self.receiver_at
+            .iter()
+            .filter(|&&e| e < RETIRED)
+            .map(|&e| &self.receivers[e])
     }
 
     /// Executes the event popped at key `(t, key)`. Every event but a
@@ -613,9 +831,12 @@ impl<F: Forwarding, S: Sink> Core<F, S> {
         match ev {
             Ev::FlowStart(f, slot) => {
                 self.last_live = t;
+                #[cfg(test)]
+                self.start_log.push((t, f));
+                let e = self.start_sender(f, slot);
                 let mut out = std::mem::take(&mut self.out_scratch);
-                self.senders[slot as usize].start_into(self.now, &mut out);
-                self.apply_tcp_output(f, slot, &out);
+                self.senders[e].start_into(self.now, &mut out);
+                self.apply_tcp_output(f, slot, e, &out);
                 self.out_scratch = out;
             }
             Ev::TxDone(link) => {
@@ -627,14 +848,22 @@ impl<F: Forwarding, S: Sink> Core<F, S> {
                 self.on_arrive(link, pkt);
             }
             Ev::Rto(f, slot, gen) => {
-                if !self.senders[slot as usize].timer_live(gen) {
+                // A retired sender's timers are all stale.
+                let Some(e) = self.live_sender(slot) else {
+                    #[cfg(test)]
+                    {
+                        self.retired_hits[2] += 1;
+                    }
+                    return;
+                };
+                if !self.senders[e].timer_live(gen) {
                     return;
                 }
                 self.last_live = t;
                 if !self.rto_abandoned(f) {
                     let mut out = std::mem::take(&mut self.out_scratch);
-                    self.senders[slot as usize].on_timer_into(self.now, gen, &mut out);
-                    self.apply_tcp_output(f, slot, &out);
+                    self.senders[e].on_timer_into(self.now, gen, &mut out);
+                    self.apply_tcp_output(f, slot, e, &out);
                     self.out_scratch = out;
                 }
             }
@@ -1077,13 +1306,20 @@ impl<F: Forwarding, S: Sink> Core<F, S> {
     /// A packet reached its destination server, whose endpoint state
     /// sits at the slot the packet carries.
     fn deliver(&mut self, pkt: Packet) {
-        let slot = pkt.slot as usize;
         if pkt.is_ack {
+            // A completed sender ignores ACKs.
+            let Some(e) = self.live_sender(pkt.slot) else {
+                #[cfg(test)]
+                {
+                    self.retired_hits[1] += 1;
+                }
+                return;
+            };
             let mut out = std::mem::take(&mut self.out_scratch);
             if pkt.nack {
-                self.senders[slot].on_nack_into(self.now, pkt.seq, pkt.echo_epoch, &mut out);
+                self.senders[e].on_nack_into(self.now, pkt.seq, pkt.echo_epoch, &mut out);
             } else {
-                self.senders[slot].on_ack_ecn_into(
+                self.senders[e].on_ack_ecn_into(
                     self.now,
                     pkt.seq,
                     pkt.echo_ns,
@@ -1092,23 +1328,13 @@ impl<F: Forwarding, S: Sink> Core<F, S> {
                     &mut out,
                 );
             }
-            self.apply_tcp_output(pkt.flow, pkt.slot, &out);
+            self.apply_tcp_output(pkt.flow, pkt.slot, e, &out);
             self.out_scratch = out;
         } else {
             self.delivered_bytes += pkt.size as u64;
-            let (cum, is_nack) = if self.cfg.transport == Transport::GoBackN {
-                // Go-back-N receiver: in-order data advances the cumulative
-                // ack; out-of-order data is discarded and NACKed (the NACK
-                // names the first missing byte).
-                match self.receivers[slot].on_data_gbn(pkt.seq, pkt.size) {
-                    GbnSignal::Ack(c) => (c, false),
-                    GbnSignal::Nack(c) => (c, true),
-                }
-            } else {
-                (self.receivers[slot].on_data(pkt.seq, pkt.size), false)
-            };
-            // Emit an ACK back to the source server.
             let spec = self.plant.specs[pkt.flow as usize];
+            let (cum, is_nack) = self.on_data(pkt.slot, spec.bytes, pkt.seq, pkt.size);
+            // Emit an ACK back to the source server.
             let here = self.plant.server_switch[pkt.dst_server as usize];
             let back_to = self.plant.server_switch[spec.src as usize];
             let mut ack = Packet::ack(
@@ -1134,27 +1360,84 @@ impl<F: Forwarding, S: Sink> Core<F, S> {
         }
     }
 
-    /// Turns the [`TcpOutput`] of `flow`'s sender, at `sender`, into
-    /// packets and timers. Borrows the output so the core's scratch
-    /// buffer survives the call (zero-allocation turnaround).
-    fn apply_tcp_output(&mut self, flow: FlowId, sender: u32, out: &TcpOutput) {
-        let slot = sender as usize;
+    /// Data `[seq, seq + size)` of a `bytes`-byte flow reached its
+    /// receiver at `slot`: returns the cumulative ACK to send and whether
+    /// it is a go-back-N NACK. The first data creates the receiver; the
+    /// last in-order byte retires it, and a retired receiver answers every
+    /// duplicate with the ACK of the whole flow, as it would have.
+    fn on_data(&mut self, slot: u32, bytes: u64, seq: u64, size: u32) -> (u64, bool) {
+        let e = match entry(&self.receiver_at, slot) {
+            RETIRED => {
+                #[cfg(test)]
+                {
+                    self.retired_hits[0] += 1;
+                }
+                self.retired_received += size as u64;
+                return (bytes, false);
+            }
+            UNSTARTED => self.start_receiver(slot),
+            e => e,
+        };
+        let r = &mut self.receivers[e];
+        let signal = if self.cfg.transport == Transport::GoBackN {
+            // Go-back-N receiver: in-order data advances the cumulative
+            // ack; out-of-order data is discarded and NACKed (the NACK
+            // names the first missing byte).
+            match r.on_data_gbn(seq, size) {
+                GbnSignal::Ack(c) => (c, false),
+                GbnSignal::Nack(c) => (c, true),
+            }
+        } else {
+            (r.on_data(seq, size), false)
+        };
+        if r.cum_ack() == bytes {
+            self.retire_receiver(slot, e);
+        }
+        signal
+    }
+
+    /// Creates the receiver at `slot`, when its flow's first data arrives.
+    #[inline(never)]
+    fn start_receiver(&mut self, slot: u32) -> u32 {
+        let e = self.receivers.take(TcpReceiver::new());
+        let admitted = self.sink.slots()[1];
+        set_slot(&mut self.receiver_at, slot, e, admitted, UNSTARTED);
+        e
+    }
+
+    /// The receiver at `slot`, in entry `e`, has every byte: keeps its
+    /// byte counts and returns the entry.
+    #[inline(never)]
+    fn retire_receiver(&mut self, slot: u32, e: u32) {
+        let r = &self.receivers[e];
+        self.retired_acked += r.cum_ack();
+        self.retired_received += r.received_bytes;
+        self.receivers.give_back(e);
+        self.receiver_at[slot as usize] = RETIRED;
+    }
+
+    /// Turns the [`TcpOutput`] of `flow`'s sender, at slot `sender` and
+    /// pool entry `e`, into packets and timers. Borrows the output so the
+    /// core's scratch buffer survives the call (zero-allocation
+    /// turnaround).
+    fn apply_tcp_output(&mut self, flow: FlowId, sender: u32, e: u32, out: &TcpOutput) {
         let spec = self.plant.specs[flow as usize];
         let src_sw = self.plant.server_switch[spec.src as usize];
         let dst_sw = self.plant.server_switch[spec.dst as usize];
-        let epoch = self.senders[slot].epoch();
+        let epoch = self.senders[e].epoch();
         // Flowlet detection at the sending host: an idle gap longer than
         // the threshold starts a new flowlet, re-rolling the ECMP hash.
         // Without flowlets every packet is flowlet 0.
         let flowlet = match self.cfg.flowlet_gap_ns {
             Some(gap) => {
+                let i = e as usize;
                 if !out.send.is_empty() {
-                    if self.now.saturating_sub(self.last_emit_ns[slot]) > gap {
-                        self.flowlet_id[slot] = self.flowlet_id[slot].wrapping_add(1);
+                    if self.now.saturating_sub(self.last_emit_ns[i]) > gap {
+                        self.flowlet_id[i] = self.flowlet_id[i].wrapping_add(1);
                     }
-                    self.last_emit_ns[slot] = self.now;
+                    self.last_emit_ns[i] = self.now;
                 }
-                self.flowlet_id[slot]
+                self.flowlet_id[i]
             }
             None => 0,
         };
@@ -1180,8 +1463,8 @@ impl<F: Forwarding, S: Sink> Core<F, S> {
         } else if out.completed {
             self.sink.disarm_rto(sender);
         }
-        if out.completed && self.fct[slot].is_none() {
-            self.fct[slot] = Some(self.now - spec.start_ns);
+        if out.completed {
+            self.retire_sender(sender, e, self.now - spec.start_ns);
         }
     }
 }
@@ -1205,6 +1488,17 @@ pub(crate) struct Tally {
     /// Bytes the receivers acknowledged in order: each byte once, however
     /// often it arrived.
     acked_bytes: u64,
+    /// Data bytes that reached receivers, live or retired, duplicates
+    /// included.
+    received_bytes: u64,
+    /// Sender pool entries `[taken, returned, held by a slot]`.
+    senders: [u64; 3],
+    /// Receiver pool entries `[taken, returned, held by a slot]`.
+    receivers: [u64; 3],
+    /// Entries the pools count as in use.
+    pool_live: u64,
+    /// Admitted flows that never started.
+    pending_starts: u64,
     /// Whether a failure schedule is installed.
     faults: bool,
     /// Whether PFC is on.
@@ -1225,6 +1519,11 @@ impl Tally {
             last_live: self.last_live.max(o.last_live),
             open_pauses: self.open_pauses + o.open_pauses,
             acked_bytes: self.acked_bytes + o.acked_bytes,
+            received_bytes: self.received_bytes + o.received_bytes,
+            senders: std::array::from_fn(|i| self.senders[i] + o.senders[i]),
+            receivers: std::array::from_fn(|i| self.receivers[i] + o.receivers[i]),
+            pool_live: self.pool_live + o.pool_live,
+            pending_starts: self.pending_starts + o.pending_starts,
             faults: self.faults || o.faults,
             lossless: self.lossless || o.lossless,
         }
@@ -1238,7 +1537,13 @@ impl Tally {
     ///   are among them — all of them without a failure schedule, none
     ///   under PFC;
     /// * bytes acknowledged in order ≤ admitted bytes, and ≤ delivered
-    ///   bytes (which count duplicates too).
+    ///   bytes (which count duplicates too); every finished flow's bytes
+    ///   are among them;
+    /// * bytes received, by live and retired receivers alike, = delivered
+    ///   bytes;
+    /// * per pool, entries taken = entries returned + entries a slot still
+    ///   holds, and the pools count the same entries in use;
+    /// * live senders + flows never started = unfinished flows.
     pub(crate) fn check(&self, report: &SimReport) {
         assert_eq!(
             report.pause_frames - report.resume_frames,
@@ -1271,6 +1576,39 @@ impl Tally {
         assert!(
             self.acked_bytes <= report.delivered_bytes,
             "more bytes acknowledged than delivered"
+        );
+        let finished: u64 = report
+            .flows
+            .iter()
+            .filter(|f| f.fct_ns.is_some())
+            .map(|f| f.bytes)
+            .sum();
+        assert!(
+            finished <= self.acked_bytes,
+            "a finished flow's receiver is missing bytes"
+        );
+        assert_eq!(
+            self.received_bytes, report.delivered_bytes,
+            "received bytes lost with a retired receiver"
+        );
+        for (name, [taken, returned, held]) in
+            [("sender", self.senders), ("receiver", self.receivers)]
+        {
+            assert_eq!(
+                taken,
+                returned + held,
+                "{name} pool entries leaked or returned twice"
+            );
+        }
+        assert_eq!(
+            self.pool_live,
+            self.senders[2] + self.receivers[2],
+            "pools and slots disagree on the entries in use"
+        );
+        assert_eq!(
+            self.senders[2] + self.pending_starts,
+            report.unfinished() as u64,
+            "live senders do not match the unfinished flows"
         );
     }
 }

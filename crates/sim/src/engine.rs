@@ -12,7 +12,9 @@
 //! ([`crate::shard`]) runs too; failure-schedule actions come from the
 //! shared [`Agenda`](crate::failure::Agenda) and apply between events.
 
-use crate::datapath::{entity_of, rank, rank_of, run_end, Core, Ev, Plant, Sink, Tally, CLASS_RTO};
+use crate::datapath::{
+    entity_of, rank, rank_of, run_end, Core, Ev, Plant, Sink, Tally, CLASS_FLOW_START, CLASS_RTO,
+};
 use crate::equeue::{EventQueue, TimerWheel};
 use crate::failure::{Agenda, FailureSchedule};
 use crate::shard::{choose_engine, estimate_events, Sharded};
@@ -78,11 +80,23 @@ impl std::fmt::Display for SimError {
 }
 impl std::error::Error for SimError {}
 
-/// The serial loop's [`Sink`]: one event queue, plus the RTO timing
-/// wheel on the fast datapath. Each shard of the window protocol
-/// schedules its own events on one too.
+/// The serial loop's [`Sink`]: one event queue, the list of flows yet to
+/// start, and the RTO timing wheel on the fast datapath. Each shard of
+/// the window protocol schedules its own events on one too.
 pub(crate) struct SerialSink {
     queue: EventQueue<Ev>,
+    /// Admitted flows that have not started, as `(start_ns, flow, sender
+    /// slot)`. Starts never enter the event queue: [`Self::next_event`]
+    /// merges this list into the event stream at each start's `(time,
+    /// rank)` key, and the rank of a start orders by flow id. Kept in
+    /// descending order, so the next start is the last entry. Admission
+    /// appends; one sort, at the first pop after an out-of-order
+    /// admission, restores the order.
+    starts: Vec<(Ns, FlowId, u32)>,
+    /// Whether `starts` is in descending order.
+    starts_sorted: bool,
+    /// Starts admitted so far.
+    admitted: u32,
     /// RTO timers live here instead of the event queue on the fast
     /// datapath: armed/re-armed once per ACK, cancelled eagerly, merged
     /// back into the event stream by [`Self::next_event`] at their exact
@@ -101,10 +115,46 @@ impl SerialSink {
     pub(crate) fn new(cfg: &SimConfig) -> SerialSink {
         SerialSink {
             queue: EventQueue::new(cfg.scheduler),
+            starts: Vec::new(),
+            starts_sorted: true,
+            admitted: 0,
             wheel: TimerWheel::new(),
             wheel_rtos: cfg.datapath == Datapath::Fast,
             staged: None,
         }
+    }
+
+    /// Admits a flow start: flow `f`, whose sender sits at `slot`,
+    /// starts at `t`.
+    pub(crate) fn add_start(&mut self, t: Ns, f: FlowId, slot: u32) {
+        let start = (t, f, slot);
+        self.starts_sorted &= self.starts.last().is_none_or(|&least| start < least);
+        self.starts.push(start);
+        self.admitted += 1;
+    }
+
+    /// Makes room for `n` more starts, exactly.
+    pub(crate) fn reserve_starts(&mut self, n: usize) {
+        self.starts.reserve_exact(n);
+    }
+
+    /// The `(time, rank)` key of the next flow start, if any.
+    #[inline]
+    fn next_start(&mut self) -> Option<(Ns, u64)> {
+        if !self.starts_sorted {
+            self.sort_starts();
+        }
+        let &(t, f, _) = self.starts.last()?;
+        Some((t, rank(CLASS_FLOW_START, f, 0)))
+    }
+
+    /// Restores the descending order of `starts`; out of line, as it runs
+    /// once per admission batch.
+    #[cold]
+    #[inline(never)]
+    fn sort_starts(&mut self) {
+        self.starts.sort_unstable_by(|a, b| b.cmp(a));
+        self.starts_sorted = true;
     }
 
     /// A lower bound on the next event's time — exact but for a timer
@@ -115,19 +165,20 @@ impl SerialSink {
             self.staged = self.queue.pop();
         }
         let staged = self.staged.map_or(Ns::MAX, |(t, _, _)| t);
-        staged.min(self.wheel.min_time())
+        let start = self.next_start().map_or(Ns::MAX, |(t, _)| t);
+        staged.min(start).min(self.wheel.min_time())
     }
 
     /// Pops the next event at or before `deadline` in global `(time,
-    /// rank)` order, merging the main event queue with the RTO timing
-    /// wheel; later events stay in place. The next queue event is staged
-    /// so its key can bound the wheel lookup — in the common case (no
-    /// timer due first) that bound check is a single comparison against
-    /// the wheel's cached minimum. A finite deadline caps the bound at
-    /// `(deadline + 1, 0)`: every timer at `t <= deadline` sorts strictly
-    /// below it, and the anchor advance it triggers is sound because the
-    /// caller stops processing at `deadline` and every later insert lands
-    /// after it.
+    /// rank)` order, merging the main event queue, the flow starts and
+    /// the RTO timing wheel; later events stay in place. The next queue
+    /// event is staged so its key, with the next start's, can bound the
+    /// wheel lookup — in the common case (no timer due first) that bound
+    /// check is a single comparison against the wheel's cached minimum.
+    /// A finite deadline caps the bound at `(deadline + 1, 0)`: every
+    /// timer at `t <= deadline` sorts strictly below it, and the anchor
+    /// advance it triggers is sound because the caller stops processing
+    /// at `deadline` and every later insert lands after it.
     pub(crate) fn next_event(&mut self, deadline: Ns) -> Option<(Ns, u64, Ev)> {
         self.next_event_below(
             deadline
@@ -145,23 +196,31 @@ impl SerialSink {
             self.staged = self.queue.pop();
         }
         let staged = self.staged.map_or((Ns::MAX, u64::MAX), |(t, r, _)| (t, r));
-        if let Some((t, r, slot, gen)) = self.wheel.pop_before(staged.min(cap)) {
+        let (head, start_first) = match self.next_start() {
+            Some(start) if start < staged => (start, true),
+            _ => (staged, false),
+        };
+        if let Some((t, r, slot, gen)) = self.wheel.pop_before(head.min(cap)) {
             return Some((t, r, Ev::Rto(entity_of(r), slot, gen)));
         }
-        match self.staged {
-            Some((t, r, _)) if (t, r) < cap => self.staged.take(),
-            _ => None,
+        if head >= cap {
+            None
+        } else if start_first {
+            let (t, f, slot) = self.starts.pop().expect("a start is next");
+            Some((t, head.1, Ev::FlowStart(f, slot)))
+        } else {
+            self.staged.take()
         }
     }
 }
 
 impl Sink for SerialSink {
     /// Enqueues `ev` under its content rank, keeping the staged-event slot
-    /// coherent: a timer handler popped ahead of the staged event may emit
-    /// events that precede it (e.g. a retransmitted packet's wire events
-    /// vs a far-future `FlowStart`, or a materialized `TxDone`), in which
-    /// case the staged event must return to the queue or it would be
-    /// processed out of order.
+    /// coherent: a handler popped ahead of the staged event — a timer's, or
+    /// a flow start's — may emit events that precede it (e.g. a
+    /// retransmitted packet's wire events vs a far-future arrival, or a
+    /// materialized `TxDone`), in which case the staged event must return
+    /// to the queue or it would be processed out of order.
     #[inline]
     fn push(&mut self, t: Ns, ev: Ev) {
         let r = rank_of(&ev);
@@ -219,9 +278,20 @@ impl Sink for SerialSink {
         true
     }
 
+    fn pending_starts(&self) -> usize {
+        self.starts.len()
+    }
+
+    fn slots(&self) -> [u32; 2] {
+        [self.admitted; 2]
+    }
+
     #[cfg(test)]
     fn state_vecs(&self) -> Vec<crate::datapath::StateVec> {
-        vec![self.wheel.key_state()]
+        vec![
+            self.wheel.key_state(),
+            crate::datapath::state_vec("starts", &self.starts),
+        ]
     }
 }
 
@@ -235,13 +305,10 @@ struct Serial<F: Forwarding> {
 }
 
 impl<F: Forwarding> Serial<F> {
-    /// Creates flow `f`'s state and schedules its start.
-    fn materialize(&mut self, f: FlowId) {
+    /// Schedules flow `f`'s start; its state is created when it starts.
+    fn admit(&mut self, f: FlowId) {
         let c = &mut self.core;
-        c.add_sender(f);
-        c.add_receiver();
-        c.sink
-            .push(c.plant.specs[f as usize].start_ns, Ev::FlowStart(f, f));
+        c.sink.add_start(c.plant.specs[f as usize].start_ns, f, f);
     }
 
     /// Processes every event and failure-schedule action at or before
@@ -299,8 +366,11 @@ enum Engine<F: Forwarding> {
 /// [`run`](Self::run) or [`run_until`](Self::run_until) it fixes the shard
 /// count — the one [`set_shards`](Self::set_shards) pinned, else the one
 /// [`choose_engine`] picks for the admitted workload and the host — and
-/// creates every flow's TCP state once, in the shard that owns it (pinned
-/// to one shard, at admission). One shard is the serial event loop; more
+/// hands every admitted flow's start to the shard that owns its sender
+/// (pinned to one shard, at admission). A flow's TCP state exists only
+/// while it runs: its sender from its start to its completion, its
+/// receiver from its first data to its last in-order byte, each in the
+/// shard that owns it. One shard is the serial event loop; more
 /// run the window protocol of [`crate::shard`], one thread per shard, the
 /// caller's included. Every shard count gives the same [`SimReport`], bit
 /// for bit.
@@ -372,7 +442,7 @@ impl<F: Forwarding> Simulation<F> {
     /// [`choose_engine`] pick one at the first advance. For equivalence
     /// tests, benchmarks and callers that already run simulations in
     /// parallel. `1` runs the serial event loop, which needs no partition:
-    /// it is created at once, and flows get their state as they are
+    /// it is created at once, and flows are scheduled as they are
     /// admitted.
     ///
     /// # Panics
@@ -496,7 +566,7 @@ impl<F: Forwarding> Simulation<F> {
             Engine::Serial(s) => {
                 let id =
                     Arc::make_mut(&mut s.core.plant).add_flow(fs, src, dst, bytes, start_ns)?;
-                s.materialize(id);
+                s.admit(id);
                 Ok(id)
             }
             Engine::Sharded(s) => {
@@ -561,8 +631,8 @@ impl<F: Forwarding> Simulation<F> {
     }
 
     /// Creates the shards (at the first advance, or when pinned to one):
-    /// their cores, and every admitted flow's state in the shard that owns
-    /// it.
+    /// their cores, and every admitted flow's start in the shard that owns
+    /// its sender.
     fn start(&mut self) {
         let k = self.planned_shards();
         let faults = self.agenda.is_some();
@@ -584,15 +654,15 @@ impl<F: Forwarding> Simulation<F> {
             }
             core.rate_scale = self.residuals.take();
             let flows = core.plant.specs.len();
-            core.reserve_flows(flows, flows);
             let mut serial = Serial {
                 core,
                 events: 0,
                 #[cfg(test)]
                 max_t: 0,
             };
+            serial.core.sink.reserve_starts(flows);
             for f in 0..flows {
-                serial.materialize(f as FlowId);
+                serial.admit(f as FlowId);
             }
             Engine::Serial(Box::new(serial))
         } else {
@@ -617,10 +687,7 @@ impl<F: Forwarding> Simulation<F> {
             Engine::Idle => unreachable!("reports follow an advance"),
             Engine::Serial(s) => {
                 let c = &s.core;
-                let record = |f: FlowId| {
-                    let i = f as usize;
-                    c.plant.specs[i].record(f, c.fct[i], &c.senders[i])
-                };
+                let record = |f: FlowId| c.plant.specs[f as usize].record(f, c.outcome(f));
                 (
                     c.tally(),
                     s.events,
@@ -750,6 +817,29 @@ impl<F: Forwarding> Simulation<F> {
         }
     }
 
+    /// Each shard's `(time, flow)` of every flow start, in processing
+    /// order.
+    #[cfg(test)]
+    pub(crate) fn start_log(&self) -> Vec<Vec<(Ns, FlowId)>> {
+        match &self.engine {
+            Engine::Idle => Vec::new(),
+            Engine::Serial(s) => vec![s.core.start_log.clone()],
+            Engine::Sharded(s) => s.cores().map(|c| c.start_log.clone()).collect(),
+        }
+    }
+
+    /// Work that reached retired flow state, summed over the shards:
+    /// `[data, ACKs, RTOs]` (see `Core::retired_hits`).
+    #[cfg(test)]
+    pub(crate) fn retired_hits(&self) -> [u64; 3] {
+        let hits = |c: [u64; 3], d: [u64; 3]| std::array::from_fn(|i| c[i] + d[i]);
+        match &self.engine {
+            Engine::Idle => [0; 3],
+            Engine::Serial(s) => s.core.retired_hits,
+            Engine::Sharded(s) => s.cores().map(|c| c.retired_hits).fold([0; 3], hits),
+        }
+    }
+
     /// [`Core::state_bytes`] summed over the shards.
     #[cfg(test)]
     pub(crate) fn state_bytes(&self) -> usize {
@@ -792,7 +882,7 @@ fn install_residuals(scale: &mut Option<Arc<[f64]>>, residual: &[f64]) {
 mod tests {
     use super::*;
     use crate::equiv::{assert_engines_agree, Outcome};
-    use crate::types::{PfcConfig, Transport};
+    use crate::types::{PfcConfig, Scheduler, Transport};
     use spineless_graph::NodeId;
     use spineless_routing::RoutingScheme;
     use spineless_topo::dring::DRing;
@@ -1181,11 +1271,13 @@ mod tests {
 
     #[test]
     fn fast_datapath_matches_reference_across_rto_quiescence() {
-        // Regression: when a wheel RTO fires ahead of a staged far-future
-        // FlowStart, the retransmitted packet's wire events precede the
-        // staged event — `push` must return the staged event to the queue
-        // or it is processed out of order (time regresses and the
-        // datapaths diverge).
+        // Regression: when a wheel RTO fires ahead of the staged queue
+        // event, the retransmitted packet's wire events can precede it —
+        // `push` must return the staged event to the queue or it is
+        // processed out of order (time regresses and the datapaths
+        // diverge). The RTOs here also fire ahead of a far-future flow
+        // start, which waits in the start list and must yield to the
+        // wheel alike.
         let t = small_ls();
         let cfg = SimConfig {
             queue_bytes: 3_000,
@@ -1194,12 +1286,233 @@ mod tests {
         // Incast into server 0 over two-packet queues: whole windows drop,
         // so recovery leans on RTOs firing into a drained network.
         let mut flows: Vec<(u32, u32, u64, Ns)> = (0..12).map(|i| (8 + i, 0, 60_000, 0)).collect();
-        // Starts long after the incast stalls: its FlowStart is the staged
-        // event during every RTO wait before 20 ms.
+        // Starts long after the incast stalls: its start is the next one
+        // during every RTO wait before 20 ms.
         flows.push((1, 2, 20_000, 20_000_000));
         let (r, _, _) = assert_engines_agree(&t, RoutingScheme::Ecmp, cfg, 56, &flows, None);
         let timeouts: u32 = r.flows.iter().map(|f| f.timeouts).sum();
         assert!(timeouts > 0, "scenario must exercise RTO recovery");
+    }
+
+    #[test]
+    fn flow_state_grows_with_live_flows_not_admitted_ones() {
+        // `lanes` server pairs each carry a chain of 20 KB flows, each
+        // starting long after the one before it completed, so at most
+        // `lanes` flows run at once however many are admitted. The pools
+        // hold running flows only: ten times the flows adds just the
+        // per-flow tables (slot entries, outcome, pending start, RTO wheel
+        // key and, sharded, the peer slots) — not the 200-odd bytes of TCP
+        // state a flow would hold from admission to the end of the run.
+        let t = small_ls();
+        let run = |lanes: u32, chain: u64, k: u32| {
+            let flows: Vec<(u32, u32, u64, Ns)> = (0..chain)
+                .flat_map(|j| (0..lanes).map(move |m| (m, 23 - m, 20_000, j * 200_000)))
+                .collect();
+            let cfg = SimConfig::default();
+            let mut s = crate::equiv::sharded(&t, RoutingScheme::Ecmp, cfg, 81, k, &flows, None);
+            assert_eq!(s.run().unfinished(), 0);
+            let entries = |name: &str| -> usize {
+                let state = s.shard_state();
+                state
+                    .iter()
+                    .flatten()
+                    .filter(|v| v.0 == name)
+                    .map(|v| v.1)
+                    .sum()
+            };
+            let pools = entries("senders").max(entries("receivers"));
+            (s.state_bytes(), pools)
+        };
+        for k in [1, 2] {
+            for lanes in [2, 6] {
+                let (short, short_pools) = run(lanes, 4, k);
+                let (long, long_pools) = run(lanes, 40, k);
+                assert!(
+                    short_pools.max(long_pools) <= lanes as usize,
+                    "k={k}: {short_pools} and {long_pools} pool entries for {lanes} live flows"
+                );
+                let per_flow = (long - short) / (36 * lanes as usize);
+                assert!(
+                    per_flow <= 72,
+                    "k={k}, {lanes} lanes: {per_flow} B per admitted flow"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reused_pool_entries_ignore_the_flow_before() {
+        // Server 23's downlink runs at 2% of its rate from 10 to 160 us
+        // under a 1 ns RTO floor, so flow 0's timers fire while its data
+        // only waits in that queue, and the copies they send arrive after
+        // their originals. Flow 1, on the same pair, starts 1 ns after
+        // flow 0 completes and takes over its sender and receiver pool
+        // entries while flow 0's duplicate data, the ACKs they draw and —
+        // on the reference datapath — its stale RTOs still arrive. Those
+        // must act on flow 0's retired state, never on flow 1's: the report
+        // is the one recorded before flow state was pooled.
+        let t = small_ls();
+        let start = 208_129;
+        for (datapath, events) in [(Datapath::Fast, 651), (Datapath::Reference, 940)] {
+            for k in [1, 2] {
+                let cfg = SimConfig {
+                    min_rto_ns: 1,
+                    datapath,
+                    ..SimConfig::default()
+                };
+                let flows = [(0, 23, 30_000, 0), (0, 23, 30_000, start)];
+                let mut s = crate::equiv::sharded(&t, RoutingScheme::Ecmp, cfg, 3, k, &flows, None);
+                let n = s.num_dir_links();
+                let mut residual = vec![1.0; n];
+                s.run_until(10_000);
+                residual[n - 1] = 0.02;
+                s.set_link_residuals(&residual).unwrap();
+                s.run_until(160_000);
+                s.set_link_residuals(&vec![1.0; n]).unwrap();
+                s.run_until(start + 10_000);
+                let early = s.retired_hits();
+                let r = s.run();
+                let late: Vec<u64> = (0..3).map(|i| s.retired_hits()[i] - early[i]).collect();
+                let case = format!("{datapath:?}, k={k}");
+                assert!(late[0] > 0 && late[1] > 0, "{case}: {late:?}");
+                assert_eq!(
+                    late[2] > 0,
+                    datapath == Datapath::Reference,
+                    "{case}: {late:?}"
+                );
+                let state = s.shard_state();
+                for pool in ["senders", "receivers"] {
+                    let entries: usize = state
+                        .iter()
+                        .flatten()
+                        .filter(|v| v.0 == pool)
+                        .map(|v| v.1)
+                        .sum();
+                    assert_eq!(entries, 1, "{case}: {pool}");
+                }
+                let got: Vec<_> = r
+                    .flows
+                    .iter()
+                    .map(|f| (f.fct_ns, f.retransmits, f.timeouts))
+                    .collect();
+                assert_eq!(
+                    got,
+                    [(Some(208_128), 16, 2), (Some(43_199), 0, 0)],
+                    "{case}"
+                );
+                assert_eq!(
+                    (
+                        r.delivered_bytes,
+                        r.dropped_packets,
+                        r.end_ns,
+                        r.events,
+                        s.pkt_hops()
+                    ),
+                    (84_000, 0, 251_328, events, 448),
+                    "{case}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_retired_receiver_acks_a_resend_with_the_whole_flow() {
+        // 2 000 B ACKs cannot wait behind one another in a 3 000 B queue,
+        // so flow 0 loses its last ACKs and its timer resends data that
+        // its receiver, already retired, has. Only the retired receiver's
+        // answer, the ACK of the whole flow, completes the sender. Flow 1
+        // then reuses both pool entries. The report is the one recorded
+        // before flow state was pooled.
+        let t = small_ls();
+        for (datapath, events) in [(Datapath::Fast, 1_630), (Datapath::Reference, 2_224)] {
+            for k in [1, 2] {
+                let cfg = SimConfig {
+                    min_rto_ns: 1,
+                    ack_bytes: 2_000,
+                    queue_bytes: 3_000,
+                    max_time_ns: 5_000_000,
+                    datapath,
+                    ..SimConfig::default()
+                };
+                let flows = [(0, 23, 100_000, 0), (0, 23, 100_000, 384_870)];
+                let mut s = crate::equiv::sharded(&t, RoutingScheme::Ecmp, cfg, 3, k, &flows, None);
+                let r = s.run();
+                let case = format!("{datapath:?}, k={k}");
+                assert!(
+                    s.retired_hits()[0] > 0,
+                    "{case}: no resend reached a retired receiver"
+                );
+                let got: Vec<_> = r
+                    .flows
+                    .iter()
+                    .map(|f| (f.fct_ns, f.retransmits, f.timeouts))
+                    .collect();
+                assert_eq!(got, [(Some(384_869), 13, 2); 2], "{case}");
+                assert_eq!(
+                    (
+                        r.delivered_bytes,
+                        r.dropped_packets,
+                        r.end_ns,
+                        r.events,
+                        s.pkt_hops()
+                    ),
+                    (202_000, 32, 769_739, events, 1_088),
+                    "{case}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn flows_start_in_start_time_then_id_order() {
+        // Flows admitted out of start order, ties included, and then — after
+        // a `run_until` — one whose start time has already passed: every
+        // flow starts at its own start time, in `(start_ns, flow id)` order,
+        // on both schedulers and at one and two shards, and all four runs
+        // agree.
+        let t = small_ls();
+        let early: [(u32, u32, u64, Ns); 5] = [
+            (0, 23, 30_000, 50_000),
+            (1, 22, 30_000, 0),
+            (2, 21, 30_000, 50_000),
+            (3, 20, 30_000, 20_000),
+            (8, 4, 30_000, 0),
+        ];
+        let late = [(9, 5, 30_000, 30_000), (10, 6, 30_000, 90_000)];
+        let mut want: Vec<(Ns, FlowId)> = early
+            .iter()
+            .chain(&late)
+            .enumerate()
+            .map(|(f, fl)| (fl.3, f as FlowId))
+            .collect();
+        want.sort();
+        let mut runs = Vec::new();
+        for scheduler in [Scheduler::Auto, Scheduler::ReferenceHeap] {
+            for k in [1, 2] {
+                let cfg = SimConfig {
+                    scheduler,
+                    ..SimConfig::default()
+                };
+                let mut s =
+                    crate::equiv::sharded(&t, RoutingScheme::Ecmp, cfg, 82, k, &early, None);
+                s.run_until(40_000);
+                for &(src, dst, b, at) in &late {
+                    s.add_flow(src, dst, b, at).unwrap();
+                }
+                let r = s.run();
+                assert_eq!(r.unfinished(), 0);
+                let logs = s.start_log();
+                assert_eq!(logs.len(), k as usize);
+                for log in &logs {
+                    assert!(log.is_sorted(), "{scheduler:?}, k={k}: {log:?}");
+                }
+                let mut all: Vec<(Ns, FlowId)> = logs.concat();
+                all.sort();
+                assert_eq!(all, want, "{scheduler:?}, k={k}");
+                runs.push(r);
+            }
+        }
+        assert!(runs.windows(2).all(|w| w[0] == w[1]), "the runs disagree");
     }
 
     #[test]

@@ -133,13 +133,14 @@ struct Lane<E> {
 /// is inserted in order. A new `d` claims an empty lane, or else
 /// the lane with the longest delay above `d` that holds a single entry,
 /// which moves to the heap: that costs the one heap push the new event
-/// would have cost, and frees a lane a one-off delay (a flow start at an
-/// arbitrary time) would otherwise hold until it pops. Only longer delays
-/// yield, so a stream of one-off delays (flows admitted in random start
-/// order) cannot keep evicting each other. Every other push — a time
-/// below its lane's tail (the engine can pop an event, then process an
-/// earlier timer and return the event, so the last popped time can step
-/// back), delays beyond the lane budget — goes to the heap.
+/// would have cost, and frees a lane a one-off delay would otherwise hold
+/// until it pops — the arrival of a flow's short last segment, a
+/// serialization time a hybrid residual scaled, a materialized `TxDone`,
+/// or, on the reference datapath, an RTO. Only longer delays yield, so a
+/// stream of one-off delays cannot keep evicting each other. Every other
+/// push — a time below its lane's tail (the engine can pop an event, then
+/// process an earlier timer and return the event, so the last popped time
+/// can step back), delays beyond the lane budget — goes to the heap.
 /// A pop takes the least of the lane heads and the heap top by the full
 /// `(t, rank)` key, so the dequeue order equals the heap's exactly; the
 /// lanes only replace `O(log n)` sifts of large entries with `O(1)` ring
@@ -659,10 +660,10 @@ mod tests {
 
     #[test]
     fn one_off_delay_yields_its_lane() {
-        // Eight far-apart flow starts hold one entry per lane. A ninth,
+        // Eight far-apart one-off events hold one entry per lane. A ninth,
         // later one evicts none of them. A short recurring delay reclaims
-        // the lane of the latest start (8 ms), whose entry moves to the
-        // heap; a 7.5 ms start then finds no longer single-entry lane.
+        // the lane of the latest event (8 ms), whose entry moves to the
+        // heap; a 7.5 ms event then finds no longer single-entry lane.
         let mut q = Lockstep::default();
         for d in 1..=8 {
             q.push(d * 1_000_000);

@@ -839,6 +839,40 @@ mod tests {
     }
 
     #[test]
+    fn mice_start_in_start_time_then_id_order() {
+        // Mice admitted in reverse start order, with ties, start on the
+        // packet plane in `(start_ns, flow id)` order, each at its own
+        // start time, exactly as in the plain engine.
+        let (t, fs) = build(4, 2);
+        let hcfg = HybridConfig {
+            elephant_threshold_bytes: u64::MAX,
+            ..Default::default()
+        };
+        let cfg = SimConfig::default();
+        let mut plain = Simulation::new(&t, fs.clone(), cfg, 43);
+        let mut hybrid = HybridSimulation::new(&t, fs, cfg, hcfg, 43);
+        let n = t.num_servers();
+        let flows: Vec<(u32, u32, u64, Ns)> = (0..16u32)
+            .map(|i| (i % n, (i * 5 + 7) % n, 20_000, (15 - i as u64) / 2 * 3_000))
+            .filter(|&(s, d, _, _)| s != d)
+            .collect();
+        for &(s, d, b, at) in &flows {
+            plain.add_flow(s, d, b, at).unwrap();
+            hybrid.add_flow(s, d, b, at).unwrap();
+        }
+        let rp = plain.run();
+        let rh = hybrid.run();
+        assert_eq!(rp, rh.packet);
+        let mut want: Vec<(Ns, u32)> = flows
+            .iter()
+            .enumerate()
+            .map(|(f, fl)| (fl.3, f as u32))
+            .collect();
+        want.sort();
+        assert_eq!(hybrid.sim.start_log(), vec![want]);
+    }
+
+    #[test]
     fn packet_plane_runs_on_one_shard() {
         // The fluid stage owns a core, so the packet plane never shards,
         // however heavy its mice: 20 000 mice on the paper DRing would

@@ -146,8 +146,8 @@ pub(crate) struct ShardSink {
     local: SerialSink,
     /// Events other shards sent here. They arrive a window late, out of
     /// step with the local delay lanes, so they wait in a heap of their
-    /// own — a few hundred entries, against the local queue's heap of
-    /// far-future flow starts — and merge with the local stream by key.
+    /// own — a few hundred entries — and merge with the local stream by
+    /// key.
     inbox: HeapQueue<Ev>,
     /// Per destination shard: the events it owns, `(t, event)`, handed
     /// over when the window ends.
@@ -231,6 +231,14 @@ impl Sink for ShardSink {
         self.owners.links[self.owners.reverse(l) as usize].0 == self.id
     }
 
+    fn pending_starts(&self) -> usize {
+        self.local.pending_starts()
+    }
+
+    fn slots(&self) -> [u32; 2] {
+        [self.receiver_of.len() as u32, self.sender_of.len() as u32]
+    }
+
     #[cfg(test)]
     fn state_vecs(&self) -> Vec<crate::datapath::StateVec> {
         let mut all = self.local.state_vecs();
@@ -241,6 +249,10 @@ impl Sink for ShardSink {
 }
 
 /// One lookahead domain: the shared datapath over the state it owns.
+/// The shards sit side by side in one vector and each is written by its
+/// own thread on every event, so each starts on a fresh pair of cache
+/// lines: no line holds two shards' state.
+#[repr(align(128))]
 struct Shard<F: Forwarding> {
     core: Core<Arc<F>, ShardSink>,
     events: u64,
@@ -306,8 +318,8 @@ pub(crate) struct Sharded<F: Forwarding> {
 }
 
 impl<F: Forwarding> Sharded<F> {
-    /// Shards `plant` by `partition`, every admitted flow's TCP state
-    /// created in the shard that owns it; `faults` turns on the fault
+    /// Shards `plant` by `partition`, every admitted flow's start handed
+    /// to the shard that owns its sender; `faults` turns on the fault
     /// machinery, `residuals` installs per-link rate fractions.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
@@ -334,10 +346,12 @@ impl<F: Forwarding> Sharded<F> {
             .zip(flows)
             .zip(links)
             .map(|((id, (senders, receivers)), links)| {
+                let mut local = SerialSink::new(&cfg);
+                local.reserve_starts(senders);
                 let sink = ShardSink {
                     id,
                     owners: owners.clone(),
-                    local: SerialSink::new(&cfg),
+                    local,
                     inbox: HeapQueue::new(),
                     outgoing: (0..k).map(|_| Vec::new()).collect(),
                     receiver_of: Vec::with_capacity(senders),
@@ -355,7 +369,6 @@ impl<F: Forwarding> Sharded<F> {
                     core.enable_faults();
                 }
                 core.rate_scale = residuals.clone();
-                core.reserve_flows(senders, receivers);
                 Shard {
                     core,
                     events: 0,
@@ -392,22 +405,19 @@ impl<F: Forwarding> Sharded<F> {
         self.shard_of[self.shards[0].core.plant.server_switch[server as usize] as usize] as usize
     }
 
-    /// Creates flow `f`'s sender and receiver state at the next slots of
-    /// the shards that own them, each told the other's slot, and
-    /// schedules its start. Flows are admitted in id order, so each
-    /// shard's senders are too.
+    /// Gives flow `f` the next sender and receiver slots of the shards
+    /// that own its endpoints, each told the other's slot, and schedules
+    /// its start; its state is created when it starts. Flows are admitted
+    /// in id order, so each shard's senders are too.
     pub(crate) fn admit(&mut self, f: FlowId) {
         let sp = self.shards[0].core.plant.specs[f as usize];
         let (so, ro) = (self.home(sp.src), self.home(sp.dst));
-        let sslot = self.shards[so].core.senders.len() as u32;
-        let rslot = self.shards[ro].core.receivers.len() as u32;
-        let sender = &mut self.shards[so].core;
-        sender.add_sender(f);
-        sender.sink.receiver_of.push(rslot);
-        sender.sink.push(sp.start_ns, Ev::FlowStart(f, sslot));
-        let receiver = &mut self.shards[ro].core;
-        receiver.add_receiver();
-        receiver.sink.sender_of.push(sslot);
+        let sslot = self.shards[so].core.sink.receiver_of.len() as u32;
+        let rslot = self.shards[ro].core.sink.sender_of.len() as u32;
+        let sender = &mut self.shards[so].core.sink;
+        sender.receiver_of.push(rslot);
+        sender.local.add_start(sp.start_ns, f, sslot);
+        self.shards[ro].core.sink.sender_of.push(sslot);
     }
 
     /// The shards' datapath cores.
@@ -435,15 +445,14 @@ impl<F: Forwarding> Sharded<F> {
     /// senders: replaying admission, the next sender slot of the flow's
     /// home shard is its own.
     pub(crate) fn records(&self) -> Vec<FlowRecord> {
-        let mut next = vec![0usize; self.shards.len()];
+        let mut next = vec![0u32; self.shards.len()];
         let specs = &self.shards[0].core.plant.specs;
         (0..specs.len() as FlowId)
             .map(|f| {
                 let so = self.home(specs[f as usize].src);
-                let (core, slot) = (&self.shards[so].core, next[so]);
+                let slot = next[so];
                 next[so] += 1;
-                debug_assert_eq!(core.senders[slot].flow, f);
-                specs[f as usize].record(f, core.fct[slot], &core.senders[slot])
+                specs[f as usize].record(f, self.shards[so].core.outcome(slot))
             })
             .collect()
     }
@@ -1106,24 +1115,17 @@ mod tests {
     #[test]
     fn shard_state_is_local() {
         // Every vector a shard keeps covers what that shard owns: the
-        // links whose tail it owns and the senders and receivers of its
-        // racks. Adding shards splits the state instead of copying it.
+        // links whose tail it owns and the slots of its racks' senders and
+        // receivers, and its pools hold only the flows running there.
+        // Adding shards splits the state instead of copying it.
         assert_eq!(std::mem::size_of::<crate::packet::Packet>(), 64);
         assert_eq!(std::mem::size_of::<crate::datapath::FlowSpec>(), 32);
         let t = DRing::uniform(8, 2, 12).build();
         let flows = workload(&t, 60, 2);
-        let state = |k: u32| {
-            let mut sim = sharded(
-                &t,
-                RoutingScheme::Ecmp,
-                SimConfig::default(),
-                7,
-                k,
-                &flows,
-                None,
-            );
+        let state = |k: u32, cfg: SimConfig| {
+            let mut sim = sharded(&t, RoutingScheme::Ecmp, cfg, 7, k, &flows, None);
             sim.run();
-            (sim.num_dir_links(), sim.shard_state(), sim.state_bytes())
+            sim.shard_state()
         };
         let total = |shards: &[Vec<(&str, usize, usize)>], name: &str| -> usize {
             shards
@@ -1133,41 +1135,69 @@ mod tests {
                 .map(|v| v.1)
                 .sum()
         };
-        let (links, serial, one) = state(1);
-        assert_eq!(total(&serial, "queues"), links);
+        // Bytes outside the pools, whose size follows the flows live at
+        // once in each shard rather than what the shard owns.
+        let pools = ["senders", "free senders", "receivers", "free receivers"];
+        let fixed = |shards: &[Vec<(&str, usize, usize)>]| -> usize {
+            shards
+                .iter()
+                .flatten()
+                .filter(|v| !pools.contains(&v.0))
+                .map(|v| v.2)
+                .sum()
+        };
+        let serial = state(1, SimConfig::default());
+        let links = total(&serial, "queues");
+        assert_eq!(
+            links,
+            2 * t.graph.num_edges() as usize + 2 * t.num_servers() as usize
+        );
         for k in [2, 3, 4, 8] {
-            let (_, shards, all) = state(k);
+            let shards = state(k, SimConfig::default());
             assert_eq!(shards.len(), k as usize);
             assert_eq!(total(&shards, "queues"), links, "k={k}");
-            assert_eq!(total(&shards, "senders"), flows.len(), "k={k}");
-            assert_eq!(total(&shards, "receivers"), flows.len(), "k={k}");
+            for name in [
+                "sender_at",
+                "outcomes",
+                "receiver_at",
+                "receiver_of",
+                "sender_of",
+            ] {
+                assert_eq!(total(&shards, name), flows.len(), "k={k}: {name}");
+            }
+            for name in ["senders", "receivers"] {
+                assert!(total(&shards, name) < flows.len(), "k={k}: {name}");
+            }
             for (name, len, _) in shards.iter().flatten() {
                 assert_ne!(*len, flows.len(), "k={k}: {name} is sized by every flow");
                 assert_ne!(*len, links, "k={k}: {name} is sized by every link");
             }
+            let (all, one) = (fixed(&shards), fixed(&serial));
             let spread = (all as f64 / one as f64 - 1.0).abs();
             assert!(
                 spread <= 0.02,
                 "k={k}: {all} state bytes against {one} on one shard"
             );
         }
-        // Flowlet state exists only in flowlet runs: (entries, bytes) of
-        // `flowlet_id` and `last_emit_ns` over both shards.
+        // Flowlet state exists only in flowlet runs, one entry of
+        // `flowlet_id` and `last_emit_ns` per sender pool entry.
         let flowlet_state = |cfg: SimConfig| {
-            let mut sim = sharded(&t, RoutingScheme::Ecmp, cfg, 7, 2, &flows, None);
-            sim.run();
-            sim.shard_state()
+            let shards = state(2, cfg);
+            let (len, bytes) = shards
                 .iter()
                 .flatten()
                 .filter(|v| v.0 == "flowlet_id" || v.0 == "last_emit_ns")
-                .fold((0, 0), |(len, bytes), v| (len + v.1, bytes + v.2))
+                .fold((0, 0), |(len, bytes), v| (len + v.1, bytes + v.2));
+            (len, bytes, total(&shards, "senders"))
         };
-        assert_eq!(flowlet_state(SimConfig::default()), (0, 0));
+        let (len, bytes, _) = flowlet_state(SimConfig::default());
+        assert_eq!((len, bytes), (0, 0));
         let flowlets = SimConfig {
             flowlet_gap_ns: Some(40_000),
             ..SimConfig::default()
         };
-        assert_eq!(flowlet_state(flowlets).0, 2 * flows.len());
+        let (len, _, senders) = flowlet_state(flowlets);
+        assert_eq!(len, 2 * senders);
     }
 
     #[test]
