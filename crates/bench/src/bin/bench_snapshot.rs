@@ -2,13 +2,16 @@
 //! layer's retained reference path (reference-heap scheduler, full-scan
 //! fluid solver, serial heap-Dijkstra routing builds, from-scratch failure
 //! recompute, nested next-hop tables, reference per-packet datapath)
-//! against the current default (delay-lane scheduler, active-list solver,
+//! against the current default (delay-lane scheduler, link-major solver,
 //! pooled bucket-queue CSR builds, incremental failure recompute, fast
 //! datapath: FIB hot-cache + RTO timer wheel + terminal-TxDone elision).
 //! The Fig. 4 grid runs through `run_fig4` under both schedulers; the
 //! Fig. 5 panel is timed on its own. Writes `BENCH_sim.json` (wall time,
 //! events/sec, pkt-hops/sec, cells/sec, speedups) and prints a summary.
-//! Every timing is one run per side.
+//! The fluid-solver, routing-build and CSR-walk pairs take milliseconds a
+//! run, so each reports the median, min and max of [`RUNS`] alternating
+//! runs per side, and how many of those pairs the fast side won; every
+//! other timing is one run per side.
 //!
 //! These are the layer pairs no `spinebench` workload isolates. The
 //! at-scale sharded engine, the hybrid open-loop regime, the design
@@ -61,6 +64,84 @@ fn alloc_reading() -> Option<u64> {
     #[cfg(not(feature = "count-allocs"))]
     {
         None
+    }
+}
+
+/// Runs per side of each repeated pair: a pair's one-run timings disagree
+/// from one invocation to the next by more than the speedups they report.
+const RUNS: usize = 7;
+
+/// One side's wall times over [`RUNS`] runs.
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut walls: Vec<f64>) -> Spread {
+        walls.sort_by(f64::total_cmp);
+        Spread {
+            median: walls[walls.len() / 2],
+            min: walls[0],
+            max: walls[walls.len() - 1],
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            r#"{{ "median": {:.5}, "min": {:.5}, "max": {:.5} }}"#,
+            self.median, self.min, self.max
+        )
+    }
+}
+
+/// A repeated before/after timing: both sides' spreads, the pairs the
+/// fast side won, and each side's last output (for the identity check).
+struct Pair<R, F> {
+    reference: Spread,
+    fast: Spread,
+    fast_wins: usize,
+    last: (R, F),
+}
+
+impl<R, F> Pair<R, F> {
+    /// Median-over-median speedup of the fast side.
+    fn speedup(&self) -> f64 {
+        self.reference.median / self.fast.median
+    }
+}
+
+/// Wall time of one call, and its output.
+fn timed<T>(f: &mut impl FnMut() -> T) -> (f64, T) {
+    let t0 = Instant::now();
+    let out = f();
+    (t0.elapsed().as_secs_f64(), out)
+}
+
+/// Times [`RUNS`] pairs of `reference` and `fast` runs, alternating which
+/// side runs first so neither always inherits the other's warm caches.
+fn timed_pair<R, F>(mut reference: impl FnMut() -> R, mut fast: impl FnMut() -> F) -> Pair<R, F> {
+    let (mut ref_walls, mut fast_walls, mut fast_wins) = (Vec::new(), Vec::new(), 0);
+    let mut last = None;
+    for run in 0..RUNS {
+        let ((r, ref_out), (f, fast_out)) = if run % 2 == 0 {
+            let r = timed(&mut reference);
+            (r, timed(&mut fast))
+        } else {
+            let f = timed(&mut fast);
+            (timed(&mut reference), f)
+        };
+        fast_wins += usize::from(f < r);
+        ref_walls.push(r);
+        fast_walls.push(f);
+        last = Some((ref_out, fast_out));
+    }
+    Pair {
+        reference: Spread::of(ref_walls),
+        fast: Spread::of(fast_walls),
+        fast_wins,
+        last: last.expect("RUNS > 0"),
     }
 }
 
@@ -296,7 +377,7 @@ fn main() {
         fig5_cells as f64 / fig5_s
     );
 
-    // --- Fluid solver: active-list vs full-scan on a dense C-S instance. ---
+    // --- Fluid solver: link-major vs full-scan on a dense C-S instance. ---
     let space = LinkSpace::new(&topos.dring);
     let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
     let n = topos.dring.num_servers();
@@ -323,27 +404,23 @@ fn main() {
         fl.push(links);
     }
     let cap = vec![1.0f64; space.num_links() as usize];
-    let reps = 5;
-    let t0 = Instant::now();
-    let mut fast = Vec::new();
-    for _ in 0..reps {
-        fast = max_min_rates(space.num_links() as usize, &cap, &fl);
-    }
-    let fluid_fast_s = t0.elapsed().as_secs_f64() / reps as f64;
-    let t0 = Instant::now();
-    let mut slow = Vec::new();
-    for _ in 0..reps {
-        slow = max_min_rates_reference(space.num_links() as usize, &cap, &fl);
-    }
-    let fluid_slow_s = t0.elapsed().as_secs_f64() / reps as f64;
-    for (a, b) in fast.iter().zip(&slow) {
+    let num_links = space.num_links() as usize;
+    let fluid = timed_pair(
+        || max_min_rates_reference(num_links, &cap, &fl),
+        || max_min_rates(num_links, &cap, &fl),
+    );
+    let (slow, fast) = &fluid.last;
+    for (a, b) in fast.iter().zip(slow) {
         assert_eq!(a.to_bits(), b.to_bits(), "fluid solvers diverged");
     }
-    let fluid_speedup = fluid_slow_s / fluid_fast_s;
     eprintln!(
-        "fluid: {} flows / {} links — active-list {fluid_fast_s:.4}s vs full-scan {fluid_slow_s:.4}s ({fluid_speedup:.2}x)",
+        "fluid: {} flows / {} links — link-major {:.4}s vs full-scan {:.4}s median of {RUNS} ({:.2}x, {}/{RUNS} won)",
         fl.len(),
-        space.num_links()
+        space.num_links(),
+        fluid.fast.median,
+        fluid.reference.median,
+        fluid.speedup(),
+        fluid.fast_wins
     );
 
     // --- Routing-state build on the largest Fig. 6 sweep topology:
@@ -351,18 +428,20 @@ fn main() {
     // CSR tables. ---
     let big = DRing::scale_config(15).build();
     let scheme = RoutingScheme::ShortestUnion(2);
-    let t0 = Instant::now();
-    let build_ref = ForwardingState::build_reference(&big.graph, scheme);
-    let build_ref_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let build_fast = ForwardingState::build(&big.graph, scheme);
-    let build_fast_s = t0.elapsed().as_secs_f64();
+    let build = timed_pair(
+        || ForwardingState::build_reference(&big.graph, scheme),
+        || ForwardingState::build(&big.graph, scheme),
+    );
+    let (build_ref, build_fast) = &build.last;
     assert_eq!(build_fast, build_ref, "routing-state builds diverged");
-    let build_speedup = build_ref_s / build_fast_s;
     let big_switches = big.num_switches();
     let build_heap_bytes = build_fast.heap_bytes();
     eprintln!(
-        "routing build: {big_switches} switches su2 — reference {build_ref_s:.3}s vs parallel bucket/CSR {build_fast_s:.3}s ({build_speedup:.2}x), {build_heap_bytes} B of tables"
+        "routing build: {big_switches} switches su2 — reference {:.4}s vs parallel bucket/CSR {:.4}s median of {RUNS} ({:.2}x, {}/{RUNS} won), {build_heap_bytes} B of tables",
+        build.reference.median,
+        build.fast.median,
+        build.speedup(),
+        build.fast_wins
     );
 
     // --- Failure recompute on the same topology: full rebuild vs
@@ -373,7 +452,7 @@ fn main() {
     let full = ForwardingState::build(&degraded.graph, scheme);
     let fail_full_s = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
-    let (_, inc) = incremental_rebuild(&build_fast, &big, &plan).expect("incremental");
+    let (_, inc) = incremental_rebuild(build_fast, &big, &plan).expect("incremental");
     let fail_inc_s = t0.elapsed().as_secs_f64();
     assert_eq!(inc, full, "incremental failure recompute diverged");
     let fail_speedup = fail_full_s / fail_inc_s;
@@ -391,7 +470,6 @@ fn main() {
     let walk = |use_csr: bool| {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x3A1D);
         let mut hops = 0usize;
-        let t0 = Instant::now();
         for i in 0..walks as u64 {
             let s = ((i * 7919) % big_switches as u64) as u32;
             let d = ((i * 104729 + 1) % big_switches as u64) as u32;
@@ -406,21 +484,24 @@ fn main() {
             };
             hops += p.expect("connected").len();
         }
-        (t0.elapsed().as_secs_f64(), hops)
+        hops
     };
-    let (walk_nested_s, hops_nested) = walk(false);
-    let (walk_csr_s, hops_csr) = walk(true);
+    let csr_walk = timed_pair(|| walk(false), || walk(true));
+    let (hops_nested, hops_csr) = csr_walk.last;
     assert_eq!(hops_nested, hops_csr, "walk layouts diverged");
-    let walk_speedup = walk_nested_s / walk_csr_s;
     eprintln!(
-        "csr walk: {walks} routes — nested {walk_nested_s:.3}s vs CSR {walk_csr_s:.3}s ({walk_speedup:.2}x)"
+        "csr walk: {walks} routes — nested {:.4}s vs CSR {:.4}s median of {RUNS} ({:.2}x, {}/{RUNS} won)",
+        csr_walk.reference.median,
+        csr_walk.fast.median,
+        csr_walk.speedup(),
+        csr_walk.fast_wins
     );
 
     // Hand-rolled JSON: the workspace deliberately carries no serde_json
     // dependency, and the document is flat enough that format! suffices.
     let json = format!(
         r#"{{
-  "schema": "bench_snapshot/v10",
+  "schema": "bench_snapshot/v11",
   "seed": {seed},
   "host_threads": {threads},
   "scheduler_microbench": {{
@@ -467,18 +548,22 @@ fn main() {
   "fluid_solver": {{
     "flows": {fluid_flows},
     "links": {fluid_links},
-    "active_list_wall_s": {fluid_fast_s:.5},
-    "full_scan_wall_s": {fluid_slow_s:.5},
+    "runs": {RUNS},
+    "link_major_wall_s": {fluid_fast},
+    "full_scan_wall_s": {fluid_slow},
     "speedup": {fluid_speedup:.3},
+    "fast_wins": {fluid_wins},
     "results_identical": true
   }},
   "routing_build": {{
     "topology": "dring scale_config(15), largest fig6 sweep point",
     "switches": {big_switches},
     "scheme": "shortest-union(2)",
-    "reference": {{ "engine": "serial heap dijkstra, nested tables", "wall_s": {build_ref_s:.4} }},
-    "fast": {{ "engine": "parallel bucket queue, csr tables", "wall_s": {build_fast_s:.4} }},
+    "runs": {RUNS},
+    "reference": {{ "engine": "serial heap dijkstra, nested tables", "wall_s": {build_ref} }},
+    "fast": {{ "engine": "parallel bucket queue, csr tables", "wall_s": {build_fast} }},
     "speedup": {build_speedup:.3},
+    "fast_wins": {build_wins},
     "heap_bytes": {build_heap_bytes},
     "results_identical": true
   }},
@@ -492,9 +577,11 @@ fn main() {
   }},
   "csr_walk": {{
     "routes": {walks},
-    "nested_wall_s": {walk_nested_s:.4},
-    "csr_wall_s": {walk_csr_s:.4},
+    "runs": {RUNS},
+    "nested_wall_s": {walk_nested},
+    "csr_wall_s": {walk_csr},
     "speedup": {walk_speedup:.3},
+    "csr_wins": {walk_wins},
     "results_identical": true
   }}
 }}
@@ -516,6 +603,18 @@ fn main() {
         fig5_cps = fig5_cells as f64 / fig5_s,
         fluid_flows = fl.len(),
         fluid_links = space.num_links(),
+        fluid_fast = fluid.fast.json(),
+        fluid_slow = fluid.reference.json(),
+        fluid_speedup = fluid.speedup(),
+        fluid_wins = fluid.fast_wins,
+        build_ref = build.reference.json(),
+        build_fast = build.fast.json(),
+        build_speedup = build.speedup(),
+        build_wins = build.fast_wins,
+        walk_nested = csr_walk.reference.json(),
+        walk_csr = csr_walk.fast.json(),
+        walk_speedup = csr_walk.speedup(),
+        walk_wins = csr_walk.fast_wins,
     );
     std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
     println!("{json}");

@@ -11,8 +11,8 @@ use spineless_topo::Topology;
 ///
 /// Each flow is a list of link indices it traverses. Progressive filling:
 /// raise all unfrozen flows at the same rate until some link saturates,
-/// freeze the flows crossing it, repeat. Exact for this model and `O(L·F)`
-/// per round with at most `L` rounds.
+/// freeze the flows crossing it, repeat. Exact for this model; at most `L`
+/// rounds, each costing what [`max_min_rates_with`] states.
 ///
 /// Flows with an empty link list (same-server transfers) get `f64::INFINITY`.
 ///
@@ -31,28 +31,32 @@ pub fn max_min_rates(num_links: usize, cap: &[f64], flows: &[Vec<u32>]) -> Vec<f
 ///
 /// Event-driven re-solves (hybrid co-simulation: elephant arrival /
 /// departure / failure reconvergence) call the solver thousands of times
-/// per run on near-identical instances; keeping the active list, per-link
-/// accumulators, and round-local marks in one long-lived struct makes each
-/// re-solve allocation-free after the first (the same discipline as
-/// `sample_route_into`'s shared route buffer).
+/// per run on near-identical instances; keeping the per-link counters, the
+/// link→flow incidence lists and the round-local lists in one long-lived
+/// struct makes each re-solve allocation-free after the first (the same
+/// discipline as `sample_route_into`'s shared route buffer).
 ///
 /// After a solve, [`FluidScratch::link_used`] exposes the per-link
 /// capacity consumed by the solved flows — the residual-capacity export
 /// the packet engine needs for rate handoff.
 #[derive(Debug, Default)]
 pub struct FluidScratch {
-    /// Active (unfrozen) flow count per link.
+    /// Route entries of unfrozen flows per link: the number of `+= inc`
+    /// the link takes each round.
     active: Vec<u32>,
     /// Capacity consumed per link; valid after a solve.
     used: Vec<f64>,
-    /// Flow indices not yet frozen at a bottleneck.
-    unfrozen: Vec<u32>,
-    /// Links with at least one active flow.
+    /// Links with at least one active route entry.
     active_links: Vec<u32>,
-    /// Round-local saturation marks (cleared before the round ends).
-    saturated: Vec<bool>,
-    /// Links marked saturated this round.
+    /// Links that saturated this round.
     sat_links: Vec<u32>,
+    /// `crossing[start[l]..start[l + 1]]` lists the flows crossing link
+    /// `l`, once per route entry, in flow order.
+    start: Vec<u32>,
+    /// Link→flow incidence lists, built once per solve.
+    crossing: Vec<u32>,
+    /// Per-flow freeze marks.
+    frozen: Vec<bool>,
 }
 
 impl FluidScratch {
@@ -71,10 +75,23 @@ impl FluidScratch {
 /// [`max_min_rates`] with caller-owned scratch and output buffers, generic
 /// over the per-flow route container (`Vec<u32>`, `&[u32]`, …).
 ///
-/// Identical arithmetic to [`max_min_rates`] — a test pins bit equality —
-/// but allocation-free when `scratch` and `rate` are reused across calls.
-/// On return `rate` holds the max-min allocation and
-/// `scratch.link_used()` the per-link consumed capacity.
+/// Progressive filling run link-major. Every unfrozen flow has received
+/// the same increments in the same order, so its rate is the running sum
+/// of the increments, written once when the flow freezes. Each round takes
+/// the increment as the min of `headroom / active` over the active links
+/// (a min is order-free), gives each active link exactly `active[l]`
+/// sequential `used[l] += inc` — the adds the flow-major reference makes
+/// on that accumulator, whose order cannot matter since they all add the
+/// same `inc` — and freezes the flows on the incidence lists of the links
+/// that saturated. The result — rates and `scratch.link_used()` — is
+/// therefore bit-identical to [`max_min_rates_reference`], which tests
+/// pin.
+///
+/// `O(E + L)` to build the incidence lists (`E` route entries, `L` links),
+/// then per round `O(A + E_r)` for `A` active links and `E_r` route
+/// entries of unfrozen flows; the freezes cost `O(E)` over the whole
+/// solve. At most `L` rounds. Allocation-free when `scratch` and `rate`
+/// are reused across calls.
 ///
 /// # Panics
 ///
@@ -87,92 +104,122 @@ pub fn max_min_rates_with<S: AsRef<[u32]>>(
     rate: &mut Vec<f64>,
 ) {
     assert_eq!(cap.len(), num_links);
+    let FluidScratch {
+        active,
+        used,
+        active_links,
+        sat_links,
+        start,
+        crossing,
+        frozen,
+    } = scratch;
     rate.clear();
     rate.resize(flows.len(), 0.0);
-    // Active flow count per link.
-    let active = &mut scratch.active;
     active.clear();
     active.resize(num_links, 0);
-    for fl in flows {
-        for &l in fl.as_ref() {
+    let mut live = 0usize;
+    for (i, fl) in flows.iter().enumerate() {
+        let fl = fl.as_ref();
+        if fl.is_empty() {
+            rate[i] = f64::INFINITY;
+            continue;
+        }
+        live += 1;
+        for &l in fl {
             assert!((l as usize) < num_links, "link {l} out of range");
             active[l as usize] += 1;
         }
     }
-    let used = &mut scratch.used;
+    // Incidence lists: `start[l]` begins at the end of `l`'s range and
+    // counts down as the flows are placed back to front.
+    start.clear();
+    let mut end = 0u32;
+    start.extend(active.iter().map(|&a| {
+        end += a;
+        end
+    }));
+    start.push(end);
+    crossing.clear();
+    crossing.resize(end as usize, 0);
+    for (i, fl) in flows.iter().enumerate().rev() {
+        for &l in fl.as_ref() {
+            start[l as usize] -= 1;
+            crossing[start[l as usize] as usize] = i as u32;
+        }
+    }
+    frozen.clear();
+    frozen.resize(flows.len(), false);
     used.clear();
     used.resize(num_links, 0.0);
-    // Work on index lists instead of scanning every link and flow each
-    // round: the lists only shrink, so late rounds (few unfrozen flows on
-    // a handful of contested links) cost what they touch, not O(L + F).
-    //
-    // Floating-point equivalence with the reference implementation
-    // ([`max_min_rates_reference`]) is exact, not approximate: within a
-    // round every update is `+= inc` on its own accumulator, so iteration
-    // *order* over flows cannot change `used`, and the `min` over link
-    // headrooms is order-independent. A test cross-checks bit equality.
-    let unfrozen = &mut scratch.unfrozen;
-    unfrozen.clear();
-    for (i, fl) in flows.iter().enumerate() {
-        if fl.as_ref().is_empty() {
-            rate[i] = f64::INFINITY;
-        } else {
-            unfrozen.push(i as u32);
-        }
-    }
-    let active_links = &mut scratch.active_links;
     active_links.clear();
     active_links.extend((0..num_links as u32).filter(|&l| active[l as usize] > 0));
-    // Scratch: `saturated` marks are set and cleared per round, so the
-    // allocation never recurs.
-    let saturated = &mut scratch.saturated;
-    saturated.clear();
-    saturated.resize(num_links, false);
-    let sat_links = &mut scratch.sat_links;
+    for &l in active_links.iter() {
+        assert!(cap[l as usize] > 0.0, "used link {l} has no capacity");
+    }
+    // The rate of every flow still unfrozen: `0.0 + inc₁ + inc₂ + …`, the
+    // same adds in the same order as the reference's per-flow `+= inc`.
+    let mut filled = 0.0f64;
     const EPS: f64 = 1e-12;
-    while !unfrozen.is_empty() {
-        // Smallest equal-increment any bottleneck link permits.
-        let mut inc = f64::INFINITY;
-        for &l in active_links.iter() {
-            let l = l as usize;
-            assert!(cap[l] > 0.0, "used link {l} has no capacity");
-            let headroom = (cap[l] - used[l]).max(0.0);
-            inc = inc.min(headroom / active[l] as f64);
-        }
+    while live > 0 {
+        active_links.retain(|&l| active[l as usize] > 0);
+        let inc = smallest_increment(cap, used, active, active_links);
         debug_assert!(inc.is_finite(), "active flows but no constraining link");
-        // Apply the increment to all unfrozen flows.
-        for &i in unfrozen.iter() {
-            rate[i as usize] += inc;
-            for &l in flows[i as usize].as_ref() {
-                used[l as usize] += inc;
-            }
-        }
-        // Find links saturated this round (only active links can be:
-        // every link of an unfrozen flow has active > 0).
+        filled += inc;
+        // Each active link takes its `active[l]` adds in sequence; only
+        // active links can saturate (every link of an unfrozen flow has
+        // active > 0).
         sat_links.clear();
         for &l in active_links.iter() {
-            if used[l as usize] + EPS >= cap[l as usize] {
-                saturated[l as usize] = true;
-                sat_links.push(l);
+            let l = l as usize;
+            let mut u = used[l];
+            for _ in 0..active[l] {
+                u += inc;
+            }
+            used[l] = u;
+            if u + EPS >= cap[l] {
+                sat_links.push(l as u32);
             }
         }
-        // Freeze flows crossing saturated links.
-        unfrozen.retain(|&i| {
-            let fl = flows[i as usize].as_ref();
-            if fl.iter().any(|&l| saturated[l as usize]) {
-                for &l in fl {
-                    active[l as usize] -= 1;
-                }
-                false
-            } else {
-                true
-            }
-        });
         for &l in sat_links.iter() {
-            saturated[l as usize] = false;
+            let (lo, hi) = (start[l as usize] as usize, start[l as usize + 1] as usize);
+            for &i in &crossing[lo..hi] {
+                if !std::mem::replace(&mut frozen[i as usize], true) {
+                    rate[i as usize] = filled;
+                    live -= 1;
+                    for &m in flows[i as usize].as_ref() {
+                        active[m as usize] -= 1;
+                    }
+                }
+            }
         }
-        active_links.retain(|&l| active[l as usize] > 0);
     }
+}
+
+/// Smallest equal increment any listed link permits: the min over links of
+/// `headroom / active`. The min is exact and order-free (no quotient is
+/// NaN: headroom is clamped at 0 and every listed count is positive), so
+/// four running minima over interleaved links give the reference's value
+/// while their compare chains overlap; a single chain made this scan the
+/// solver's bottleneck.
+fn smallest_increment(cap: &[f64], used: &[f64], active: &[u32], links: &[u32]) -> f64 {
+    let quotient = |l: u32| {
+        let l = l as usize;
+        (cap[l] - used[l]).max(0.0) / active[l] as f64
+    };
+    let mut mins = [f64::INFINITY; 4];
+    let mut quads = links.chunks_exact(4);
+    for quad in &mut quads {
+        for (m, &l) in mins.iter_mut().zip(quad) {
+            let q = quotient(l);
+            if q < *m {
+                *m = q;
+            }
+        }
+    }
+    for &l in quads.remainder() {
+        mins[0] = mins[0].min(quotient(l));
+    }
+    mins[0].min(mins[1]).min(mins[2].min(mins[3]))
 }
 
 /// The straightforward full-scan implementation of [`max_min_rates`]:
@@ -180,6 +227,16 @@ pub fn max_min_rates_with<S: AsRef<[u32]>>(
 /// freeze step. Kept as the bit-exactness reference (see the cross-check
 /// test) and as the baseline for the solver benchmarks.
 pub fn max_min_rates_reference(num_links: usize, cap: &[f64], flows: &[Vec<u32>]) -> Vec<f64> {
+    reference_rates_and_used(num_links, cap, flows).0
+}
+
+/// [`max_min_rates_reference`]'s rates and its per-link consumed capacity
+/// (what [`FluidScratch::link_used`] reports for the fast solver).
+fn reference_rates_and_used(
+    num_links: usize,
+    cap: &[f64],
+    flows: &[Vec<u32>],
+) -> (Vec<f64>, Vec<f64>) {
     assert_eq!(cap.len(), num_links);
     let mut rate = vec![0.0f64; flows.len()];
     let mut frozen = vec![false; flows.len()];
@@ -240,7 +297,7 @@ pub fn max_min_rates_reference(num_links: usize, cap: &[f64], flows: &[Vec<u32>]
             }
         }
     }
-    rate
+    (rate, used)
 }
 
 /// Outcome of a fluid throughput experiment.
@@ -569,6 +626,101 @@ mod tests {
         // used never exceeds capacity (beyond fp eps).
         for (l, &u) in used.iter().enumerate() {
             assert!(u <= 1.0 + 1e-9, "link {l} overfilled: {u}");
+        }
+    }
+
+    /// Solves `flows` on a scratch that earlier solves have dirtied and
+    /// checks the rates and `link_used()` bit for bit against the
+    /// reference's.
+    fn assert_matches_reference(
+        scratch: &mut FluidScratch,
+        num_links: usize,
+        cap: &[f64],
+        flows: &[Vec<u32>],
+        what: &str,
+    ) {
+        let mut rate = Vec::new();
+        max_min_rates_with(num_links, cap, flows, scratch, &mut rate);
+        let (ref_rate, ref_used) = reference_rates_and_used(num_links, cap, flows);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rate), bits(&ref_rate), "{what}: rates");
+        assert_eq!(bits(scratch.link_used()), bits(&ref_used), "{what}: used");
+    }
+
+    #[test]
+    fn link_major_solver_matches_reference_on_hard_instances() {
+        let mut scratch = FluidScratch::new();
+        // A route that crosses the same link twice (and one three times):
+        // each crossing is its own `+= inc` and its own active count.
+        assert_matches_reference(
+            &mut scratch,
+            3,
+            &[1.0, 0.7, 1.0],
+            &[vec![0, 0, 1], vec![0], vec![1, 1, 1], vec![2, 0, 2]],
+            "repeated links",
+        );
+        // Non-unit capacities, several orders of magnitude apart.
+        assert_matches_reference(
+            &mut scratch,
+            5,
+            &[0.3, 1.7, 2.5, 1e-3, 10.0],
+            &[
+                vec![0, 1],
+                vec![1, 2],
+                vec![2, 4],
+                vec![3, 4],
+                vec![4],
+                vec![1],
+            ],
+            "non-unit capacities",
+        );
+        // A ring of twelve equal links, two flows per link: every link
+        // saturates in the first round.
+        let ring: Vec<Vec<u32>> = (0..12u32).map(|i| vec![i, (i + 1) % 12]).collect();
+        assert_matches_reference(&mut scratch, 12, &[1.0; 12], &ring, "ring ties");
+        // A 6 × 6 grid of row and column flows over 36 links: the row and
+        // column bottlenecks tie in pairs across rounds.
+        let mut grid: Vec<Vec<u32>> = Vec::new();
+        for r in 0..6u32 {
+            grid.push((0..6).map(|c| r * 6 + c).collect());
+            grid.push((0..6).map(|c| c * 6 + r).collect());
+        }
+        let grid_cap: Vec<f64> = (0..36).map(|l| [1.0, 2.0, 0.5][l % 3]).collect();
+        assert_matches_reference(&mut scratch, 36, &grid_cap, &grid, "grid ties");
+        // Empty routes mixed in, first and last included.
+        assert_matches_reference(
+            &mut scratch,
+            2,
+            &[1.0, 0.25],
+            &[vec![], vec![0], vec![], vec![0, 1], vec![1, 1], vec![]],
+            "empty routes",
+        );
+        // Only empty routes: no round runs.
+        assert_matches_reference(&mut scratch, 2, &[1.0; 2], &[vec![], vec![]], "all empty");
+        // Random instances drawing from few links and three capacities, so
+        // repeats within a route, ties and empty routes are all common.
+        let mut rng = SmallRng::seed_from_u64(0x71E5);
+        for case in 0..200 {
+            use rand::Rng;
+            let num_links = rng.gen_range(1..12usize);
+            let cap: Vec<f64> = (0..num_links)
+                .map(|_| [0.5, 1.0, 3.0][rng.gen_range(0..3)])
+                .collect();
+            let flows: Vec<Vec<u32>> = (0..rng.gen_range(0..40usize))
+                .map(|_| {
+                    let hops = rng.gen_range(0..7usize);
+                    (0..hops)
+                        .map(|_| rng.gen_range(0..num_links as u32))
+                        .collect()
+                })
+                .collect();
+            assert_matches_reference(
+                &mut scratch,
+                num_links,
+                &cap,
+                &flows,
+                &format!("case {case}"),
+            );
         }
     }
 

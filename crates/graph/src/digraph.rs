@@ -12,14 +12,19 @@
 //! Two shortest-path engines coexist. [`DiGraph::dijkstra_to`] is the
 //! binary-heap reference. [`DiGraph::bucket_dijkstra_to`] is a Dial
 //! bucket-queue specialised to the small integer arc costs the VRF
-//! construction produces (every cost is in `1..=K`, so a `(K+1)`-slot
-//! ring of buckets replaces the heap); it returns the same distance
-//! labels — shortest-path distances are unique, so the engines agree
-//! exactly, which the tests and proptests pin. Likewise the per-node
-//! next-hop sets come in two layouts: the nested [`WeightedSpDag`]
-//! (one `Vec` per node, the readable reference) and the flat
-//! [`CsrSpDag`] (a single exact-size arena of arc ids per DAG, what the
-//! forwarding hot paths walk).
+//! construction produces (every cost is in `1..=K`, so a ring of `K + 1`
+//! buckets, rounded up to a power of two, replaces the heap); it returns
+//! the same distance labels — shortest-path distances are unique, so the
+//! engines agree exactly, which the tests and proptests pin. Likewise the
+//! per-node next-hop sets come in two layouts: the nested
+//! [`WeightedSpDag`] (one `Vec` per node, the readable reference) and the
+//! flat [`CsrSpDag`] (a single exact-size arena of arc ids per DAG, what
+//! the forwarding hot paths walk).
+//!
+//! Each adjacency entry carries its arc's cost (forward entries are
+//! `(head, arc, cost)`, reverse ones `(tail, cost)`), so the shortest-path
+//! sweeps and the DAG extraction read costs from the slice they already
+//! walk instead of looking each arc up in the arc table.
 //!
 //! Distance labels are `u32` with [`UNREACHABLE`] as the sentinel in both
 //! engines; relaxations add in `u64`, and [`DiGraph::from_arcs`] rejects a
@@ -85,11 +90,12 @@ pub struct DiGraph {
     num_nodes: u32,
     arcs: Vec<(NodeId, NodeId, u32)>,
     fwd_off: Vec<u32>,
-    /// (head, arc id) pairs in forward CSR order.
-    fwd: Vec<(NodeId, ArcId)>,
+    /// `(head, arc id, cost)` triples in forward CSR order.
+    fwd: Vec<(NodeId, ArcId, u32)>,
     rev_off: Vec<u32>,
-    /// (tail, arc id) pairs in reverse CSR order.
-    rev: Vec<(NodeId, ArcId)>,
+    /// `(tail, cost)` pairs in reverse CSR order. The reverse walks (the
+    /// distance sweeps towards a destination) never need the arc id.
+    rev: Vec<(NodeId, u32)>,
 }
 
 impl DiGraph {
@@ -129,12 +135,12 @@ impl DiGraph {
         let rev_off = prefix(&in_deg);
         let mut fcur: Vec<u32> = fwd_off[..n].to_vec();
         let mut rcur: Vec<u32> = rev_off[..n].to_vec();
-        let mut fwd = vec![(0u32, 0u32); arcs.len()];
+        let mut fwd = vec![(0u32, 0u32, 0u32); arcs.len()];
         let mut rev = vec![(0u32, 0u32); arcs.len()];
-        for (i, &(u, v, _)) in arcs.iter().enumerate() {
-            fwd[fcur[u as usize] as usize] = (v, i as ArcId);
+        for (i, &(u, v, w)) in arcs.iter().enumerate() {
+            fwd[fcur[u as usize] as usize] = (v, i as ArcId, w);
             fcur[u as usize] += 1;
-            rev[rcur[v as usize] as usize] = (u, i as ArcId);
+            rev[rcur[v as usize] as usize] = (u, w);
             rcur[v as usize] += 1;
         }
         DiGraph {
@@ -165,53 +171,29 @@ impl DiGraph {
         self.arcs[a as usize]
     }
 
-    /// Out-neighbors of `u` as `(head, arc)` pairs.
+    /// Out-neighbors of `u` as `(head, arc, cost)` triples, in arc-id
+    /// order.
     #[inline]
-    pub fn out_arcs(&self, u: NodeId) -> &[(NodeId, ArcId)] {
+    pub fn out_arcs(&self, u: NodeId) -> &[(NodeId, ArcId, u32)] {
         &self.fwd[self.fwd_off[u as usize] as usize..self.fwd_off[u as usize + 1] as usize]
     }
 
-    /// In-neighbors of `v` as `(tail, arc)` pairs.
+    /// In-neighbors of `v` as `(tail, cost)` pairs, in arc-id order.
     #[inline]
-    pub fn in_arcs(&self, v: NodeId) -> &[(NodeId, ArcId)] {
+    pub fn in_arcs(&self, v: NodeId) -> &[(NodeId, u32)] {
         &self.rev[self.rev_off[v as usize] as usize..self.rev_off[v as usize + 1] as usize]
     }
 
     /// Dijkstra distances *from* `src` along arc directions.
     /// Unreachable nodes get [`UNREACHABLE`].
     pub fn dijkstra_from(&self, src: NodeId) -> Vec<u32> {
-        self.dijkstra(src, true)
+        let forward = |&(v, _, w): &(NodeId, ArcId, u32)| (v, w);
+        dijkstra(self.num_nodes, src, &self.fwd_off, &self.fwd, forward)
     }
 
     /// Dijkstra distances *to* `dst` (i.e. along reversed arcs).
     pub fn dijkstra_to(&self, dst: NodeId) -> Vec<u32> {
-        self.dijkstra(dst, false)
-    }
-
-    fn dijkstra(&self, root: NodeId, forward: bool) -> Vec<u32> {
-        let mut dist = vec![UNREACHABLE; self.num_nodes as usize];
-        let mut heap = BinaryHeap::new();
-        dist[root as usize] = 0;
-        heap.push(Reverse((0u32, root)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > dist[u as usize] {
-                continue;
-            }
-            let arcs = if forward {
-                self.out_arcs(u)
-            } else {
-                self.in_arcs(u)
-            };
-            for &(v, a) in arcs {
-                let nd = d as u64 + self.arcs[a as usize].2 as u64;
-                // Below a stored label, so below UNREACHABLE: fits u32.
-                if nd < dist[v as usize] as u64 {
-                    dist[v as usize] = nd as u32;
-                    heap.push(Reverse((nd as u32, v)));
-                }
-            }
-        }
-        dist
+        dijkstra(self.num_nodes, dst, &self.rev_off, &self.rev, |&e| e)
     }
 
     /// Largest arc cost in the graph (1 for an arcless graph).
@@ -223,67 +205,107 @@ impl DiGraph {
     /// [`DiGraph::dijkstra_to`]. `scratch` carries the bucket ring across
     /// calls so an all-destinations sweep allocates it once.
     pub fn bucket_dijkstra_to(&self, dst: NodeId, scratch: &mut DialScratch) -> Vec<u32> {
-        self.bucket_dijkstra(dst, false, scratch)
+        let (off, adj) = (&self.rev_off, &self.rev);
+        bucket_dijkstra(self.num_nodes, dst, off, adj, |&e| e, scratch)
     }
 
     /// Bucket-queue (Dial) distances *from* `src` along arc directions.
     pub fn bucket_dijkstra_from(&self, src: NodeId, scratch: &mut DialScratch) -> Vec<u32> {
-        self.bucket_dijkstra(src, true, scratch)
+        let (off, adj) = (&self.fwd_off, &self.fwd);
+        let forward = |&(v, _, w): &(NodeId, ArcId, u32)| (v, w);
+        bucket_dijkstra(self.num_nodes, src, off, adj, forward, scratch)
     }
+}
 
-    /// Dial's algorithm: tentative labels live in a ring of `C + 1`
-    /// buckets (`C` = max arc cost), scanned in increasing label order.
-    /// Any two labels simultaneously pending differ by at most `C`, so
-    /// ring slots never alias distinct live labels; superseded labels are
-    /// skipped by the `dist` check on pop. The distance array it produces
-    /// is the unique shortest-path labelling, so it matches the heap
-    /// engine exactly (not just approximately).
-    fn bucket_dijkstra(&self, root: NodeId, forward: bool, scratch: &mut DialScratch) -> Vec<u32> {
-        let c = scratch.max_cost;
-        if c > DialScratch::MAX_BUCKET_COST {
-            // Weights too coarse for a dense ring: the heap is the right
-            // engine, and the results are identical by definition.
-            return self.dijkstra(root, forward);
+/// Heap Dijkstra from `root` over one CSR direction (`off`, `adj`), where
+/// `hop` reads an entry's `(neighbor, cost)`.
+fn dijkstra<E>(
+    num_nodes: u32,
+    root: NodeId,
+    off: &[u32],
+    adj: &[E],
+    hop: impl Fn(&E) -> (NodeId, u32),
+) -> Vec<u32> {
+    let mut dist = vec![UNREACHABLE; num_nodes as usize];
+    let mut heap = BinaryHeap::new();
+    dist[root as usize] = 0;
+    heap.push(Reverse((0u32, root)));
+    while let Some(Reverse((d, u))) = heap.pop() {
+        if d > dist[u as usize] {
+            continue;
         }
-        let nb = c as usize + 1;
-        scratch.buckets.resize_with(nb, Vec::new);
-        for b in &mut scratch.buckets {
-            b.clear();
+        for e in &adj[off[u as usize] as usize..off[u as usize + 1] as usize] {
+            let (v, w) = hop(e);
+            let nd = d as u64 + w as u64;
+            // Below a stored label, so below UNREACHABLE: fits u32.
+            if nd < dist[v as usize] as u64 {
+                dist[v as usize] = nd as u32;
+                heap.push(Reverse((nd as u32, v)));
+            }
         }
-        let mut dist = vec![UNREACHABLE; self.num_nodes as usize];
-        dist[root as usize] = 0;
-        scratch.buckets[0].push(root);
-        let mut pending = 1usize;
-        let mut d = 0u64;
-        while pending > 0 {
-            let bi = (d % nb as u64) as usize;
-            // Arc costs are >= 1, so relaxations from label `d` never land
-            // back in bucket `bi`; draining it to empty is safe.
-            while let Some(u) = scratch.buckets[bi].pop() {
-                pending -= 1;
-                if dist[u as usize] as u64 != d {
-                    continue; // superseded by a smaller label
-                }
-                let arcs = if forward {
-                    self.out_arcs(u)
-                } else {
-                    self.in_arcs(u)
-                };
-                for &(v, a) in arcs {
-                    let w = self.arcs[a as usize].2 as u64;
-                    debug_assert!(w <= c as u64, "scratch sized for a cheaper graph");
-                    let nd = d + w;
-                    if nd < dist[v as usize] as u64 {
-                        dist[v as usize] = nd as u32;
-                        scratch.buckets[(nd % nb as u64) as usize].push(v);
-                        pending += 1;
-                    }
+    }
+    dist
+}
+
+/// Dial's algorithm over one CSR direction: tentative labels live in a
+/// ring of buckets scanned in increasing label order. Any two labels
+/// simultaneously pending differ by at most `C` (the max arc cost), so a
+/// ring of at least `C + 1` slots never aliases distinct live labels;
+/// superseded labels are skipped by the `dist` check on pop. The ring is
+/// `C + 1` rounded up to a power of two, so a label's slot is `label &
+/// mask` rather than a 64-bit `%` on every relaxation. Each slot still
+/// holds one label's entries at a time, pushed and popped in the same
+/// order as in a `C + 1` ring. The distance array it produces is the
+/// unique shortest-path labelling, so it matches the heap engine exactly
+/// (not just approximately).
+fn bucket_dijkstra<E>(
+    num_nodes: u32,
+    root: NodeId,
+    off: &[u32],
+    adj: &[E],
+    hop: impl Fn(&E) -> (NodeId, u32),
+    scratch: &mut DialScratch,
+) -> Vec<u32> {
+    let c = scratch.max_cost;
+    if c > DialScratch::MAX_BUCKET_COST {
+        // Weights too coarse for a dense ring: the heap is the right
+        // engine, and the results are identical by definition.
+        return dijkstra(num_nodes, root, off, adj, hop);
+    }
+    let nb = (c as usize + 1).next_power_of_two();
+    let mask = nb as u64 - 1;
+    scratch.buckets.resize_with(nb, Vec::new);
+    for b in &mut scratch.buckets {
+        b.clear();
+    }
+    let mut dist = vec![UNREACHABLE; num_nodes as usize];
+    dist[root as usize] = 0;
+    scratch.buckets[0].push(root);
+    let mut pending = 1usize;
+    let mut d = 0u64;
+    while pending > 0 {
+        let bi = (d & mask) as usize;
+        // Arc costs are >= 1, so relaxations from label `d` never land
+        // back in bucket `bi`; draining it to empty is safe.
+        while let Some(u) = scratch.buckets[bi].pop() {
+            pending -= 1;
+            if dist[u as usize] as u64 != d {
+                continue; // superseded by a smaller label
+            }
+            for e in &adj[off[u as usize] as usize..off[u as usize + 1] as usize] {
+                let (v, w) = hop(e);
+                debug_assert!(w <= c, "scratch sized for a cheaper graph");
+                let nd = d + w as u64;
+                if nd < dist[v as usize] as u64 {
+                    dist[v as usize] = nd as u32;
+                    scratch.buckets[(nd & mask) as usize].push(v);
+                    pending += 1;
                 }
             }
-            d += 1;
         }
-        dist
+        d += 1;
     }
+    dist
 }
 
 /// Reusable state for [`DiGraph::bucket_dijkstra_to`] and
@@ -345,9 +367,9 @@ impl WeightedSpDag {
             if du == UNREACHABLE || du == 0 {
                 continue;
             }
-            for &(v, a) in g.out_arcs(u) {
+            for &(v, a, w) in g.out_arcs(u) {
                 let dv = dist[v as usize];
-                if dv != UNREACHABLE && dv as u64 + g.arc(a).2 as u64 == du as u64 {
+                if dv != UNREACHABLE && dv as u64 + w as u64 == du as u64 {
                     next_hops[u as usize].push((v, a));
                 }
             }
@@ -456,9 +478,9 @@ impl CsrSpDag {
         for u in 0..n {
             let du = dist[u as usize];
             if du != UNREACHABLE && du != 0 {
-                for &(v, a) in g.out_arcs(u) {
+                for &(v, a, w) in g.out_arcs(u) {
                     let dv = dist[v as usize];
-                    if dv != UNREACHABLE && dv as u64 + g.arc(a).2 as u64 == du as u64 {
+                    if dv != UNREACHABLE && dv as u64 + w as u64 == du as u64 {
                         arena.push(a);
                     }
                 }
@@ -678,22 +700,35 @@ mod tests {
         b.build()
     }
 
+    /// Max arc costs 1..=9 size the masked ring at 2, 4, 8 and 16 slots.
+    const MAX_COSTS: std::ops::RangeInclusive<u32> = 1..=9;
+
     #[test]
     fn bucket_queue_matches_heap_dijkstra() {
-        for seed in 0..8u64 {
-            let g = random_digraph(seed, 24, 4);
-            let mut scratch = DialScratch::for_graph(&g);
-            for root in [0u32, 5, 23] {
-                assert_eq!(
-                    g.bucket_dijkstra_to(root, &mut scratch),
-                    g.dijkstra_to(root)
-                );
-                assert_eq!(
-                    g.bucket_dijkstra_from(root, &mut scratch),
-                    g.dijkstra_from(root)
-                );
+        let mut rings = Vec::new();
+        for max_w in MAX_COSTS {
+            for seed in 0..8u64 {
+                let g = random_digraph(seed, 24, max_w);
+                let mut scratch = DialScratch::for_graph(&g);
+                for root in [0u32, 5, 23] {
+                    assert_eq!(
+                        g.bucket_dijkstra_to(root, &mut scratch),
+                        g.dijkstra_to(root),
+                        "max cost {max_w} seed {seed} root {root}"
+                    );
+                    assert_eq!(
+                        g.bucket_dijkstra_from(root, &mut scratch),
+                        g.dijkstra_from(root),
+                        "max cost {max_w} seed {seed} root {root}"
+                    );
+                }
+                let ring = scratch.buckets.len();
+                assert_eq!(ring, (g.max_arc_cost() as usize + 1).next_power_of_two());
+                rings.push(ring);
             }
         }
+        rings.dedup();
+        assert_eq!(rings, vec![2, 4, 8, 16]);
     }
 
     #[test]
@@ -710,8 +745,8 @@ mod tests {
 
     #[test]
     fn csr_dag_equals_nested_dag() {
-        for seed in 0..8u64 {
-            let g = random_digraph(seed, 20, 3);
+        for (max_w, seed) in MAX_COSTS.flat_map(|w| (0..8u64).map(move |s| (w, s))) {
+            let g = random_digraph(seed, 20, max_w);
             let mut scratch = DialScratch::for_graph(&g);
             for dst in 0..g.num_nodes() {
                 let nested = WeightedSpDag::towards(&g, dst);
@@ -719,7 +754,7 @@ mod tests {
                 assert_eq!(
                     direct,
                     CsrSpDag::from_nested(&nested),
-                    "seed {seed} dst {dst}"
+                    "max cost {max_w} seed {seed} dst {dst}"
                 );
                 for u in 0..g.num_nodes() {
                     let pairs: Vec<(NodeId, ArcId)> = direct
@@ -811,9 +846,12 @@ mod tests {
         assert_eq!(g.in_arcs(3).len(), 3);
         assert_eq!(g.out_arcs(3).len(), 0);
         for a in 0..g.num_arcs() {
-            let (u, v, _) = g.arc(a);
-            assert!(g.out_arcs(u).iter().any(|&(h, id)| h == v && id == a));
-            assert!(g.in_arcs(v).iter().any(|&(t, id)| t == u && id == a));
+            let (u, v, w) = g.arc(a);
+            assert!(g.out_arcs(u).contains(&(v, a, w)));
+            assert!(g.in_arcs(v).contains(&(u, w)));
         }
+        // Both directions list a node's arcs in arc-id order.
+        assert_eq!(g.out_arcs(0), &[(1, 0, 1), (2, 2, 1), (3, 4, 2)]);
+        assert_eq!(g.in_arcs(3), &[(1, 1), (2, 1), (0, 2)]);
     }
 }

@@ -101,11 +101,11 @@ pub fn converge_prefix(vrf: &VrfGraph, dst: NodeId) -> (PrefixRoutes, u32, bool)
             }
             let my_router = vrf.router_of(v);
             let mut best: Option<(u64, Vec<NodeId>)> = None;
-            for &(t, a) in vrf.graph.out_arcs(v) {
+            for &(t, _, c) in vrf.graph.out_arcs(v) {
                 if prev_len[t as usize] == UNREACHABLE as u64 {
                     continue;
                 }
-                let c = vrf.graph.arc(a).2 as u64;
+                let c = c as u64;
                 // Advertisement from t: t's path with t's router prepended.
                 let t_router = vrf.router_of(t);
                 if t_router == my_router || prev_path[t as usize].contains(&my_router) {
@@ -157,11 +157,11 @@ pub fn converge_prefix(vrf: &VrfGraph, dst: NodeId) -> (PrefixRoutes, u32, bool)
             continue;
         }
         let my_router = vrf.router_of(v);
-        for &(t, a) in vrf.graph.out_arcs(v) {
+        for &(t, a, c) in vrf.graph.out_arcs(v) {
             if len[t as usize] == UNREACHABLE as u64 {
                 continue;
             }
-            let c = vrf.graph.arc(a).2 as u64;
+            let c = c as u64;
             let t_router = vrf.router_of(t);
             if t_router == my_router || path[t as usize].contains(&my_router) {
                 continue;

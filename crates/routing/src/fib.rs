@@ -661,6 +661,7 @@ mod tests {
                 RoutingScheme::Ecmp,
                 RoutingScheme::ShortestUnion(2),
                 RoutingScheme::ShortestUnion(3),
+                RoutingScheme::ShortestUnion(4),
             ] {
                 let fast = ForwardingState::build(&g, scheme);
                 let reference = ForwardingState::build_reference(&g, scheme);

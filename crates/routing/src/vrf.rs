@@ -48,8 +48,10 @@ pub struct VrfGraph {
     pub routers: u32,
     /// The directed, weighted VRF graph.
     pub graph: DiGraph,
-    /// Physical edge carried by each VRF arc (indexed by [`ArcId`]).
-    arc_edge: Vec<EdgeId>,
+    /// VRF arcs per physical edge: [`VrfGraph::build`] emits one block of
+    /// this many arcs per edge, in edge order, so an arc's edge is its id
+    /// divided by this (no per-arc table).
+    arcs_per_edge: u32,
 }
 
 impl VrfGraph {
@@ -82,7 +84,7 @@ impl VrfGraph {
     /// Physical edge traversed by VRF arc `a`.
     #[inline]
     pub fn edge_of_arc(&self, a: ArcId) -> EdgeId {
-        self.arc_edge[a as usize]
+        a / self.arcs_per_edge
     }
 
     /// Builds the VRF graph for physical topology `phys` with `k ≥ 1` VRFs.
@@ -94,38 +96,41 @@ impl VrfGraph {
         assert!(k >= 1, "K must be at least 1");
         let routers = phys.num_nodes();
         let mut b = DiGraphBuilder::new(routers * k);
-        let mut arc_edge: Vec<EdgeId> = Vec::new();
         let node = |r: NodeId, level: u32| r * k + (level - 1);
         // Each undirected physical edge yields the rules in both directions.
-        for (eid, &(x, y)) in phys.edges().iter().enumerate() {
-            let eid = eid as EdgeId;
+        for &(x, y) in phys.edges() {
             for (r1, r2) in [(x, y), (y, x)] {
                 if k == 1 {
                     // Degenerate: a single unit-cost arc (plain ECMP).
                     b.add_arc(node(r1, 1), node(r2, 1), 1);
-                    arc_edge.push(eid);
                     continue;
                 }
                 // Rule 1: host VRF drops to transit level i, cost i.
                 for i in 1..=k {
                     b.add_arc(node(r1, k), node(r2, i), i);
-                    arc_edge.push(eid);
                 }
                 // Rule 2: transit climbs one level per hop, cost 1.
                 for i in 1..k {
                     b.add_arc(node(r1, i), node(r2, i + 1), 1);
-                    arc_edge.push(eid);
                 }
                 // Rule 3: level-1 cruising, cost 1.
                 b.add_arc(node(r1, 1), node(r2, 1), 1);
-                arc_edge.push(eid);
             }
         }
+        // One direction carries rules 1–3 (`K + (K − 1) + 1` arcs), or the
+        // single unit arc when `K = 1`.
+        let arcs_per_edge = 2 * if k == 1 { 1 } else { 2 * k };
+        let graph = b.build();
+        debug_assert_eq!(
+            graph.num_arcs() as u64,
+            phys.num_edges() as u64 * arcs_per_edge as u64,
+            "arc block per edge out of sync"
+        );
         VrfGraph {
             k,
             routers,
-            graph: b.build(),
-            arc_edge,
+            graph,
+            arcs_per_edge,
         }
     }
 
@@ -153,7 +158,7 @@ impl VrfGraph {
     /// [`VrfGraph::dag_towards`] in flat CSR form, built with the
     /// bucket-queue engine. Every VRF arc costs at most `K` (rule 1 pays
     /// `i ≤ K`, rules 2–3 pay 1), so Dial's ring needs only `K + 1`
-    /// buckets — far under [`DialScratch::MAX_BUCKET_COST`] at any `K` the
+    /// buckets (rounded up to a power of two) — far under [`DialScratch::MAX_BUCKET_COST`] at any `K` the
     /// paper evaluates. The caller-held `scratch` lets a per-destination
     /// sweep reuse one bucket ring across all destinations.
     pub fn csr_dag_towards_with(&self, dst: NodeId, scratch: &mut DialScratch) -> CsrSpDag {
