@@ -1,15 +1,15 @@
 //! Performance snapshot: fixed-seed small-scale workloads timing each
 //! layer's retained reference path (reference-heap scheduler, full-scan
-//! fluid solver, serial heap-Dijkstra routing builds, from-scratch failure
-//! recompute, nested next-hop tables, reference per-packet datapath)
+//! fluid solver, serial heap-Dijkstra routing builds, from-scratch masked
+//! failure rebuild, nested next-hop tables, reference per-packet datapath)
 //! against the current default (delay-lane scheduler, link-major solver,
 //! pooled bucket-queue CSR builds, incremental failure recompute, fast
 //! datapath: FIB hot-cache + RTO timer wheel + terminal-TxDone elision).
 //! The Fig. 4 grid runs through `run_fig4` under both schedulers; the
 //! Fig. 5 panel is timed on its own. Writes `BENCH_sim.json` (wall time,
 //! events/sec, pkt-hops/sec, cells/sec, speedups) and prints a summary.
-//! The fluid-solver, routing-build and CSR-walk pairs take milliseconds a
-//! run, so each reports the median, min and max of [`RUNS`] alternating
+//! The fluid-solver, routing-build, incremental-failure and CSR-walk pairs
+//! take milliseconds a run, so each reports the median, min and max of [`RUNS`] alternating
 //! runs per side, and how many of those pairs the fast side won; every
 //! other timing is one run per side.
 //!
@@ -27,7 +27,8 @@
 //! speedup figures are self-contained. The "before" paths are the real
 //! shipped implementations (`Scheduler::ReferenceHeap`,
 //! `Datapath::Reference`, `max_min_rates_reference`,
-//! `ForwardingState::build_reference`), not simulations of old code.
+//! `ForwardingState::build_reference`, `failures::masked_build`), not
+//! simulations of old code.
 //! Every before/after pair is asserted byte-identical before the ratio is
 //! reported.
 //!
@@ -41,7 +42,7 @@ use spineless_core::throughput::{cs_axis_values, run_fig5_panel};
 use spineless_core::{EvalTopos, Scale};
 use spineless_fluid::{max_min_rates, max_min_rates_reference, LinkSpace};
 use spineless_graph::par;
-use spineless_routing::failures::{incremental_rebuild, FailurePlan};
+use spineless_routing::failures::{incremental_rebuild, masked_build, FailurePlan};
 use spineless_routing::{Forwarding, ForwardingState, RoutingScheme};
 use spineless_sim::{Datapath, FailureSchedule, Scheduler, SimConfig, Simulation};
 use spineless_topo::dring::DRing;
@@ -444,21 +445,23 @@ fn main() {
         build.fast_wins
     );
 
-    // --- Failure recompute on the same topology: full rebuild vs
-    // incremental (only destinations whose DAG lost an arc). ---
+    // --- Failure recompute on the same topology: every destination on
+    // the masked plane vs incremental (only destinations whose DAG lost an
+    // arc). ---
     let plan = FailurePlan::random_links(&big, 0.01, &mut SmallRng::seed_from_u64(seed ^ 0xFA11));
-    let t0 = Instant::now();
-    let degraded = plan.apply(&big).expect("plan applies");
-    let full = ForwardingState::build(&degraded.graph, scheme);
-    let fail_full_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let (_, inc) = incremental_rebuild(build_fast, &big, &plan).expect("incremental");
-    let fail_inc_s = t0.elapsed().as_secs_f64();
+    let fail = timed_pair(
+        || masked_build(&big, scheme, &plan),
+        || incremental_rebuild(build_fast, &big, &plan),
+    );
+    let (full, inc) = &fail.last;
     assert_eq!(inc, full, "incremental failure recompute diverged");
-    let fail_speedup = fail_full_s / fail_inc_s;
     let fail_links = plan.failed_links.len();
     eprintln!(
-        "incremental failures: {fail_links} cut links — full {fail_full_s:.3}s vs incremental {fail_inc_s:.3}s ({fail_speedup:.2}x)"
+        "incremental failures: {fail_links} cut links — full {:.4}s vs incremental {:.4}s median of {RUNS} ({:.2}x, {}/{RUNS} won)",
+        fail.reference.median,
+        fail.fast.median,
+        fail.speedup(),
+        fail.fast_wins
     );
 
     // --- Next-hop walks: nested Vec<Vec<_>> DAGs vs CSR arenas, same
@@ -501,7 +504,7 @@ fn main() {
     // dependency, and the document is flat enough that format! suffices.
     let json = format!(
         r#"{{
-  "schema": "bench_snapshot/v11",
+  "schema": "bench_snapshot/v12",
   "seed": {seed},
   "host_threads": {threads},
   "scheduler_microbench": {{
@@ -570,9 +573,11 @@ fn main() {
   "incremental_failures": {{
     "topology": "dring scale_config(15)",
     "failed_links": {fail_links},
-    "full_rebuild_wall_s": {fail_full_s:.4},
-    "incremental_wall_s": {fail_inc_s:.4},
+    "runs": {RUNS},
+    "full_masked_build_wall_s": {fail_full},
+    "incremental_wall_s": {fail_inc},
     "speedup": {fail_speedup:.3},
+    "incremental_wins": {fail_wins},
     "results_identical": true
   }},
   "csr_walk": {{
@@ -615,6 +620,10 @@ fn main() {
         walk_csr = csr_walk.fast.json(),
         walk_speedup = csr_walk.speedup(),
         walk_wins = csr_walk.fast_wins,
+        fail_full = fail.reference.json(),
+        fail_inc = fail.fast.json(),
+        fail_speedup = fail.speedup(),
+        fail_wins = fail.fast_wins,
     );
     std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
     println!("{json}");

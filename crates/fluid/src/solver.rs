@@ -90,7 +90,8 @@ impl FluidScratch {
 /// `O(E + L)` to build the incidence lists (`E` route entries, `L` links),
 /// then per round `O(A + E_r)` for `A` active links and `E_r` route
 /// entries of unfrozen flows; the freezes cost `O(E)` over the whole
-/// solve. At most `L` rounds. Allocation-free when `scratch` and `rate`
+/// solve. At most one round per link a flow crosses (the solve panics past
+/// that, see `check_rounds`). Allocation-free when `scratch` and `rate`
 /// are reused across calls.
 ///
 /// # Panics
@@ -156,11 +157,15 @@ pub fn max_min_rates_with<S: AsRef<[u32]>>(
     for &l in active_links.iter() {
         assert!(cap[l as usize] > 0.0, "used link {l} has no capacity");
     }
+    let max_rounds = active_links.len();
     // The rate of every flow still unfrozen: `0.0 + inc₁ + inc₂ + …`, the
     // same adds in the same order as the reference's per-flow `+= inc`.
     let mut filled = 0.0f64;
     const EPS: f64 = 1e-12;
+    let mut rounds = 0;
     while live > 0 {
+        rounds += 1;
+        check_rounds(rounds, max_rounds, live);
         active_links.retain(|&l| active[l as usize] > 0);
         let inc = smallest_increment(cap, used, active, active_links);
         debug_assert!(inc.is_finite(), "active flows but no constraining link");
@@ -193,6 +198,17 @@ pub fn max_min_rates_with<S: AsRef<[u32]>>(
             }
         }
     }
+}
+
+/// Every round saturates at least one link, and a saturated link freezes
+/// every flow on it, so a solve takes at most one round per link carrying
+/// a flow at the start. Panics past that bound: a fault that leaves a flow
+/// unfrozen would otherwise spin forever.
+fn check_rounds(round: usize, max_rounds: usize, live: usize) {
+    assert!(
+        round <= max_rounds,
+        "max-min solve did not converge: {live} flows still live after {max_rounds} rounds"
+    );
 }
 
 /// Smallest equal increment any listed link permits: the min over links of
@@ -261,8 +277,12 @@ fn reference_rates_and_used(
             }
         })
         .sum();
+    let max_rounds = active.iter().filter(|&&a| a > 0).count();
     const EPS: f64 = 1e-12;
+    let mut rounds = 0;
     while remaining > 0 {
+        rounds += 1;
+        check_rounds(rounds, max_rounds, remaining);
         let mut inc = f64::INFINITY;
         for l in 0..num_links {
             if active[l] > 0 {

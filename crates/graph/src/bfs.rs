@@ -266,31 +266,6 @@ impl SpDag {
     }
 }
 
-/// ECMP forwarding tables for every destination: `fibs[t]` is the
-/// shortest-path DAG towards node `t`.
-///
-/// Memory is `O(V·E)` in the worst case — ~tens of MB at the paper's largest
-/// scale (96 switches, degree 60), comfortably fine.
-pub fn all_sp_dags(g: &Graph) -> Vec<SpDag> {
-    (0..g.num_nodes()).map(|t| SpDag::towards(g, t)).collect()
-}
-
-/// Extracts one concrete shortest path `src -> ... -> dag.dst` by always
-/// taking the first next-hop. `None` if unreachable.
-pub fn first_shortest_path(dag: &SpDag, src: NodeId) -> Option<Vec<NodeId>> {
-    if dag.dist[src as usize] == UNREACHABLE {
-        return None;
-    }
-    let mut path = vec![src];
-    let mut u = src;
-    while u != dag.dst {
-        let &(v, _) = dag.next_hops[u as usize].first()?;
-        path.push(v);
-        u = v;
-    }
-    Some(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,30 +420,5 @@ mod tests {
         // Two parallel edges => node 0 lists neighbor 1 twice (LAG-style).
         assert_eq!(dag.next_hops[0].len(), 2);
         assert_eq!(dag.count_paths(0), 2);
-    }
-
-    #[test]
-    fn first_path_extraction() {
-        let g = cycle(6);
-        let dag = SpDag::towards(&g, 3);
-        let p = first_shortest_path(&dag, 0).unwrap();
-        assert_eq!(p.len(), 4); // 3 hops
-        assert_eq!(*p.first().unwrap(), 0);
-        assert_eq!(*p.last().unwrap(), 3);
-        // consecutive nodes adjacent
-        for w in p.windows(2) {
-            assert!(g.has_edge(w[0], w[1]));
-        }
-    }
-
-    #[test]
-    fn all_dags_cover_all_destinations() {
-        let g = k4();
-        let dags = all_sp_dags(&g);
-        assert_eq!(dags.len(), 4);
-        for (t, dag) in dags.iter().enumerate() {
-            assert_eq!(dag.dst, t as u32);
-            assert_eq!(dag.dist[t], 0);
-        }
     }
 }

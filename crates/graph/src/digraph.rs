@@ -153,6 +153,23 @@ impl DiGraph {
         }
     }
 
+    /// The same graph with the arcs `dead` marks left out of its
+    /// adjacency: the arc list, and so every arc id, stays as it is, but
+    /// no walk, shortest-path sweep or DAG extraction sees a dead arc.
+    /// The survivors keep their arc-id order in both CSR directions. This
+    /// is how a failure degrades a plane without renumbering it.
+    pub fn masked(&self, dead: impl Fn(ArcId) -> bool) -> DiGraph {
+        let live: Vec<ArcId> = (0..self.num_arcs()).filter(|&a| !dead(a)).collect();
+        let mut g = DiGraph::from_arcs(self.num_nodes, live.iter().map(|&a| self.arc(a)).collect());
+        // The survivors were numbered densely in order; give the forward
+        // entries their ids back, and the graph its whole arc list.
+        for entry in &mut g.fwd {
+            entry.1 = live[entry.1 as usize];
+        }
+        g.arcs = self.arcs.clone();
+        g
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn num_nodes(&self) -> u32 {
@@ -539,18 +556,6 @@ impl CsrSpDag {
             + std::mem::size_of::<ArcId>() * self.arcs.capacity()
     }
 
-    /// The same DAG with every arc id passed through `map` — how the
-    /// incremental failure recompute translates an unaffected DAG into a
-    /// degraded graph's (densely renumbered) arc id space.
-    pub fn remap_arcs(&self, map: impl Fn(ArcId) -> ArcId) -> CsrSpDag {
-        CsrSpDag {
-            dst: self.dst,
-            dist: self.dist.clone(),
-            off: self.off.clone(),
-            arcs: self.arcs.iter().map(|&a| map(a)).collect(),
-        }
-    }
-
     /// Samples a minimum-cost path of `g` (the graph the DAG was built on)
     /// from `src` by a uniform random walk over next-hop arcs (per-hop
     /// ECMP). `None` if unreachable.
@@ -792,17 +797,34 @@ mod tests {
     }
 
     #[test]
-    fn csr_remap_translates_arc_ids() {
+    fn masked_graph_keeps_arc_ids() {
+        // Killing the 0 -> 1 arc leaves 0 -> 2 -> 3 and 0 -> 3 as the
+        // min-cost paths, still named by their original arc ids.
         let g = diamond();
-        let csr = CsrSpDag::towards(&g, 3);
-        let shifted = csr.remap_arcs(|a| a + 10);
-        assert_eq!(shifted.dist, csr.dist);
-        for u in 0..g.num_nodes() {
-            let moved: Vec<ArcId> = csr.next_hops(u).iter().map(|&a| a + 10).collect();
-            assert_eq!(shifted.next_hops(u), &moved[..]);
+        let m = g.masked(|a| a == 0);
+        assert_eq!(m.num_arcs(), g.num_arcs());
+        assert_eq!(m.arc(4), g.arc(4));
+        assert_eq!(m.out_arcs(0), &[(2, 2, 1), (3, 4, 2)]);
+        assert!(m.in_arcs(1).is_empty());
+        assert_eq!(m.in_arcs(3), g.in_arcs(3));
+        let dag = CsrSpDag::towards(&m, 3);
+        assert_eq!(dag.next_hops(0), &[2, 4]);
+        assert_eq!(dag.dist[1], 1);
+        // Masking nothing is the graph itself.
+        assert_eq!(g.masked(|_| false), g);
+        // The masked graph equals a renumbered rebuild of the survivors
+        // under the dense -> original arc map.
+        let dense = DiGraph::from_arcs(4, vec![(1, 3, 1), (0, 2, 1), (2, 3, 1), (0, 3, 2)]);
+        let orig = [1, 2, 3, 4];
+        for u in 0..4 {
+            let mapped: Vec<_> = dense
+                .out_arcs(u)
+                .iter()
+                .map(|&(v, a, w)| (v, orig[a as usize], w))
+                .collect();
+            assert_eq!(m.out_arcs(u), &mapped[..]);
+            assert_eq!(m.in_arcs(u), dense.in_arcs(u));
         }
-        assert_eq!(csr.num_entries(), shifted.num_entries());
-        assert_eq!(csr.num_nodes(), 4);
     }
 
     /// Every vector of `dag` is allocated at exactly its length, so
@@ -828,7 +850,8 @@ mod tests {
                 assert_exact_size(&dag);
                 assert_eq!(dag, CsrSpDag::towards(&g, dst), "seed {seed} dst {dst}");
                 assert_exact_size(&CsrSpDag::from_nested(&WeightedSpDag::towards(&g, dst)));
-                assert_exact_size(&dag.remap_arcs(|a| a + 1));
+                let masked = g.masked(|a| a % 3 == 0);
+                assert_exact_size(&CsrSpDag::towards_with(&masked, dst, &mut scratch));
             }
         }
     }

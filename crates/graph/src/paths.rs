@@ -1,20 +1,12 @@
-//! Path enumeration and sampling.
+//! Path enumeration.
 //!
-//! Two consumers drive this module's shape:
-//!
-//! * **Shortest-Union(K)** (paper §4) needs *all simple paths of length ≤ K*
-//!   between rack pairs; K is tiny (2 in the paper), so depth-limited DFS is
-//!   exact and cheap.
-//! * The **fluid throughput model** and diversity metrics need representative
-//!   single paths drawn the way per-hop ECMP hashing would draw them: at each
-//!   switch, choose uniformly among the FIB's next-hop entries. That induces
-//!   the *random-walk* distribution over the shortest-path DAG — not uniform
-//!   over paths — which is exactly what hardware ECMP produces, so we sample
-//!   that distribution rather than enumerate.
+//! **Shortest-Union(K)** (paper §4) needs *all simple paths of length ≤ K*
+//! between rack pairs; K is tiny (2 in the paper), so depth-limited DFS is
+//! exact and cheap. Sampling single paths the way per-hop ECMP hashing draws
+//! them is the forwarding planes' job (`routing::Forwarding`).
 
 use crate::bfs::SpDag;
 use crate::{Graph, NodeId, UNREACHABLE};
-use rand::Rng;
 
 /// Enumerates every *simple* path from `src` to `dst` with at most
 /// `max_hops` edges, in lexicographic DFS order.
@@ -128,25 +120,6 @@ pub fn shortest_union_paths(
     paths
 }
 
-/// Samples one path from `src` to the DAG's destination by a uniform random
-/// walk over ECMP next-hops — the path distribution induced by per-hop
-/// flow-hash ECMP. `None` if `src` cannot reach the destination.
-pub fn sample_ecmp_path<R: Rng>(dag: &SpDag, src: NodeId, rng: &mut R) -> Option<Vec<NodeId>> {
-    if dag.dist[src as usize] == UNREACHABLE {
-        return None;
-    }
-    let mut path = vec![src];
-    let mut u = src;
-    while u != dag.dst {
-        let nh = &dag.next_hops[u as usize];
-        debug_assert!(!nh.is_empty(), "non-destination node with no next hop");
-        let (v, _) = nh[rng.gen_range(0..nh.len())];
-        path.push(v);
-        u = v;
-    }
-    Some(path)
-}
-
 /// True iff `path` is a valid walk in `g` (consecutive nodes adjacent) that
 /// starts at `src`, ends at `dst` and repeats no node.
 pub fn is_simple_path(g: &Graph, path: &[NodeId], src: NodeId, dst: NodeId) -> bool {
@@ -167,8 +140,6 @@ pub fn is_simple_path(g: &Graph, path: &[NodeId], src: NodeId, dst: NodeId) -> b
 mod tests {
     use super::*;
     use crate::GraphBuilder;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn cycle(n: u32) -> Graph {
         let mut b = GraphBuilder::new(n);
@@ -258,36 +229,6 @@ mod tests {
         let g = b.build();
         let ps = shortest_union_paths(&g, 0, 3, 2, 100);
         assert_eq!(ps, vec![vec![0, 1, 2, 3]]);
-    }
-
-    #[test]
-    fn ecmp_sampling_valid_and_covers() {
-        let g = cycle(4);
-        let dag = SpDag::towards(&g, 2);
-        let mut rng = SmallRng::seed_from_u64(7);
-        let mut seen_via_1 = false;
-        let mut seen_via_3 = false;
-        for _ in 0..64 {
-            let p = sample_ecmp_path(&dag, 0, &mut rng).unwrap();
-            assert!(is_simple_path(&g, &p, 0, 2));
-            assert_eq!(p.len(), 3);
-            match p[1] {
-                1 => seen_via_1 = true,
-                3 => seen_via_3 = true,
-                other => panic!("unexpected middle hop {other}"),
-            }
-        }
-        assert!(seen_via_1 && seen_via_3, "both ECMP branches should be hit");
-    }
-
-    #[test]
-    fn ecmp_sampling_unreachable() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1);
-        let g = b.build();
-        let dag = SpDag::towards(&g, 2);
-        let mut rng = SmallRng::seed_from_u64(1);
-        assert!(sample_ecmp_path(&dag, 0, &mut rng).is_none());
     }
 
     #[test]

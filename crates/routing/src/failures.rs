@@ -9,9 +9,12 @@
 //! * [`FailurePlan`] removes links and/or switches from a topology,
 //!   yielding a degraded [`Topology`];
 //! * [`incremental_rebuild`] recomputes the degraded forwarding state from
-//!   the intact baseline, rebuilding only destinations whose DAGs contain
-//!   a failed arc — bit-identical to a full rebuild (pinned in debug
-//!   builds, tests and `bench_snapshot`);
+//!   the intact baseline, as routers would after withdrawing the routes
+//!   over dead cables: the plane keeps the fabric's arc, edge and node
+//!   ids and only leaves the dead arcs out, and only destinations whose
+//!   DAGs contain a failed arc are rebuilt — equal to [`masked_build`]'s
+//!   from-scratch build (pinned in debug builds, tests and
+//!   `bench_snapshot`);
 //! * [`assess`] / [`assess_with`] quantify the impact: disconnected rack
 //!   pairs, route-cost stretch, Shortest-Union path-diversity loss, and
 //!   the number of synchronous BGP rounds to reconverge — the §7 question,
@@ -24,7 +27,6 @@ use crate::fib::{build_dags, ForwardingState, RoutingScheme};
 use crate::vrf::VrfGraph;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use spineless_graph::digraph::ArcId;
 use spineless_graph::{CsrSpDag, EdgeId, NodeId, UNREACHABLE};
 use spineless_topo::{TopoError, Topology};
 
@@ -65,8 +67,10 @@ impl FailurePlan {
 
     /// Applies the plan: the degraded topology keeps the node id space
     /// (failed switches become isolated, their servers removed) and drops
-    /// the failed cables. Edge ids are renumbered densely — rebuild any
-    /// forwarding state from the returned topology.
+    /// the failed cables. Edge ids are renumbered densely, surviving edges
+    /// in their original order. Forwarding state for the degraded fabric
+    /// comes from [`incremental_rebuild`] instead, which keeps the intact
+    /// ids; this is for physical-graph metrics.
     pub fn apply(&self, topo: &Topology) -> Result<Topology, TopoError> {
         let mut g = topo.graph.without_edges(&self.failed_links);
         for &sw in &self.failed_switches {
@@ -89,13 +93,9 @@ impl FailurePlan {
         )
     }
 
-    /// The edge-id translation [`FailurePlan::apply`] induces: entry `i` is
-    /// the *original* edge id of the degraded topology's edge `i`.
-    /// Surviving edges keep their relative order, so the map is simply the
-    /// original ids with the dead ones (cut links plus every link of a
-    /// powered-off switch) removed. The live simulator uses this to map a
-    /// reconverged plane's next hops back onto its original link queues.
-    pub fn surviving_edge_map(&self, topo: &Topology) -> Vec<EdgeId> {
+    /// Per edge of `topo`: whether the plan kills it — a cut link, or any
+    /// link of a powered-off switch.
+    pub fn dead_edges(&self, topo: &Topology) -> Vec<bool> {
         let mut switch_dead = vec![false; topo.graph.num_nodes() as usize];
         for &sw in &self.failed_switches {
             switch_dead[sw as usize] = true;
@@ -104,12 +104,10 @@ impl FailurePlan {
         for &e in &self.failed_links {
             edge_dead[e as usize] = true;
         }
-        (0..topo.graph.num_edges())
-            .filter(|&e| {
-                let (a, b) = topo.graph.edge(e);
-                !edge_dead[e as usize] && !switch_dead[a as usize] && !switch_dead[b as usize]
-            })
-            .collect()
+        for (dead, &(a, b)) in edge_dead.iter_mut().zip(topo.graph.edges()) {
+            *dead |= switch_dead[a as usize] || switch_dead[b as usize];
+        }
+        edge_dead
     }
 }
 
@@ -135,72 +133,58 @@ pub struct FailureImpact {
     pub bgp_rounds_after: u32,
 }
 
-/// Rebuilds forwarding state for `plan.apply(topo)` incrementally from the
-/// intact network's `baseline` state, returning the degraded topology and
-/// its state. Bit-identical to `ForwardingState::build(&degraded.graph)`.
+/// The forwarding state of `topo` under `plan`, built from scratch: the
+/// intact VRF graph with every arc of a dead cable masked out
+/// ([`VrfGraph::masked`]), and every destination's DAG built on it. The
+/// reference [`incremental_rebuild`] is pinned against.
+pub fn masked_build(topo: &Topology, scheme: RoutingScheme, plan: &FailurePlan) -> ForwardingState {
+    let vrf = VrfGraph::build(&topo.graph, scheme.k()).masked(&plan.dead_edges(topo));
+    let dsts: Vec<NodeId> = (0..vrf.routers).collect();
+    let dags = build_dags(&vrf, &dsts);
+    ForwardingState { scheme, vrf, dags }
+}
+
+/// Rebuilds forwarding state for `topo` under `plan` incrementally from
+/// the intact network's `baseline` state. Equal to
+/// [`masked_build`]`(topo, baseline.scheme, plan)`.
+///
+/// The degraded plane is the baseline's VRF graph with the dead cables'
+/// arcs masked out of its adjacency, so arc ids, [`VrfGraph::edge_of_arc`]
+/// and the directed links a FIB entry names are the intact fabric's: the
+/// plane a BGP/VRF fabric converges to after withdrawing the routes over
+/// the cut cables. It equals `ForwardingState::build(&plan.apply(topo).graph)`
+/// under the dense → original arc map: [`FailurePlan::apply`] keeps
+/// surviving edges in order and [`VrfGraph::build`] emits a fixed arc
+/// block per edge, so out-arc order, relaxation order and next-hop order
+/// all match.
 ///
 /// *Why it is exact:* a destination's min-cost paths consist exactly of its
 /// DAG's arcs, so if no failed VRF arc is in destination `d`'s baseline
 /// DAG, every min-cost path towards `d` survives — distances, reachability
-/// and the DAG arc set are all unchanged. Only `d`'s whose DAG contains a
-/// failed arc (tested in O(failed arcs) against the baseline distance
-/// labels) are rebuilt; the rest translate by arc-id renumbering, valid
-/// because [`FailurePlan::apply`] preserves surviving-edge order and
-/// [`VrfGraph::build`] emits a fixed arc block per edge, making the
-/// degraded arc ids a dense order-preserving renumbering of the survivors.
+/// and the DAG arc set are all unchanged, and `d` keeps its baseline DAG.
+/// Only `d`'s whose DAG contains a failed arc (tested in O(failed arcs)
+/// against the baseline distance labels) are rebuilt on the masked graph.
 pub fn incremental_rebuild(
     baseline: &ForwardingState,
     topo: &Topology,
     plan: &FailurePlan,
-) -> Result<(Topology, ForwardingState), TopoError> {
+) -> ForwardingState {
     assert_eq!(
         baseline.vrf.routers,
         topo.graph.num_nodes(),
         "baseline state belongs to a different topology"
     );
-    let degraded = plan.apply(topo)?;
-    let scheme = baseline.scheme;
-    let vrf = VrfGraph::build(&degraded.graph, scheme.k());
+    let edge_dead = plan.dead_edges(topo);
+    let vrf = baseline.vrf.masked(&edge_dead);
 
-    // Which original cables died: the cut links plus every link of a
-    // powered-off switch.
-    let mut switch_dead = vec![false; topo.graph.num_nodes() as usize];
-    for &sw in &plan.failed_switches {
-        switch_dead[sw as usize] = true;
-    }
-    let mut edge_dead = vec![false; topo.graph.num_edges() as usize];
-    for &e in &plan.failed_links {
-        edge_dead[e as usize] = true;
-    }
-    for e in 0..topo.graph.num_edges() {
-        let (a, b) = topo.graph.edge(e);
-        if switch_dead[a as usize] || switch_dead[b as usize] {
-            edge_dead[e as usize] = true;
-        }
-    }
-
-    // Split baseline VRF arcs into failed (collected with endpoints and
-    // cost for the affected test) and surviving (assigned their dense new
-    // id by a running counter).
-    const DEAD: ArcId = ArcId::MAX;
-    let old_arcs = baseline.vrf.graph.num_arcs();
-    let mut arc_map = vec![DEAD; old_arcs as usize];
-    let mut failed_arcs: Vec<(NodeId, NodeId, u64)> = Vec::new();
-    let mut next_arc: ArcId = 0;
-    for a in 0..old_arcs {
-        if edge_dead[baseline.vrf.edge_of_arc(a) as usize] {
+    // Failed VRF arcs with endpoints and cost, for the affected test.
+    let failed_arcs: Vec<(NodeId, NodeId, u64)> = (0..baseline.vrf.graph.num_arcs())
+        .filter(|&a| edge_dead[baseline.vrf.edge_of_arc(a) as usize])
+        .map(|a| {
             let (x, y, w) = baseline.vrf.graph.arc(a);
-            failed_arcs.push((x, y, w as u64));
-        } else {
-            arc_map[a as usize] = next_arc;
-            next_arc += 1;
-        }
-    }
-    debug_assert_eq!(
-        next_arc,
-        vrf.graph.num_arcs(),
-        "arc renumbering out of sync"
-    );
+            (x, y, w as u64)
+        })
+        .collect();
 
     // Arc (x → y, w) is in d's DAG iff x is neither the destination nor
     // unreachable and the arc closes the distance gap — the same inclusion
@@ -225,15 +209,15 @@ pub fn incremental_rebuild(
                     .next()
                     .expect("one rebuilt DAG per affected destination")
             } else {
-                baseline.dags[d as usize].remap_arcs(|a| {
-                    let m = arc_map[a as usize];
-                    debug_assert_ne!(m, DEAD, "unaffected DAG references a failed arc");
-                    m
-                })
+                baseline.dags[d as usize].clone()
             }
         })
         .collect();
-    Ok((degraded, ForwardingState { scheme, vrf, dags }))
+    ForwardingState {
+        scheme: baseline.scheme,
+        vrf,
+        dags,
+    }
 }
 
 /// Assesses a failure plan. `diversity_samples` bounds the (quadratic)
@@ -251,7 +235,9 @@ pub fn assess(
 /// [`assess`] against a prebuilt baseline state (share one via
 /// `core::cache::RoutingCache` across a failure sweep), with the degraded
 /// state produced by [`incremental_rebuild`] instead of a from-scratch
-/// build. The scheme is the baseline's.
+/// build. The scheme is the baseline's. The path-diversity and
+/// reachability metrics run on the physical degraded graph,
+/// [`FailurePlan::apply`]'s.
 pub fn assess_with(
     topo: &Topology,
     baseline: &ForwardingState,
@@ -260,15 +246,13 @@ pub fn assess_with(
 ) -> Result<FailureImpact, TopoError> {
     let scheme = baseline.scheme;
     let before = baseline;
-    let (degraded, after) = incremental_rebuild(baseline, topo, plan)?;
-    #[cfg(debug_assertions)]
-    {
-        let full = ForwardingState::build(&degraded.graph, scheme);
-        debug_assert_eq!(
-            after, full,
-            "incremental rebuild diverged from full rebuild"
-        );
-    }
+    let degraded = plan.apply(topo)?;
+    let after = incremental_rebuild(baseline, topo, plan);
+    debug_assert_eq!(
+        after,
+        masked_build(topo, scheme, plan),
+        "incremental rebuild diverged from full rebuild"
+    );
 
     let racks_before = topo.racks();
     let racks_after = degraded.racks();
@@ -432,31 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn surviving_edge_map_matches_apply_renumbering() {
-        // The map must translate every degraded edge id back to an
-        // original edge with the same endpoints — this is the contract the
-        // simulator's mid-run plane swap rests on.
-        let t = dring();
-        let mut rng = SmallRng::seed_from_u64(11);
-        let mut plan = FailurePlan::random_links(&t, 0.15, &mut rng);
-        plan.failed_switches = vec![3];
-        let d = plan.apply(&t).unwrap();
-        let map = plan.surviving_edge_map(&t);
-        assert_eq!(map.len() as u32, d.graph.num_edges());
-        for e in 0..d.graph.num_edges() {
-            assert_eq!(
-                d.graph.edge(e),
-                t.graph.edge(map[e as usize]),
-                "degraded edge {e}"
-            );
-        }
-        // Dead edges never appear in the map.
-        for &dead in &plan.failed_links {
-            assert!(!map.contains(&dead));
-        }
-    }
-
-    #[test]
     fn incremental_rebuild_matches_full_rebuild() {
         let t = dring();
         for scheme in [RoutingScheme::Ecmp, RoutingScheme::ShortestUnion(2)] {
@@ -466,9 +425,19 @@ mod tests {
                 let mut plan = FailurePlan::random_links(&t, 0.1, &mut rng);
                 plan.failed_switches =
                     FailurePlan::random_switches(&t, round % 3, &mut rng).failed_switches;
-                let (degraded, inc) = incremental_rebuild(&baseline, &t, &plan).unwrap();
-                let full = ForwardingState::build(&degraded.graph, scheme);
+                let inc = incremental_rebuild(&baseline, &t, &plan);
+                let full = masked_build(&t, scheme, &plan);
                 assert_eq!(inc, full, "{} round {round}", scheme.label());
+                // Arc ids are the intact fabric's: no next hop crosses a
+                // dead cable.
+                let dead = plan.dead_edges(&t);
+                for dag in &inc.dags {
+                    for u in 0..dag.num_nodes() {
+                        for &a in dag.next_hops(u) {
+                            assert!(!dead[inc.vrf.edge_of_arc(a) as usize]);
+                        }
+                    }
+                }
             }
         }
     }
@@ -477,8 +446,7 @@ mod tests {
     fn incremental_rebuild_of_empty_plan_is_the_baseline() {
         let t = dring();
         let baseline = ForwardingState::build(&t.graph, RoutingScheme::ShortestUnion(2));
-        let (degraded, inc) = incremental_rebuild(&baseline, &t, &FailurePlan::default()).unwrap();
-        assert_eq!(degraded.graph.num_edges(), t.graph.num_edges());
+        let inc = incremental_rebuild(&baseline, &t, &FailurePlan::default());
         assert_eq!(inc, baseline);
     }
 

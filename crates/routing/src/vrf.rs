@@ -134,6 +134,19 @@ impl VrfGraph {
         }
     }
 
+    /// The same VRF graph with every arc of a dead physical edge
+    /// (`dead_edge[e]`) left out of its adjacency ([`DiGraph::masked`]):
+    /// arc ids, [`VrfGraph::edge_of_arc`] and node ids stay the intact
+    /// fabric's.
+    pub fn masked(&self, dead_edge: &[bool]) -> VrfGraph {
+        VrfGraph {
+            graph: self
+                .graph
+                .masked(|a| dead_edge[self.edge_of_arc(a) as usize]),
+            ..*self
+        }
+    }
+
     /// VRF-graph distance from `(VRF K, src)` to `(VRF K, dst)`; by
     /// Theorem 1 this equals `max(physical distance, K)`. Returns `None`
     /// if unreachable.

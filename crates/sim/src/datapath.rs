@@ -398,32 +398,26 @@ impl Plant {
     }
 }
 
-/// A reconverged forwarding plane: routing state over the *degraded*
-/// topology (whose edges are densely renumbered) plus the map back to
-/// original edge ids, so link-queue indices stay stable across swaps.
-/// Vnode numbering needs no map — `FailurePlan::apply` preserves the
-/// node-id space, so packets in flight keep valid vnodes.
+/// A reconverged forwarding plane: the intact VRF graph with the dead
+/// cables' arcs masked out (`routing::failures::incremental_rebuild`), so
+/// its vnodes, arcs and edges carry the fabric's own ids — packets in
+/// flight keep valid vnodes and hops name the plant's link queues.
 pub(crate) struct SwapPlane {
     pub(crate) fs: ForwardingState,
-    /// Degraded edge id → original edge id.
-    pub(crate) edge_map: Vec<EdgeId>,
-    /// The plane's FIB hot-cache in original link ids (fast datapath).
+    /// The plane's FIB hot-cache (fast datapath).
     pub(crate) hot: Option<Arc<FibCache>>,
 }
 
 impl SwapPlane {
-    /// The plane's next hop as `(next vnode, original edge id)`, or
-    /// `None` when the degraded plane has no route at this vnode.
+    /// The plane's next hop as `(next vnode, edge id)`, or `None` when
+    /// the degraded plane has no route at this vnode.
     fn try_next_hop(&self, vnode: NodeId, dst: NodeId, hash: u64) -> Option<(NodeId, EdgeId)> {
         let nh = self.fs.next_hops(vnode, dst);
         if nh.is_empty() {
             return None;
         }
         let arc = nh[(hash % nh.len() as u64) as usize];
-        Some((
-            self.fs.next_vnode(arc),
-            self.edge_map[self.fs.vrf.edge_of_arc(arc) as usize],
-        ))
+        Some((self.fs.next_vnode(arc), self.fs.vrf.edge_of_arc(arc)))
     }
 }
 

@@ -9,7 +9,10 @@
 //! blackholes traffic until the reconvergence delay elapses, and then the
 //! engine swaps in routing state rebuilt by
 //! `routing::failures::incremental_rebuild` — TCP recovers through its
-//! ordinary RTO/retransmit machinery.
+//! ordinary RTO/retransmit machinery. The rebuilt plane is the intact VRF
+//! graph with the dead cables' arcs masked out, so its vnodes, arcs and
+//! edges keep the fabric's ids: its next hops and FIB cache name the
+//! plant's link queues directly, as the baseline's do.
 //!
 //! Every shard count drives one [`Agenda`]: the time-ordered list of
 //! control actions (faults and repairs in `(time, index)` order, each
@@ -336,23 +339,16 @@ impl Agenda {
         if plan.failed_links.is_empty() && plan.failed_switches.is_empty() {
             return None;
         }
-        let (degraded, fs) = incremental_rebuild(&self.baseline, &self.topo, &plan)
-            .expect("reconvergence rebuild failed on a schedule validated at install time");
-        let edge_map = plan.surviving_edge_map(&self.topo);
-        debug_assert_eq!(edge_map.len() as u32, degraded.graph.num_edges());
+        let fs = incremental_rebuild(&self.baseline, &self.topo, &plan);
+        // The plane keeps the fabric's edge ids, so its cache speaks the
+        // plant's directed links, as the baseline's does (`new` checked
+        // that the topology's edges are the plant's).
         let hot = if self.fast {
-            FibCache::build(&fs, degraded.graph.edges()).map(|mut c| {
-                // The cache speaks degraded directed-link ids; rewrite them
-                // to the original link-id space the queues are indexed in
-                // (direction bit is preserved — apply() keeps endpoint
-                // order for surviving edges).
-                c.remap_links(|l| 2 * edge_map[(l >> 1) as usize] + (l & 1));
-                Arc::new(c)
-            })
+            FibCache::build(&fs, self.topo.graph.edges()).map(Arc::new)
         } else {
             None
         };
-        Some(SwapPlane { fs, edge_map, hot })
+        Some(SwapPlane { fs, hot })
     }
 }
 

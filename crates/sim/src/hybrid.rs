@@ -638,20 +638,12 @@ impl FluidPlane {
         links.push(self.space.uplink(src));
         if ssw != dsw {
             let swap = self.agenda.as_ref().and_then(Agenda::plane);
-            // A reconverged plane numbers edges densely; its map leads
-            // back to original ids, which the link space (and the packet
-            // engine's queues) are indexed in. On the baseline plane edge
-            // ids map to themselves.
-            let (fs, edge_map) = match swap.as_deref() {
-                Some(plane) => (&plane.fs, Some(&plane.edge_map[..])),
-                None => (&*self.fs, None),
-            };
+            let fs = swap.as_deref().map_or(&*self.fs, |plane| &plane.fs);
             if !fs.sample_route_into(ssw, dsw, &mut self.route_rng, &mut self.route_buf) {
                 return None;
             }
             let mut cur = ssw;
             for &(next, edge) in &self.route_buf {
-                let edge = edge_map.map_or(edge, |m| m[edge as usize]);
                 links.push(self.space.switch_link(edge, cur));
                 cur = next;
             }
