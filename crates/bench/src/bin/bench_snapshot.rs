@@ -1,15 +1,14 @@
 //! Performance snapshot: fixed-seed small-scale workloads timing each
 //! layer's retained reference path (reference-heap scheduler, full-scan
-//! fluid solver, serial heap-Dijkstra routing builds, from-scratch masked
-//! failure rebuild, nested next-hop tables, reference per-packet datapath)
-//! against the current default (delay-lane scheduler, link-major solver,
-//! pooled bucket-queue CSR builds, incremental failure recompute, fast
-//! datapath: FIB hot-cache + RTO timer wheel + terminal-TxDone elision).
+//! fluid solver, serial heap-Dijkstra routing builds, reference per-packet
+//! datapath) against the current default (delay-lane scheduler,
+//! link-major solver, pooled bucket-queue label builds, fast datapath: FIB
+//! hot-cache + RTO timer wheel + terminal-TxDone elision).
 //! The Fig. 4 grid runs through `run_fig4` under both schedulers; the
 //! Fig. 5 panel is timed on its own. Writes `BENCH_sim.json` (wall time,
 //! events/sec, pkt-hops/sec, cells/sec, speedups) and prints a summary.
-//! The fluid-solver, routing-build, incremental-failure and CSR-walk pairs
-//! take milliseconds a run, so each reports the median, min and max of [`RUNS`] alternating
+//! The fluid-solver and routing-build pairs take milliseconds a run, so
+//! each reports the median, min and max of [`RUNS`] alternating
 //! runs per side, and how many of those pairs the fast side won; every
 //! other timing is one run per side.
 //!
@@ -27,22 +26,18 @@
 //! speedup figures are self-contained. The "before" paths are the real
 //! shipped implementations (`Scheduler::ReferenceHeap`,
 //! `Datapath::Reference`, `max_min_rates_reference`,
-//! `ForwardingState::build_reference`, `failures::masked_build`), not
-//! simulations of old code.
+//! `ForwardingState::build_reference`), not simulations of old code.
 //! Every before/after pair is asserted byte-identical before the ratio is
 //! reported.
 //!
 //! `cargo run -p spineless-bench --release --bin bench_snapshot [-- --seed N]`
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use spineless_bench::parse_seed;
 use spineless_core::fct::{generate_workload, run_fig4, FctCell, FctConfig, TmKind};
 use spineless_core::throughput::{cs_axis_values, run_fig5_panel};
 use spineless_core::{EvalTopos, Scale};
 use spineless_fluid::{max_min_rates, max_min_rates_reference, LinkSpace};
 use spineless_graph::par;
-use spineless_routing::failures::{incremental_rebuild, masked_build, FailurePlan};
 use spineless_routing::{Forwarding, ForwardingState, RoutingScheme};
 use spineless_sim::{Datapath, FailureSchedule, Scheduler, SimConfig, Simulation};
 use spineless_topo::dring::DRing;
@@ -425,8 +420,8 @@ fn main() {
     );
 
     // --- Routing-state build on the largest Fig. 6 sweep topology:
-    // serial heap Dijkstra into nested DAGs vs parallel bucket queue into
-    // CSR tables. ---
+    // serial heap Dijkstra vs parallel bucket queue, distance labels
+    // both. ---
     let big = DRing::scale_config(15).build();
     let scheme = RoutingScheme::ShortestUnion(2);
     let build = timed_pair(
@@ -438,73 +433,18 @@ fn main() {
     let big_switches = big.num_switches();
     let build_heap_bytes = build_fast.heap_bytes();
     eprintln!(
-        "routing build: {big_switches} switches su2 — reference {:.4}s vs parallel bucket/CSR {:.4}s median of {RUNS} ({:.2}x, {}/{RUNS} won), {build_heap_bytes} B of tables",
+        "routing build: {big_switches} switches su2 — reference {:.4}s vs parallel bucket queue {:.4}s median of {RUNS} ({:.2}x, {}/{RUNS} won), {build_heap_bytes} B of labels",
         build.reference.median,
         build.fast.median,
         build.speedup(),
         build.fast_wins
     );
 
-    // --- Failure recompute on the same topology: every destination on
-    // the masked plane vs incremental (only destinations whose DAG lost an
-    // arc). ---
-    let plan = FailurePlan::random_links(&big, 0.01, &mut SmallRng::seed_from_u64(seed ^ 0xFA11));
-    let fail = timed_pair(
-        || masked_build(&big, scheme, &plan),
-        || incremental_rebuild(build_fast, &big, &plan),
-    );
-    let (full, inc) = &fail.last;
-    assert_eq!(inc, full, "incremental failure recompute diverged");
-    let fail_links = plan.failed_links.len();
-    eprintln!(
-        "incremental failures: {fail_links} cut links — full {:.4}s vs incremental {:.4}s median of {RUNS} ({:.2}x, {}/{RUNS} won)",
-        fail.reference.median,
-        fail.fast.median,
-        fail.speedup(),
-        fail.fast_wins
-    );
-
-    // --- Next-hop walks: nested Vec<Vec<_>> DAGs vs CSR arenas, same
-    // seeds so both draw the identical routes. ---
-    let nested: Vec<_> = (0..big_switches)
-        .map(|d| build_fast.vrf.dag_towards(d))
-        .collect();
-    let walks = 100_000u32;
-    let walk = |use_csr: bool| {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x3A1D);
-        let mut hops = 0usize;
-        for i in 0..walks as u64 {
-            let s = ((i * 7919) % big_switches as u64) as u32;
-            let d = ((i * 104729 + 1) % big_switches as u64) as u32;
-            if s == d {
-                continue;
-            }
-            let start = build_fast.vrf.host_node(s);
-            let p = if use_csr {
-                build_fast.dags[d as usize].sample_path(&build_fast.vrf.graph, start, &mut rng)
-            } else {
-                nested[d as usize].sample_path(start, &mut rng)
-            };
-            hops += p.expect("connected").len();
-        }
-        hops
-    };
-    let csr_walk = timed_pair(|| walk(false), || walk(true));
-    let (hops_nested, hops_csr) = csr_walk.last;
-    assert_eq!(hops_nested, hops_csr, "walk layouts diverged");
-    eprintln!(
-        "csr walk: {walks} routes — nested {:.4}s vs CSR {:.4}s median of {RUNS} ({:.2}x, {}/{RUNS} won)",
-        csr_walk.reference.median,
-        csr_walk.fast.median,
-        csr_walk.speedup(),
-        csr_walk.fast_wins
-    );
-
     // Hand-rolled JSON: the workspace deliberately carries no serde_json
     // dependency, and the document is flat enough that format! suffices.
     let json = format!(
         r#"{{
-  "schema": "bench_snapshot/v12",
+  "schema": "bench_snapshot/v13",
   "seed": {seed},
   "host_threads": {threads},
   "scheduler_microbench": {{
@@ -563,30 +503,11 @@ fn main() {
     "switches": {big_switches},
     "scheme": "shortest-union(2)",
     "runs": {RUNS},
-    "reference": {{ "engine": "serial heap dijkstra, nested tables", "wall_s": {build_ref} }},
-    "fast": {{ "engine": "parallel bucket queue, csr tables", "wall_s": {build_fast} }},
+    "reference": {{ "engine": "serial heap dijkstra, distance labels", "wall_s": {build_ref} }},
+    "fast": {{ "engine": "parallel bucket queue, distance labels", "wall_s": {build_fast} }},
     "speedup": {build_speedup:.3},
     "fast_wins": {build_wins},
     "heap_bytes": {build_heap_bytes},
-    "results_identical": true
-  }},
-  "incremental_failures": {{
-    "topology": "dring scale_config(15)",
-    "failed_links": {fail_links},
-    "runs": {RUNS},
-    "full_masked_build_wall_s": {fail_full},
-    "incremental_wall_s": {fail_inc},
-    "speedup": {fail_speedup:.3},
-    "incremental_wins": {fail_wins},
-    "results_identical": true
-  }},
-  "csr_walk": {{
-    "routes": {walks},
-    "runs": {RUNS},
-    "nested_wall_s": {walk_nested},
-    "csr_wall_s": {walk_csr},
-    "speedup": {walk_speedup:.3},
-    "csr_wins": {walk_wins},
     "results_identical": true
   }}
 }}
@@ -616,14 +537,6 @@ fn main() {
         build_fast = build.fast.json(),
         build_speedup = build.speedup(),
         build_wins = build.fast_wins,
-        walk_nested = csr_walk.reference.json(),
-        walk_csr = csr_walk.fast.json(),
-        walk_speedup = csr_walk.speedup(),
-        walk_wins = csr_walk.fast_wins,
-        fail_full = fail.reference.json(),
-        fail_inc = fail.fast.json(),
-        fail_speedup = fail.speedup(),
-        fail_wins = fail.fast_wins,
     );
     std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
     println!("{json}");

@@ -57,17 +57,12 @@ fn main() {
 fn fibs_match(fs: &ForwardingState, out: &bgp::BgpOutcome) -> bool {
     for dst in 0..fs.vrf.routers {
         let pr = &out.prefixes[dst as usize];
-        let dag = &fs.dags[dst as usize];
         for v in 0..fs.vrf.graph.num_nodes() {
             if fs.vrf.router_of(v) == dst && v != fs.vrf.host_node(dst) {
                 continue;
             }
             let mut a = pr.fib[v as usize].clone();
-            let mut b: Vec<_> = dag
-                .next_hops(v)
-                .iter()
-                .map(|&arc| (fs.next_vnode(arc), arc))
-                .collect();
+            let mut b: Vec<_> = fs.next_hops(v, dst).collect();
             a.sort_unstable();
             b.sort_unstable();
             if a != b {

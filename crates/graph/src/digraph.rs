@@ -15,15 +15,16 @@
 //! construction produces (every cost is in `1..=K`, so a ring of `K + 1`
 //! buckets, rounded up to a power of two, replaces the heap); it returns
 //! the same distance labels — shortest-path distances are unique, so the
-//! engines agree exactly, which the tests and proptests pin. Likewise the
-//! per-node next-hop sets come in two layouts: the nested
-//! [`WeightedSpDag`] (one `Vec` per node, the readable reference) and the
-//! flat [`CsrSpDag`] (a single exact-size arena of arc ids per DAG, what
-//! the forwarding hot paths walk).
+//! engines agree exactly, which the tests and proptests pin. The per-node
+//! next-hop sets are a pure function of the labels: the nested
+//! [`WeightedSpDag`] materializes them (one `Vec` per node, the readable
+//! reference), while [`DiGraph::next_hops`] derives a node's set on demand
+//! by filtering its out-arcs against the labels, the way a BGP multipath
+//! RIB keeps one path cost per prefix and no next-hop table.
 //!
 //! Each adjacency entry carries its arc's cost (forward entries are
 //! `(head, arc, cost)`, reverse ones `(tail, cost)`), so the shortest-path
-//! sweeps and the DAG extraction read costs from the slice they already
+//! sweeps and the next-hop filter read costs from the slice they already
 //! walk instead of looking each arc up in the arc table.
 //!
 //! Distance labels are `u32` with [`UNREACHABLE`] as the sentinel in both
@@ -155,7 +156,7 @@ impl DiGraph {
 
     /// The same graph with the arcs `dead` marks left out of its
     /// adjacency: the arc list, and so every arc id, stays as it is, but
-    /// no walk, shortest-path sweep or DAG extraction sees a dead arc.
+    /// no walk, shortest-path sweep or next-hop filter sees a dead arc.
     /// The survivors keep their arc-id order in both CSR directions. This
     /// is how a failure degrades a plane without renumbering it.
     pub fn masked(&self, dead: impl Fn(ArcId) -> bool) -> DiGraph {
@@ -231,6 +232,50 @@ impl DiGraph {
         let (off, adj) = (&self.fwd_off, &self.fwd);
         let forward = |&(v, _, w): &(NodeId, ArcId, u32)| (v, w);
         bucket_dijkstra(self.num_nodes, src, off, adj, forward, scratch)
+    }
+
+    /// Next hops of `u` towards the destination whose distance labels
+    /// (from [`DiGraph::dijkstra_to`] or [`DiGraph::bucket_dijkstra_to`])
+    /// are `dist`: the out-arcs `(head, arc)` that begin a minimum-cost
+    /// path, i.e. `dist[head] + cost == dist[u]`, in out-arc order. The
+    /// destination (label 0) and unreachable nodes have none. This is the
+    /// inclusion rule [`WeightedSpDag::towards`] materializes.
+    #[inline]
+    pub fn next_hops<'a>(
+        &'a self,
+        dist: &'a [u32],
+        u: NodeId,
+    ) -> impl Iterator<Item = (NodeId, ArcId)> + Clone + 'a {
+        let du = dist[u as usize];
+        let out = if du == 0 || du == UNREACHABLE {
+            &[][..]
+        } else {
+            self.out_arcs(u)
+        };
+        // `du` is a real label, so a match has `dist[head] < du`: an
+        // unreachable head never matches.
+        out.iter()
+            .filter(move |&&(v, _, w)| dist[v as usize] as u64 + w as u64 == du as u64)
+            .map(|&(v, a, _)| (v, a))
+    }
+
+    /// The `pick(n)`-th of the `n` [`DiGraph::next_hops`] of `u` under
+    /// `dist`, or `None` when `u` has none. `pick` runs only when `n > 0`
+    /// and must return an index below `n`, so a caller drawing from an RNG
+    /// draws once per hop taken, as with a materialized next-hop list.
+    #[inline]
+    pub fn pick_next_hop(
+        &self,
+        dist: &[u32],
+        u: NodeId,
+        pick: impl FnOnce(usize) -> usize,
+    ) -> Option<(NodeId, ArcId)> {
+        let mut hops = self.next_hops(dist, u);
+        let n = hops.clone().count();
+        if n == 0 {
+            return None;
+        }
+        hops.nth(pick(n))
     }
 }
 
@@ -325,17 +370,14 @@ fn bucket_dijkstra<E>(
     dist
 }
 
-/// Reusable state for [`DiGraph::bucket_dijkstra_to`] and
-/// [`CsrSpDag::towards_with`]: the bucket ring, sized once per graph from
-/// its maximum arc cost, and the next-hop arena a DAG is extracted into
-/// before it is copied out at exact size. One scratch serves any number of
-/// sequential runs on graphs whose costs stay within that bound
+/// Reusable state for [`DiGraph::bucket_dijkstra_to`]: the bucket ring,
+/// sized once per graph from its maximum arc cost. One scratch serves any
+/// number of sequential runs on graphs whose costs stay within that bound
 /// (per-worker scratches in the parallel forwarding-state build).
 #[derive(Debug, Clone)]
 pub struct DialScratch {
     max_cost: u32,
     buckets: Vec<Vec<NodeId>>,
-    arcs: Vec<ArcId>,
 }
 
 impl DialScratch {
@@ -348,7 +390,6 @@ impl DialScratch {
         DialScratch {
             max_cost: g.max_arc_cost(),
             buckets: Vec::new(),
-            arcs: Vec::new(),
         }
     }
 
@@ -444,139 +485,6 @@ impl WeightedSpDag {
                 return;
             }
         }
-    }
-}
-
-/// Flat (CSR) layout of a weighted shortest-path DAG: all next-hop sets
-/// of one destination share a single arena of arc ids instead of one `Vec`
-/// per node.
-///
-/// This is the layout the forwarding hot paths walk — route sampling and
-/// the expected-hops dynamic program touch one contiguous allocation per
-/// DAG instead of chasing `Vec<Vec<_>>` pointers. An entry is the arc
-/// alone: its head is `g.arc(a).1`, so storing it again would double the
-/// arena. Every vector is allocated at exactly its length (the arena is
-/// extracted into a [`DialScratch`] and copied out), so
-/// [`CsrSpDag::heap_bytes`] is the state's true footprint.
-///
-/// Construction matches [`WeightedSpDag::towards`] entry for entry (same
-/// node order, same arc order within a node), so [`CsrSpDag::from_nested`]
-/// of the nested DAG equals [`CsrSpDag::towards`] exactly — the
-/// equivalence the routing tests pin.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsrSpDag {
-    /// Destination node.
-    pub dst: NodeId,
-    /// `dist[u]` = min cost from `u` to `dst` ([`UNREACHABLE`] if none).
-    pub dist: Vec<u32>,
-    /// `off[u]..off[u + 1]` indexes `arcs` for node `u`.
-    off: Vec<u32>,
-    /// Arena of next-hop arc ids, grouped by tail node.
-    arcs: Vec<ArcId>,
-}
-
-impl CsrSpDag {
-    /// Builds the minimum-cost DAG towards `dst` with the bucket-queue
-    /// engine, directly in CSR form.
-    pub fn towards(g: &DiGraph, dst: NodeId) -> CsrSpDag {
-        let mut scratch = DialScratch::for_graph(g);
-        CsrSpDag::towards_with(g, dst, &mut scratch)
-    }
-
-    /// [`CsrSpDag::towards`] with a caller-held [`DialScratch`], so a
-    /// per-destination sweep reuses one bucket ring and one arena.
-    pub fn towards_with(g: &DiGraph, dst: NodeId, scratch: &mut DialScratch) -> CsrSpDag {
-        let dist = g.bucket_dijkstra_to(dst, scratch);
-        let n = g.num_nodes();
-        let mut off = Vec::with_capacity(n as usize + 1);
-        off.push(0u32);
-        let arena = &mut scratch.arcs;
-        arena.clear();
-        for u in 0..n {
-            let du = dist[u as usize];
-            if du != UNREACHABLE && du != 0 {
-                for &(v, a, w) in g.out_arcs(u) {
-                    let dv = dist[v as usize];
-                    if dv != UNREACHABLE && dv as u64 + w as u64 == du as u64 {
-                        arena.push(a);
-                    }
-                }
-            }
-            off.push(arena.len() as u32);
-        }
-        CsrSpDag {
-            dst,
-            dist,
-            off,
-            arcs: arena.to_vec(),
-        }
-    }
-
-    /// Flattens a nested DAG. Entry order is preserved, so this equals
-    /// [`CsrSpDag::towards`] on the same graph and destination.
-    pub fn from_nested(dag: &WeightedSpDag) -> CsrSpDag {
-        let mut off = Vec::with_capacity(dag.next_hops.len() + 1);
-        off.push(0u32);
-        let mut arcs = Vec::with_capacity(dag.next_hops.iter().map(Vec::len).sum());
-        for nh in &dag.next_hops {
-            arcs.extend(nh.iter().map(|&(_, a)| a));
-            off.push(arcs.len() as u32);
-        }
-        CsrSpDag {
-            dst: dag.dst,
-            dist: dag.dist.clone(),
-            off,
-            arcs,
-        }
-    }
-
-    /// Number of nodes the DAG spans.
-    #[inline]
-    pub fn num_nodes(&self) -> u32 {
-        self.dist.len() as u32
-    }
-
-    /// Next hops of `u`: the arcs that begin a minimum-cost path (the head
-    /// of arc `a` is `g.arc(a).1`).
-    #[inline]
-    pub fn next_hops(&self, u: NodeId) -> &[ArcId] {
-        &self.arcs[self.off[u as usize] as usize..self.off[u as usize + 1] as usize]
-    }
-
-    /// Total next-hop entries across all nodes.
-    #[inline]
-    pub fn num_entries(&self) -> usize {
-        self.arcs.len()
-    }
-
-    /// Bytes held on the heap by the distance labels, the offsets and the
-    /// arena (allocated capacity, so slack would count).
-    pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<u32>() * (self.dist.capacity() + self.off.capacity())
-            + std::mem::size_of::<ArcId>() * self.arcs.capacity()
-    }
-
-    /// Samples a minimum-cost path of `g` (the graph the DAG was built on)
-    /// from `src` by a uniform random walk over next-hop arcs (per-hop
-    /// ECMP). `None` if unreachable.
-    pub fn sample_path<R: Rng>(
-        &self,
-        g: &DiGraph,
-        src: NodeId,
-        rng: &mut R,
-    ) -> Option<Vec<NodeId>> {
-        if self.dist[src as usize] == UNREACHABLE {
-            return None;
-        }
-        let mut path = vec![src];
-        let mut u = src;
-        while u != self.dst {
-            let nh = self.next_hops(u);
-            debug_assert!(!nh.is_empty());
-            u = g.arc(nh[rng.gen_range(0..nh.len())]).1;
-            path.push(u);
-        }
-        Some(path)
     }
 }
 
@@ -748,52 +656,61 @@ mod tests {
         assert_eq!(g.bucket_dijkstra_from(0, &mut scratch), g.dijkstra_from(0));
     }
 
-    #[test]
-    fn csr_dag_equals_nested_dag() {
-        for (max_w, seed) in MAX_COSTS.flat_map(|w| (0..8u64).map(move |s| (w, s))) {
-            let g = random_digraph(seed, 20, max_w);
-            let mut scratch = DialScratch::for_graph(&g);
-            for dst in 0..g.num_nodes() {
-                let nested = WeightedSpDag::towards(&g, dst);
-                let direct = CsrSpDag::towards_with(&g, dst, &mut scratch);
-                assert_eq!(
-                    direct,
-                    CsrSpDag::from_nested(&nested),
-                    "max cost {max_w} seed {seed} dst {dst}"
-                );
-                for u in 0..g.num_nodes() {
-                    let pairs: Vec<(NodeId, ArcId)> = direct
-                        .next_hops(u)
-                        .iter()
-                        .map(|&a| (g.arc(a).1, a))
-                        .collect();
-                    assert_eq!(pairs, nested.next_hops[u as usize]);
-                }
-            }
+    /// A seeded walk over label-derived next hops: at each node, count the
+    /// matches and take the `gen_range`-th, as route sampling does.
+    fn label_walk(
+        g: &DiGraph,
+        dist: &[u32],
+        dst: NodeId,
+        src: NodeId,
+        rng: &mut SmallRng,
+    ) -> Option<Vec<NodeId>> {
+        if dist[src as usize] == UNREACHABLE {
+            return None;
         }
+        let mut path = vec![src];
+        let mut u = src;
+        while u != dst {
+            u = g.pick_next_hop(dist, u, |n| rng.gen_range(0..n))?.0;
+            path.push(u);
+        }
+        Some(path)
     }
 
     #[test]
-    fn csr_sampling_matches_nested_sampling() {
-        let g = diamond();
-        let nested = WeightedSpDag::towards(&g, 3);
-        let csr = CsrSpDag::towards(&g, 3);
-        // Same seed, same next-hop orders => identical walks.
-        let mut ra = SmallRng::seed_from_u64(9);
-        let mut rb = SmallRng::seed_from_u64(9);
-        for _ in 0..32 {
-            assert_eq!(
-                nested.sample_path(0, &mut ra),
-                csr.sample_path(&g, 0, &mut rb)
-            );
+    fn derived_next_hops_match_nested_dag() {
+        use rand::Rng;
+        for (max_w, seed) in MAX_COSTS.flat_map(|w| (0..8u64).map(move |s| (w, s))) {
+            let full = random_digraph(seed, 20, max_w);
+            let masked = full.masked(|a| a % 3 == 0);
+            for (g, form) in [(&full, "unmasked"), (&masked, "masked")] {
+                let mut scratch = DialScratch::for_graph(g);
+                for dst in 0..g.num_nodes() {
+                    let ctx = format!("max cost {max_w} seed {seed} {form} dst {dst}");
+                    let nested = WeightedSpDag::towards(g, dst);
+                    let dist = g.bucket_dijkstra_to(dst, &mut scratch);
+                    assert_eq!(dist, nested.dist, "{ctx}");
+                    for u in 0..g.num_nodes() {
+                        let derived: Vec<_> = g.next_hops(&dist, u).collect();
+                        assert_eq!(derived, nested.next_hops[u as usize], "{ctx} u {u}");
+                        let picked = g.pick_next_hop(&dist, u, |n| n - 1);
+                        assert_eq!(picked, derived.last().copied(), "{ctx} u {u}");
+                    }
+                    // Same seed, same next-hop order: identical walks and
+                    // the two streams stay in lockstep.
+                    let mut ra = SmallRng::seed_from_u64(seed ^ dst as u64);
+                    let mut rb = ra.clone();
+                    for src in 0..g.num_nodes() {
+                        assert_eq!(
+                            label_walk(g, &dist, dst, src, &mut ra),
+                            nested.sample_path(src, &mut rb),
+                            "{ctx} src {src}"
+                        );
+                    }
+                    assert_eq!(ra.gen::<u64>(), rb.gen::<u64>(), "{ctx}");
+                }
+            }
         }
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut b = DiGraphBuilder::new(2);
-        b.add_arc(0, 1, 1);
-        let g2 = b.build();
-        assert!(CsrSpDag::towards(&g2, 0)
-            .sample_path(&g2, 1, &mut rng)
-            .is_none());
     }
 
     #[test]
@@ -807,9 +724,9 @@ mod tests {
         assert_eq!(m.out_arcs(0), &[(2, 2, 1), (3, 4, 2)]);
         assert!(m.in_arcs(1).is_empty());
         assert_eq!(m.in_arcs(3), g.in_arcs(3));
-        let dag = CsrSpDag::towards(&m, 3);
-        assert_eq!(dag.next_hops(0), &[2, 4]);
-        assert_eq!(dag.dist[1], 1);
+        let dist = m.dijkstra_to(3);
+        assert_eq!(m.next_hops(&dist, 0).collect::<Vec<_>>(), [(2, 2), (3, 4)]);
+        assert_eq!(dist[1], 1);
         // Masking nothing is the graph itself.
         assert_eq!(g.masked(|_| false), g);
         // The masked graph equals a renumbered rebuild of the survivors
@@ -824,35 +741,6 @@ mod tests {
                 .collect();
             assert_eq!(m.out_arcs(u), &mapped[..]);
             assert_eq!(m.in_arcs(u), dense.in_arcs(u));
-        }
-    }
-
-    /// Every vector of `dag` is allocated at exactly its length, so
-    /// `heap_bytes` counts no slack.
-    fn assert_exact_size(dag: &CsrSpDag) {
-        assert_eq!(dag.dist.capacity(), dag.dist.len());
-        assert_eq!(dag.off.capacity(), dag.off.len());
-        assert_eq!(dag.arcs.capacity(), dag.arcs.len());
-        let words = dag.dist.len() + dag.off.len() + dag.arcs.len();
-        assert_eq!(dag.heap_bytes(), 4 * words);
-    }
-
-    #[test]
-    fn csr_dags_are_exact_size() {
-        for seed in 0..4u64 {
-            let g = random_digraph(seed, 30, 3);
-            // One scratch across every destination: its arena grows to the
-            // largest DAG, and every copy out must still be exact, with no
-            // entry left over from the previous destination.
-            let mut scratch = DialScratch::for_graph(&g);
-            for dst in 0..g.num_nodes() {
-                let dag = CsrSpDag::towards_with(&g, dst, &mut scratch);
-                assert_exact_size(&dag);
-                assert_eq!(dag, CsrSpDag::towards(&g, dst), "seed {seed} dst {dst}");
-                assert_exact_size(&CsrSpDag::from_nested(&WeightedSpDag::towards(&g, dst)));
-                let masked = g.masked(|a| a % 3 == 0);
-                assert_exact_size(&CsrSpDag::towards_with(&masked, dst, &mut scratch));
-            }
         }
     }
 

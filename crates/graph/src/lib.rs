@@ -15,10 +15,10 @@
 //!   counts, used to check the paper's path-diversity claims.
 //! * [`digraph`] — a directed, integer-weighted graph with two
 //!   shortest-path engines (binary-heap Dijkstra as the reference, a Dial
-//!   bucket queue for the small integer costs VRF graphs carry) and
-//!   weighted shortest-path DAG extraction in both nested and flat CSR
-//!   layouts; this is the representation of the *VRF graph* of §4 of the
-//!   paper.
+//!   bucket queue for the small integer costs VRF graphs carry), the
+//!   nested weighted shortest-path DAG, and next hops derived from
+//!   distance labels alone; this is the representation of the *VRF graph*
+//!   of §4 of the paper.
 //! * [`spectral`] — power-iteration spectral gap estimation, quantifying how
 //!   expander-like a topology is.
 //! * [`cuts`] — randomized + local-search bisection-bandwidth estimation,
@@ -60,7 +60,7 @@ pub mod paths;
 pub mod spectral;
 
 pub use bfs::DistanceMatrix;
-pub use digraph::{CsrSpDag, DiGraph, DiGraphBuilder, DialScratch};
+pub use digraph::{DiGraph, DiGraphBuilder, DialScratch};
 pub use graph::{Graph, GraphBuilder, GraphError, NodeId};
 
 /// Identifier of an undirected edge inside a [`Graph`].

@@ -52,9 +52,11 @@ where
             done.push((i, f(&mut scratch, job)));
         }
     };
+    // The calling thread is one of the workers.
     let mut results: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
         let mut all = Vec::with_capacity(jobs.len());
+        all.extend(worker());
         for h in handles {
             match h.join() {
                 Ok(done) => all.extend(done),

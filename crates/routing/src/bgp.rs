@@ -223,21 +223,16 @@ mod tests {
         assert!(out.converged);
         for dst in 0..g.num_nodes() {
             let pr = &out.prefixes[dst as usize];
-            let dag = &fs.dags[dst as usize];
             for v in 0..fs.vrf.graph.num_nodes() {
                 if fs.vrf.router_of(v) == dst && v != fs.vrf.host_node(dst) {
                     continue;
                 }
                 assert_eq!(
-                    pr.best_len[v as usize], dag.dist[v as usize] as u64,
+                    pr.best_len[v as usize], fs.dist[dst as usize][v as usize] as u64,
                     "len mismatch dst={dst} v={v}"
                 );
                 let mut a: Vec<(NodeId, ArcId)> = pr.fib[v as usize].clone();
-                let mut b: Vec<(NodeId, ArcId)> = dag
-                    .next_hops(v)
-                    .iter()
-                    .map(|&arc| (fs.next_vnode(arc), arc))
-                    .collect();
+                let mut b: Vec<(NodeId, ArcId)> = fs.next_hops(v, dst).collect();
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b, "fib mismatch dst={dst} v={v}");
@@ -293,11 +288,10 @@ mod tests {
         let out = converge(&fs.vrf);
         for dst in 0..4u32 {
             let pr = &out.prefixes[dst as usize];
-            let dag = &fs.dags[dst as usize];
             for v in 0..fs.vrf.graph.num_nodes() {
                 for hop in &pr.fib[v as usize] {
                     assert!(
-                        dag.next_hops(v).contains(&hop.1) && fs.next_vnode(hop.1) == hop.0,
+                        fs.next_hops(v, dst).any(|h| h == *hop),
                         "BGP installed a hop Dijkstra lacks at v={v} dst={dst}"
                     );
                 }

@@ -7,14 +7,16 @@
 //! both within the model:
 //!
 //! * [`FailurePlan`] removes links and/or switches from a topology,
-//!   yielding a degraded [`Topology`];
-//! * [`incremental_rebuild`] recomputes the degraded forwarding state from
-//!   the intact baseline, as routers would after withdrawing the routes
-//!   over dead cables: the plane keeps the fabric's arc, edge and node
-//!   ids and only leaves the dead arcs out, and only destinations whose
-//!   DAGs contain a failed arc are rebuilt — equal to [`masked_build`]'s
-//!   from-scratch build (pinned in debug builds, tests and
-//!   `bench_snapshot`);
+//!   yielding a degraded [`Topology`], and names the dead cables
+//!   ([`FailurePlan::dead_edges`]);
+//! * [`ForwardingState::masked`] recomputes the degraded forwarding state
+//!   from the intact baseline, as routers would after withdrawing the
+//!   routes over dead cables: the baseline's VRF graph with the dead arcs
+//!   left out, and fresh distance labels for every destination on it. The
+//!   plane keeps the fabric's arc, edge and node ids, and equals
+//!   `ForwardingState::build` of [`FailurePlan::apply`]'s degraded graph
+//!   under the dense → original arc map (pinned by tests and
+//!   `tests/proptest_routing.rs`);
 //! * [`assess`] / [`assess_with`] quantify the impact: disconnected rack
 //!   pairs, route-cost stretch, Shortest-Union path-diversity loss, and
 //!   the number of synchronous BGP rounds to reconverge — the §7 question,
@@ -23,11 +25,11 @@
 
 use crate::bgp;
 use crate::diversity::su_disjoint_exact;
-use crate::fib::{build_dags, ForwardingState, RoutingScheme};
+use crate::fib::{ForwardingState, RoutingScheme};
 use crate::vrf::VrfGraph;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use spineless_graph::{CsrSpDag, EdgeId, NodeId, UNREACHABLE};
+use spineless_graph::{EdgeId, NodeId, UNREACHABLE};
 use spineless_topo::{TopoError, Topology};
 
 /// A set of failures to inject.
@@ -69,8 +71,8 @@ impl FailurePlan {
     /// (failed switches become isolated, their servers removed) and drops
     /// the failed cables. Edge ids are renumbered densely, surviving edges
     /// in their original order. Forwarding state for the degraded fabric
-    /// comes from [`incremental_rebuild`] instead, which keeps the intact
-    /// ids; this is for physical-graph metrics.
+    /// comes from [`ForwardingState::masked`] instead, which keeps the
+    /// intact ids; this is for physical-graph metrics.
     pub fn apply(&self, topo: &Topology) -> Result<Topology, TopoError> {
         let mut g = topo.graph.without_edges(&self.failed_links);
         for &sw in &self.failed_switches {
@@ -133,93 +135,6 @@ pub struct FailureImpact {
     pub bgp_rounds_after: u32,
 }
 
-/// The forwarding state of `topo` under `plan`, built from scratch: the
-/// intact VRF graph with every arc of a dead cable masked out
-/// ([`VrfGraph::masked`]), and every destination's DAG built on it. The
-/// reference [`incremental_rebuild`] is pinned against.
-pub fn masked_build(topo: &Topology, scheme: RoutingScheme, plan: &FailurePlan) -> ForwardingState {
-    let vrf = VrfGraph::build(&topo.graph, scheme.k()).masked(&plan.dead_edges(topo));
-    let dsts: Vec<NodeId> = (0..vrf.routers).collect();
-    let dags = build_dags(&vrf, &dsts);
-    ForwardingState { scheme, vrf, dags }
-}
-
-/// Rebuilds forwarding state for `topo` under `plan` incrementally from
-/// the intact network's `baseline` state. Equal to
-/// [`masked_build`]`(topo, baseline.scheme, plan)`.
-///
-/// The degraded plane is the baseline's VRF graph with the dead cables'
-/// arcs masked out of its adjacency, so arc ids, [`VrfGraph::edge_of_arc`]
-/// and the directed links a FIB entry names are the intact fabric's: the
-/// plane a BGP/VRF fabric converges to after withdrawing the routes over
-/// the cut cables. It equals `ForwardingState::build(&plan.apply(topo).graph)`
-/// under the dense → original arc map: [`FailurePlan::apply`] keeps
-/// surviving edges in order and [`VrfGraph::build`] emits a fixed arc
-/// block per edge, so out-arc order, relaxation order and next-hop order
-/// all match.
-///
-/// *Why it is exact:* a destination's min-cost paths consist exactly of its
-/// DAG's arcs, so if no failed VRF arc is in destination `d`'s baseline
-/// DAG, every min-cost path towards `d` survives — distances, reachability
-/// and the DAG arc set are all unchanged, and `d` keeps its baseline DAG.
-/// Only `d`'s whose DAG contains a failed arc (tested in O(failed arcs)
-/// against the baseline distance labels) are rebuilt on the masked graph.
-pub fn incremental_rebuild(
-    baseline: &ForwardingState,
-    topo: &Topology,
-    plan: &FailurePlan,
-) -> ForwardingState {
-    assert_eq!(
-        baseline.vrf.routers,
-        topo.graph.num_nodes(),
-        "baseline state belongs to a different topology"
-    );
-    let edge_dead = plan.dead_edges(topo);
-    let vrf = baseline.vrf.masked(&edge_dead);
-
-    // Failed VRF arcs with endpoints and cost, for the affected test.
-    let failed_arcs: Vec<(NodeId, NodeId, u64)> = (0..baseline.vrf.graph.num_arcs())
-        .filter(|&a| edge_dead[baseline.vrf.edge_of_arc(a) as usize])
-        .map(|a| {
-            let (x, y, w) = baseline.vrf.graph.arc(a);
-            (x, y, w as u64)
-        })
-        .collect();
-
-    // Arc (x → y, w) is in d's DAG iff x is neither the destination nor
-    // unreachable and the arc closes the distance gap — the same inclusion
-    // rule `CsrSpDag::towards` applies.
-    let affected: Vec<NodeId> = (0..baseline.vrf.routers)
-        .filter(|&d| {
-            let dist = &baseline.dags[d as usize].dist;
-            failed_arcs.iter().any(|&(x, y, w)| {
-                let (dx, dy) = (dist[x as usize], dist[y as usize]);
-                dx != 0 && dx != UNREACHABLE && dy != UNREACHABLE && dy as u64 + w == dx as u64
-            })
-        })
-        .collect();
-
-    let mut rebuilt = build_dags(&vrf, &affected).into_iter();
-    let mut affected_iter = affected.iter().copied().peekable();
-    let dags: Vec<CsrSpDag> = (0..baseline.vrf.routers)
-        .map(|d| {
-            if affected_iter.peek() == Some(&d) {
-                affected_iter.next();
-                rebuilt
-                    .next()
-                    .expect("one rebuilt DAG per affected destination")
-            } else {
-                baseline.dags[d as usize].clone()
-            }
-        })
-        .collect();
-    ForwardingState {
-        scheme: baseline.scheme,
-        vrf,
-        dags,
-    }
-}
-
 /// Assesses a failure plan. `diversity_samples` bounds the (quadratic)
 /// disjoint-path measurement to a deterministic subsample of rack pairs.
 pub fn assess(
@@ -234,8 +149,8 @@ pub fn assess(
 
 /// [`assess`] against a prebuilt baseline state (share one via
 /// `core::cache::RoutingCache` across a failure sweep), with the degraded
-/// state produced by [`incremental_rebuild`] instead of a from-scratch
-/// build. The scheme is the baseline's. The path-diversity and
+/// state produced by [`ForwardingState::masked`]. The scheme is the
+/// baseline's. The path-diversity and
 /// reachability metrics run on the physical degraded graph,
 /// [`FailurePlan::apply`]'s.
 pub fn assess_with(
@@ -247,12 +162,7 @@ pub fn assess_with(
     let scheme = baseline.scheme;
     let before = baseline;
     let degraded = plan.apply(topo)?;
-    let after = incremental_rebuild(baseline, topo, plan);
-    debug_assert_eq!(
-        after,
-        masked_build(topo, scheme, plan),
-        "incremental rebuild diverged from full rebuild"
-    );
+    let after = baseline.masked(&plan.dead_edges(topo));
 
     let racks_before = topo.racks();
     let racks_after = degraded.racks();
@@ -417,6 +327,9 @@ mod tests {
 
     #[test]
     fn incremental_rebuild_matches_full_rebuild() {
+        // The state rebuilt from the baseline equals a full rebuild: a
+        // fresh VRF graph of the intact topology, masked, with serial
+        // heap-Dijkstra labels. No next hop crosses a dead cable.
         let t = dring();
         for scheme in [RoutingScheme::Ecmp, RoutingScheme::ShortestUnion(2)] {
             let baseline = ForwardingState::build(&t.graph, scheme);
@@ -425,16 +338,21 @@ mod tests {
                 let mut plan = FailurePlan::random_links(&t, 0.1, &mut rng);
                 plan.failed_switches =
                     FailurePlan::random_switches(&t, round % 3, &mut rng).failed_switches;
-                let inc = incremental_rebuild(&baseline, &t, &plan);
-                let full = masked_build(&t, scheme, &plan);
-                assert_eq!(inc, full, "{} round {round}", scheme.label());
-                // Arc ids are the intact fabric's: no next hop crosses a
-                // dead cable.
                 let dead = plan.dead_edges(&t);
-                for dag in &inc.dags {
-                    for u in 0..dag.num_nodes() {
-                        for &a in dag.next_hops(u) {
-                            assert!(!dead[inc.vrf.edge_of_arc(a) as usize]);
+                let rebuilt = baseline.masked(&dead);
+                let vrf = VrfGraph::build(&t.graph, scheme.k()).masked(&dead);
+                let full = ForwardingState {
+                    scheme,
+                    dist: (0..vrf.routers)
+                        .map(|d| vrf.graph.dijkstra_to(vrf.host_node(d)))
+                        .collect(),
+                    vrf,
+                };
+                assert_eq!(rebuilt, full, "{} round {round}", scheme.label());
+                for d in 0..t.graph.num_nodes() {
+                    for u in 0..rebuilt.vrf.graph.num_nodes() {
+                        for (_, a) in rebuilt.next_hops(u, d) {
+                            assert!(!dead[rebuilt.vrf.edge_of_arc(a) as usize]);
                         }
                     }
                 }
@@ -446,8 +364,8 @@ mod tests {
     fn incremental_rebuild_of_empty_plan_is_the_baseline() {
         let t = dring();
         let baseline = ForwardingState::build(&t.graph, RoutingScheme::ShortestUnion(2));
-        let inc = incremental_rebuild(&baseline, &t, &FailurePlan::default());
-        assert_eq!(inc, baseline);
+        let same = baseline.masked(&FailurePlan::default().dead_edges(&t));
+        assert_eq!(same, baseline);
     }
 
     #[test]
@@ -467,7 +385,7 @@ mod tests {
         let t = dring();
         let other = LeafSpine::new(6, 3).build();
         let baseline = ForwardingState::build(&other.graph, RoutingScheme::Ecmp);
-        let _ = incremental_rebuild(&baseline, &t, &FailurePlan::default());
+        let _ = baseline.masked(&FailurePlan::default().dead_edges(&t));
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! The packet simulator and the fluid model both forward hop by hop over a
 //! per-destination next-hop structure. ECMP is exactly the `K = 1` VRF
 //! graph (plain shortest paths, unit costs), so one representation serves
-//! both schemes of the paper's §4: a [`VrfGraph`] plus one min-cost DAG per
-//! destination router.
+//! both schemes of the paper's §4: a [`VrfGraph`] plus one vector of
+//! distance labels per destination router. Every next-hop set is derived
+//! from the labels; the packet engine's [`FibCache`] is the only
+//! materialized copy.
 
 use crate::vrf::VrfGraph;
 use rand::Rng;
-use spineless_graph::digraph::{ArcId, CsrSpDag, DialScratch};
+use spineless_graph::digraph::{ArcId, DialScratch};
 use spineless_graph::{par, EdgeId, Graph, NodeId, UNREACHABLE};
 
 /// The two routing schemes evaluated by the paper (§4).
@@ -46,7 +48,7 @@ impl RoutingScheme {
 /// `(next vnode, directed link)` entries, where the directed link is the
 /// simulator's `2 * edge + dir` id (`dir = 0` when the hop leaves the
 /// edge's first endpoint). A hop lookup is one multiply-index plus a
-/// modulo — no CSR DAG walk, no edge-endpoint resolution.
+/// modulo — no label filter, no edge-endpoint resolution.
 ///
 /// Arena slices preserve the exact order of [`ForwardingState::next_hops`],
 /// so `hash % len` picks the identical entry the reference path picks;
@@ -63,50 +65,91 @@ pub struct FibCache {
 }
 
 /// Hard cap on the cache's memory footprint — slot table *and* next-hop
-/// arena, both of which are known exactly before building. Planes beyond
-/// it — far past any topology this repo evaluates — simply run without a
-/// hot cache.
+/// arena. Planes beyond it — far past any topology this repo evaluates —
+/// simply run without a hot cache.
 const FIB_CACHE_MAX_BYTES: u64 = 256 << 20;
 
 impl FibCache {
     /// Builds the flat cache for `fs` given the physical edge endpoints
-    /// (`edges[e] = (a, b)`, the simulator's direction convention).
-    /// Returns `None` when the cache (slot table + arena) would exceed
-    /// [`FIB_CACHE_MAX_BYTES`].
+    /// (`edges[e] = (a, b)`, the simulator's direction convention), from
+    /// the destinations' labels. Returns `None` when the cache (slot table
+    /// + arena) would exceed [`FIB_CACHE_MAX_BYTES`].
     pub fn build(fs: &ForwardingState, edges: &[(NodeId, NodeId)]) -> Option<FibCache> {
-        let vnodes = fs.vrf.graph.num_nodes();
-        let routers = fs.vrf.routers;
-        // Exact footprint: one slot per (vnode, dst) pair plus one arena
-        // entry per DAG next-hop entry (`next_hops` is a straight
-        // delegation to `dags[dst]`, so per-DAG totals are the arena).
-        let slot_bytes = vnodes as u64 * routers as u64 * std::mem::size_of::<(u32, u32)>() as u64;
-        let arena_entries: u64 = fs.dags.iter().map(|d| d.num_entries() as u64).sum();
-        let arena_bytes = arena_entries * std::mem::size_of::<(NodeId, u32)>() as u64;
-        if slot_bytes.saturating_add(arena_bytes) > FIB_CACHE_MAX_BYTES {
+        FibCache::build_capped(fs, edges, FIB_CACHE_MAX_BYTES)
+    }
+
+    /// [`FibCache::build`] under a footprint cap of `max_bytes`. Each
+    /// destination's next-hop lists are derived from its labels on the
+    /// [`par`] pool, [`FILL_BATCH`] destinations per call, and join the
+    /// arena in destination order. The slot table's size is known up
+    /// front; the arena's is checked as each destination joins, so the
+    /// build stops at the first destination that takes the footprint past
+    /// the cap, and a plane is refused exactly when its whole cache would
+    /// exceed it.
+    fn build_capped(
+        fs: &ForwardingState,
+        edges: &[(NodeId, NodeId)],
+        max_bytes: u64,
+    ) -> Option<FibCache> {
+        let g = &fs.vrf.graph;
+        let vnodes = g.num_nodes();
+        let num_slots = vnodes as usize * fs.vrf.routers as usize;
+        let slot_bytes = num_slots as u64 * std::mem::size_of::<(u32, u32)>() as u64;
+        let entry_bytes = std::mem::size_of::<(NodeId, u32)>() as u64;
+        if slot_bytes > max_bytes {
             return None;
         }
-        // Each VRF arc's `(head, directed link)`, resolved once: filling
-        // the arena is then one table lookup per DAG entry.
-        let g = &fs.vrf.graph;
-        let hop_of: Vec<(NodeId, u32)> = (0..g.num_arcs())
+        // Each VRF arc's directed link, resolved once: filling the arena
+        // is then one table lookup per next-hop entry.
+        let link_of: Vec<u32> = (0..g.num_arcs())
             .map(|arc| {
-                let (tail, head, _) = g.arc(arc);
+                let (tail, _, _) = g.arc(arc);
                 let edge = fs.vrf.edge_of_arc(arc);
                 let dir = if fs.vrf.router_of(tail) == edges[edge as usize].0 {
                     0
                 } else {
                     1
                 };
-                (head, 2 * edge + dir)
+                2 * edge + dir
             })
             .collect();
-        let mut slots = Vec::with_capacity((vnodes as usize) * (routers as usize));
-        let mut arena: Vec<(NodeId, u32)> = Vec::with_capacity(arena_entries as usize);
-        for dag in &fs.dags {
-            for vnode in 0..vnodes {
-                let nh = dag.next_hops(vnode);
-                slots.push((arena.len() as u32, nh.len() as u32));
-                arena.extend(nh.iter().map(|&arc| hop_of[arc as usize]));
+        // Reserve the arena once, up front: every destination gets the
+        // first one's entry count (exact on a vertex-transitive fabric),
+        // plus one destination's worth of room for fabrics whose
+        // destinations differ a little, within the cap.
+        let first = fs.dist.first().map_or(0, |dist| {
+            (0..vnodes)
+                .map(|v| g.next_hops(dist, v).count())
+                .sum::<usize>()
+        });
+        let room = (max_bytes - slot_bytes) / entry_bytes;
+        let guess = (first as u64 * (fs.dist.len() as u64 + 1)).min(room);
+        let mut slots = Vec::with_capacity(num_slots);
+        let mut arena: Vec<(NodeId, u32)> = Vec::with_capacity(guess as usize);
+        let workers = pool_workers(fs.dist.len());
+        for batch in fs.dist.chunks(FILL_BATCH) {
+            // Per destination: each vnode's hop count, and the hops.
+            let filled = par::map_ordered(batch, workers, Vec::new, |hops, dist| {
+                hops.clear();
+                let lens: Vec<u32> = (0..vnodes)
+                    .map(|v| {
+                        let before = hops.len();
+                        hops.extend(g.next_hops(dist, v).map(|(h, a)| (h, link_of[a as usize])));
+                        (hops.len() - before) as u32
+                    })
+                    .collect();
+                (lens, hops.to_vec())
+            });
+            for (lens, hops) in filled {
+                let mut off = arena.len() as u32;
+                for len in lens {
+                    slots.push((off, len));
+                    off += len;
+                }
+                arena.extend_from_slice(&hops);
+                if slot_bytes + arena.len() as u64 * entry_bytes > max_bytes {
+                    return None;
+                }
             }
         }
         assert!(
@@ -252,71 +295,105 @@ pub trait Forwarding: Send + Sync {
 /// graph: everything a switch needs to forward a packet, and everything the
 /// fluid model needs to sample flow routes.
 ///
-/// Next-hop tables are flat [`CsrSpDag`]s — one exact-size arena of VRF
-/// arc ids per destination, heads read from [`VrfGraph::graph`] — and
-/// [`ForwardingState::build`] fills them with the bucket-queue engine
-/// across worker threads. [`ForwardingState::build_reference`] is the
-/// retained serial heap-Dijkstra path; the two are `==` on every topology
-/// (pinned by tests and by `bench_snapshot`).
+/// The state is the VRF graph plus one vector of distance labels per
+/// destination — what a BGP multipath RIB keeps, one path cost per
+/// prefix. A next-hop set is derived on demand ([`ForwardingState::next_hops`]):
+/// the out-arcs whose head's label plus the arc cost equals the node's own
+/// label, in CSR order. [`ForwardingState::build`] computes the labels with
+/// the bucket-queue engine across worker threads;
+/// [`ForwardingState::build_reference`] is the retained serial
+/// heap-Dijkstra path, and the two are `==` on every topology (pinned by
+/// tests and by `bench_snapshot`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForwardingState {
     /// The scheme this state implements.
     pub scheme: RoutingScheme,
     /// The VRF expansion of the physical topology.
     pub vrf: VrfGraph,
-    /// `dags[d]` = min-cost DAG towards `(VRF K, d)`, indexed by router.
-    pub dags: Vec<CsrSpDag>,
+    /// `dist[d][v]` = min cost from VRF node `v` to `(VRF K, d)`
+    /// ([`UNREACHABLE`] if none), indexed by destination router.
+    pub dist: Vec<Vec<u32>>,
 }
 
-/// Below this many destination DAG builds, thread spin-up costs more than
-/// the parallelism saves; build on one worker.
+/// Below this many destinations, thread spin-up costs more than the
+/// parallelism saves; build on one worker.
 const PAR_MIN_DESTS: usize = 16;
 
-/// Builds the min-cost CSR DAG towards each router in `dsts`, in `dsts`
-/// order, on the [`par`] pool. Each DAG depends only on
-/// `(vrf, destination)`, so the output is the same at every worker count.
-/// Each worker holds one [`DialScratch`], so the bucket ring and the
-/// extraction arena are allocated once per thread, not once per
-/// destination; each DAG leaves the arena as an exact-size copy.
-pub(crate) fn build_dags(vrf: &VrfGraph, dsts: &[NodeId]) -> Vec<CsrSpDag> {
-    let workers = if dsts.len() < PAR_MIN_DESTS {
+/// Workers for a per-destination sweep over `dests` destinations.
+fn pool_workers(dests: usize) -> usize {
+    if dests < PAR_MIN_DESTS {
         1
     } else {
         par::host_threads()
-    };
+    }
+}
+
+/// Destinations per pool call in [`FibCache::build`]. A batch's hop lists
+/// live until they join the arena, so this bounds the memory the build
+/// holds beyond the cache itself (about 4 MiB on a 396-switch DRing under
+/// SU(2)).
+const FILL_BATCH: usize = 64;
+
+/// Dial distance labels towards every router of `vrf`, in router order,
+/// on the [`par`] pool. Each destination's labels depend only on
+/// `(vrf, destination)`, so the output is the same at every worker count.
+/// Each worker holds one [`DialScratch`], so the bucket ring is allocated
+/// once per thread, not once per destination.
+fn build_labels(vrf: &VrfGraph) -> Vec<Vec<u32>> {
+    let dsts: Vec<NodeId> = (0..vrf.routers).collect();
     par::map_ordered(
-        dsts,
-        workers,
+        &dsts,
+        pool_workers(dsts.len()),
         || DialScratch::for_graph(&vrf.graph),
-        |scratch, &d| vrf.csr_dag_towards_with(d, scratch),
+        |scratch, &d| vrf.graph.bucket_dijkstra_to(vrf.host_node(d), scratch),
     )
 }
 
 impl ForwardingState {
     /// Computes forwarding state for every destination router of `phys`.
     ///
-    /// Fast path: bucket-queue shortest paths (VRF arc costs are `≤ K`),
-    /// CSR tables, and a parallel per-destination sweep. Bit-identical to
+    /// Fast path: bucket-queue shortest paths (VRF arc costs are `≤ K`)
+    /// in a parallel per-destination sweep. Bit-identical to
     /// [`ForwardingState::build_reference`].
     pub fn build(phys: &Graph, scheme: RoutingScheme) -> ForwardingState {
         assert!(scheme.k() >= 1, "Shortest-Union(0) is not a routing scheme");
         let vrf = VrfGraph::build(phys, scheme.k());
-        let dsts: Vec<NodeId> = (0..phys.num_nodes()).collect();
-        let dags = build_dags(&vrf, &dsts);
-        ForwardingState { scheme, vrf, dags }
+        let dist = build_labels(&vrf);
+        ForwardingState { scheme, vrf, dist }
     }
 
-    /// Serial reference build: one heap Dijkstra per destination into a
-    /// nested DAG, then flattened. Kept so tests and `bench_snapshot` can
-    /// pin [`ForwardingState::build`] bit-exact against the original
-    /// pipeline on every topology.
+    /// Serial reference build: one heap Dijkstra per destination. Kept so
+    /// tests and `bench_snapshot` can pin [`ForwardingState::build`]
+    /// bit-exact against an independent engine on every topology.
     pub fn build_reference(phys: &Graph, scheme: RoutingScheme) -> ForwardingState {
         assert!(scheme.k() >= 1, "Shortest-Union(0) is not a routing scheme");
         let vrf = VrfGraph::build(phys, scheme.k());
-        let dags = (0..phys.num_nodes())
-            .map(|d| CsrSpDag::from_nested(&vrf.dag_towards(d)))
+        let dist = (0..phys.num_nodes())
+            .map(|d| vrf.graph.dijkstra_to(vrf.host_node(d)))
             .collect();
-        ForwardingState { scheme, vrf, dags }
+        ForwardingState { scheme, vrf, dist }
+    }
+
+    /// The state the control plane converges to once every physical edge
+    /// `dead_edge` marks is gone: this state's VRF graph with the dead
+    /// cables' arcs masked out ([`VrfGraph::masked`]) and labels for every
+    /// destination on it. Arc, edge and node ids stay the intact fabric's,
+    /// so next hops and FIB entries name the same link queues as this
+    /// state's do. This is the one reconvergence path: failures, repairs
+    /// and mid-run reconvergence all come through it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `dead_edge` does not have one entry per physical edge
+    /// of this state's topology.
+    pub fn masked(&self, dead_edge: &[bool]) -> ForwardingState {
+        let vrf = self.vrf.masked(dead_edge);
+        let dist = build_labels(&vrf);
+        ForwardingState {
+            scheme: self.scheme,
+            vrf,
+            dist,
+        }
     }
 
     /// The VRF node where a packet sourced at `router` starts.
@@ -333,28 +410,45 @@ impl ForwardingState {
     }
 
     /// ECMP next hops at VRF node `vnode` towards destination router
-    /// `dst`, as VRF arcs. Use [`ForwardingState::next_vnode`] for the
-    /// arc's head and [`VrfGraph::edge_of_arc`] for the physical cable.
+    /// `dst`, as `(next vnode, VRF arc)` pairs in CSR order, derived from
+    /// `dst`'s labels ([`DiGraph::next_hops`](spineless_graph::DiGraph::next_hops)).
+    /// Use [`VrfGraph::edge_of_arc`] for an arc's physical cable.
     #[inline]
-    pub fn next_hops(&self, vnode: NodeId, dst: NodeId) -> &[ArcId] {
-        self.dags[dst as usize].next_hops(vnode)
+    pub fn next_hops(
+        &self,
+        vnode: NodeId,
+        dst: NodeId,
+    ) -> impl Iterator<Item = (NodeId, ArcId)> + Clone + '_ {
+        self.vrf.graph.next_hops(&self.dist[dst as usize], vnode)
     }
 
-    /// The VRF node VRF arc `arc` leads to.
+    /// The `pick(n)`-th of the `n` next hops at `vnode` towards `dst`, as
+    /// `(next vnode, physical edge)`, or `None` when there are none. Every
+    /// hop choice goes through here: hashing takes `hash % n`, route
+    /// sampling `gen_range(0..n)`, drawing once per hop.
     #[inline]
-    pub fn next_vnode(&self, arc: ArcId) -> NodeId {
-        self.vrf.graph.arc(arc).1
+    pub fn pick_hop(
+        &self,
+        vnode: NodeId,
+        dst: NodeId,
+        pick: impl FnOnce(usize) -> usize,
+    ) -> Option<(NodeId, EdgeId)> {
+        let dist = &self.dist[dst as usize];
+        let (next, arc) = self.vrf.graph.pick_next_hop(dist, vnode, pick)?;
+        Some((next, self.vrf.edge_of_arc(arc)))
     }
 
-    /// Bytes held on the heap by every destination's distance labels,
-    /// offsets and next-hop arena (see [`CsrSpDag::heap_bytes`]).
+    /// Bytes held on the heap by every destination's distance labels.
     pub fn heap_bytes(&self) -> usize {
-        self.dags.iter().map(CsrSpDag::heap_bytes).sum()
+        self.dist
+            .iter()
+            .map(|d| std::mem::size_of::<u32>() * d.capacity())
+            .sum()
     }
 
     /// `true` iff `src` can reach `dst` under this scheme.
     pub fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
-        src == dst || self.dags[dst as usize].dist[self.start(src) as usize] != UNREACHABLE
+        src == dst || self.dist[dst as usize][self.start(src) as usize] != UNREACHABLE
     }
 
     /// Route cost from `src` to `dst` (= `max(L, K)` by Theorem 1);
@@ -363,7 +457,7 @@ impl ForwardingState {
         if src == dst {
             return Some(0);
         }
-        let d = self.dags[dst as usize].dist[self.start(src) as usize];
+        let d = self.dist[dst as usize][self.start(src) as usize];
         (d != UNREACHABLE).then_some(d as u64)
     }
 
@@ -380,15 +474,13 @@ impl ForwardingState {
         if src == dst || !self.reachable(src, dst) {
             return None;
         }
-        let dag = &self.dags[dst as usize];
         let mut v = self.start(src);
         let mut hops = Vec::new();
         while !self.delivered(v, dst) {
-            let nh = dag.next_hops(v);
-            debug_assert!(!nh.is_empty(), "stranded at VRF node {v}");
-            let arc = nh[rng.gen_range(0..nh.len())];
-            let nv = self.next_vnode(arc);
-            hops.push((self.vrf.router_of(nv), self.vrf.edge_of_arc(arc)));
+            let (nv, edge) = self
+                .pick_hop(v, dst, |n| rng.gen_range(0..n))
+                .unwrap_or_else(|| panic!("stranded at VRF node {v}"));
+            hops.push((self.vrf.router_of(nv), edge));
             v = nv;
         }
         Some(hops)
@@ -397,7 +489,7 @@ impl ForwardingState {
     /// Expected physical hop count of the ECMP random walk from `src` to
     /// `dst` (each VRF hop is one physical hop). `None` if unreachable.
     ///
-    /// Exact dynamic program over the DAG — used by the examples to show
+    /// Exact dynamic program over the next hops — used by the examples to show
     /// Shortest-Union's path-length cost on uniform traffic (§6.1: "since
     /// it uses longer paths than ECMP ... performance is slightly worse").
     pub fn expected_route_hops(&self, src: NodeId, dst: NodeId) -> Option<f64> {
@@ -407,24 +499,27 @@ impl ForwardingState {
         if !self.reachable(src, dst) {
             return None;
         }
-        let dag = &self.dags[dst as usize];
+        let dist = &self.dist[dst as usize];
         let target = self.vrf.host_node(dst);
         // Process nodes in increasing dist order (dist strictly decreases
         // along next hops, so this is a topological order).
         let mut order: Vec<NodeId> = (0..self.vrf.graph.num_nodes()).collect();
-        order.sort_by_key(|&v| dag.dist[v as usize]);
+        order.sort_by_key(|&v| dist[v as usize]);
         let mut exp = vec![f64::NAN; self.vrf.graph.num_nodes() as usize];
         exp[target as usize] = 0.0;
         for v in order {
-            if v == target || dag.dist[v as usize] == UNREACHABLE {
+            if v == target || dist[v as usize] == UNREACHABLE {
                 continue;
             }
-            let nh = dag.next_hops(v);
-            if nh.is_empty() {
+            let (mut n, mut sum) = (0usize, 0.0f64);
+            for (next, _) in self.next_hops(v, dst) {
+                n += 1;
+                sum += exp[next as usize];
+            }
+            if n == 0 {
                 continue; // unreachable towards this dst
             }
-            let sum: f64 = nh.iter().map(|&a| exp[self.next_vnode(a) as usize]).sum();
-            exp[v as usize] = 1.0 + sum / nh.len() as f64;
+            exp[v as usize] = 1.0 + sum / n as f64;
         }
         let e = exp[self.start(src) as usize];
         e.is_finite().then_some(e)
@@ -453,10 +548,8 @@ impl Forwarding for ForwardingState {
     }
 
     fn next_hop(&self, vnode: NodeId, dst: NodeId, hash: u64) -> (NodeId, EdgeId) {
-        let nh = self.next_hops(vnode, dst);
-        debug_assert!(!nh.is_empty(), "no route at vnode {vnode} towards {dst}");
-        let arc = nh[(hash % nh.len() as u64) as usize];
-        (self.next_vnode(arc), self.vrf.edge_of_arc(arc))
+        self.pick_hop(vnode, dst, |n| (hash % n as u64) as usize)
+            .unwrap_or_else(|| panic!("no route at vnode {vnode} towards {dst}"))
     }
 
     fn fib_cache(&self, edges: &[(NodeId, NodeId)]) -> Option<FibCache> {
@@ -570,8 +663,7 @@ mod tests {
             for v in 0..6u32 {
                 let mut mine: Vec<NodeId> = fs
                     .next_hops(fs.start(v), dst)
-                    .iter()
-                    .map(|&a| fs.vrf.router_of(fs.next_vnode(a)))
+                    .map(|(next, _)| fs.vrf.router_of(next))
                     .collect();
                 mine.sort_unstable();
                 let mut theirs = direct[v as usize].clone();
@@ -661,17 +753,15 @@ mod tests {
     }
 
     #[test]
-    fn build_dags_parallel_path_matches_serial_cutoff() {
+    fn build_labels_parallel_path_matches_serial_cutoff() {
         // 20 routers > PAR_MIN_DESTS forces the worker pool on multi-core
         // hosts; the pool must reproduce the serial sweep exactly.
         let g = cycle(20);
         let vrf = VrfGraph::build(&g, 2);
-        let dsts: Vec<NodeId> = (0..20).collect();
-        let parallel = build_dags(&vrf, &dsts);
-        let mut scratch = spineless_graph::DialScratch::for_graph(&vrf.graph);
-        let serial: Vec<_> = dsts
-            .iter()
-            .map(|&d| vrf.csr_dag_towards_with(d, &mut scratch))
+        let parallel = build_labels(&vrf);
+        let mut scratch = DialScratch::for_graph(&vrf.graph);
+        let serial: Vec<_> = (0..20)
+            .map(|d| vrf.graph.bucket_dijkstra_to(vrf.host_node(d), &mut scratch))
             .collect();
         assert_eq!(parallel, serial);
     }
@@ -707,7 +797,7 @@ mod tests {
                 let cache = fs.fib_cache(&edges).expect("small plane caches");
                 for dst in 0..g.num_nodes() {
                     for vnode in 0..fs.vrf.graph.num_nodes() {
-                        if fs.delivered(vnode, dst) || fs.next_hops(vnode, dst).is_empty() {
+                        if fs.delivered(vnode, dst) || fs.next_hops(vnode, dst).next().is_none() {
                             continue;
                         }
                         for hash in [0u64, 1, 7, 0xDEAD_BEEF, u64::MAX] {
@@ -768,18 +858,36 @@ mod tests {
     }
 
     #[test]
+    fn fib_cache_cap_is_exact() {
+        // The cap is checked as the fill proceeds, yet it refuses a plane
+        // exactly when the whole cache would pass it: a cap of the exact
+        // footprint builds, one byte less does not.
+        let g = k4();
+        let edges: Vec<(NodeId, NodeId)> = g.edges().to_vec();
+        let fs = ForwardingState::build(&g, RoutingScheme::ShortestUnion(2));
+        let vnodes = fs.vrf.graph.num_nodes();
+        let slot_bytes = 8 * (vnodes * g.num_nodes()) as u64;
+        let entries: usize = (0..g.num_nodes())
+            .flat_map(|d| (0..vnodes).map(move |v| (v, d)))
+            .map(|(v, d)| fs.next_hops(v, d).count())
+            .sum();
+        let footprint = slot_bytes + 8 * entries as u64;
+        let cache = FibCache::build(&fs, &edges).unwrap();
+        assert_eq!(FibCache::build_capped(&fs, &edges, footprint), Some(cache));
+        assert_eq!(FibCache::build_capped(&fs, &edges, footprint - 1), None);
+        assert_eq!(FibCache::build_capped(&fs, &edges, slot_bytes - 1), None);
+    }
+
+    #[test]
     fn heap_bytes_counts_exact_size_arenas() {
-        // Capacity >= length for every vector, so equality with the
-        // length-only count means every label, offset and arena vector of
-        // every DAG is allocated at exactly its length — whichever path
-        // produced it.
+        // The label vectors are the state's only arenas. Capacity >=
+        // length for every vector, so equality with the length-only count
+        // means every destination's labels are allocated at exactly their
+        // length, whichever path produced them.
         let exact = |fs: &ForwardingState| {
-            let words: usize = fs
-                .dags
-                .iter()
-                .map(|d| 2 * d.num_nodes() as usize + 1 + d.num_entries())
-                .sum();
-            assert_eq!(fs.heap_bytes(), 4 * words);
+            let labels = fs.vrf.graph.num_nodes() as usize * fs.vrf.routers as usize;
+            assert_eq!(fs.dist.len(), fs.vrf.routers as usize);
+            assert_eq!(fs.heap_bytes(), 4 * labels);
         };
         let topo = spineless_topo::jellyfish::Jellyfish::new(24, 4, 2, 8, 5)
             .unwrap()
@@ -793,8 +901,77 @@ mod tests {
                 failed_links: vec![0, 3],
                 ..Default::default()
             };
-            exact(&crate::failures::masked_build(&topo, scheme, &plan));
-            exact(&crate::failures::incremental_rebuild(&fs, &topo, &plan));
+            exact(&fs.masked(&plan.dead_edges(&topo)));
+        }
+    }
+
+    /// Every VRF label towards router `dst`, built from Theorem 1 without
+    /// the VRF graph: one physical BFS gives the host labels `max(L, K)`
+    /// (0 at `dst`); transit level `i` climbs to level `i + 1` at cost 1,
+    /// so levels `K − 1` down to 1 follow by DP from the level above; and
+    /// level 1 also cruises level 1 at cost 1, a unit-cost relaxation.
+    fn theorem1_labels(g: &Graph, k: u32, dst: NodeId) -> Vec<u32> {
+        let n = g.num_nodes() as usize;
+        let k = k as usize;
+        let step = |x: u32| x.saturating_add(1);
+        let best = |level: &[u32], r: usize| {
+            let nbrs = g.neighbors(r as NodeId).iter();
+            nbrs.map(|&(v, _)| level[v as usize])
+                .min()
+                .unwrap_or(UNREACHABLE)
+        };
+        let l = spineless_graph::bfs::distances(g, dst);
+        let mut levels = vec![vec![UNREACHABLE; n]; k];
+        levels[k - 1] = (0..n)
+            .map(|r| match l[r] {
+                0 | UNREACHABLE => l[r],
+                l => l.max(k as u32),
+            })
+            .collect();
+        for i in (0..k - 1).rev() {
+            levels[i] = (0..n).map(|r| step(best(&levels[i + 1], r))).collect();
+        }
+        if k >= 2 {
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for r in 0..n {
+                    let via = step(best(&levels[0], r));
+                    if via < levels[0][r] {
+                        levels[0][r] = via;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        // VRF node ids are `router * K + (level − 1)`.
+        (0..n * k).map(|v| levels[v % k][v / k]).collect()
+    }
+
+    #[test]
+    fn theorem1_oracle_matches_every_label() {
+        use spineless_topo::{dring::DRing, leafspine::LeafSpine, rrg::Rrg};
+        let topos = [
+            DRing::scale_config(17).build(),
+            LeafSpine::new(8, 16).build(),
+            Rrg::uniform(60, 8, 4, 12, 7).build(),
+        ];
+        for topo in &topos {
+            for k in 1..=4u32 {
+                let scheme = match k {
+                    1 => RoutingScheme::Ecmp,
+                    k => RoutingScheme::ShortestUnion(k),
+                };
+                let fs = ForwardingState::build(&topo.graph, scheme);
+                for d in 0..topo.graph.num_nodes() {
+                    assert_eq!(
+                        fs.dist[d as usize],
+                        theorem1_labels(&topo.graph, k, d),
+                        "{} k {k} dst {d}",
+                        topo.name
+                    );
+                }
+            }
         }
     }
 
@@ -804,13 +981,11 @@ mod tests {
         // check by walking the DAG manually from the host node.
         let g = k4();
         let fs = ForwardingState::build(&g, RoutingScheme::ShortestUnion(2));
-        let nh = fs.next_hops(fs.start(0), 1);
         // Next hops: direct-to-host (router 1, level 2) plus drops to
         // level 1 of routers 2 and 3.
-        let mut levels: Vec<(NodeId, u32)> = nh
-            .iter()
-            .map(|&a| fs.next_vnode(a))
-            .map(|t| (fs.vrf.router_of(t), fs.vrf.level_of(t)))
+        let mut levels: Vec<(NodeId, u32)> = fs
+            .next_hops(fs.start(0), 1)
+            .map(|(t, _)| (fs.vrf.router_of(t), fs.vrf.level_of(t)))
             .collect();
         levels.sort_unstable();
         assert_eq!(levels, vec![(1, 2), (2, 1), (3, 1)]);

@@ -29,9 +29,7 @@
 //! descends, which contradicts its own proof's witness path; we implement
 //! the ascent reconstruction and verify exhaustively.)
 
-use spineless_graph::digraph::{
-    ArcId, CsrSpDag, DiGraph, DiGraphBuilder, DialScratch, WeightedSpDag,
-};
+use spineless_graph::digraph::{ArcId, DiGraph, DiGraphBuilder, WeightedSpDag};
 use spineless_graph::{EdgeId, Graph, NodeId, UNREACHABLE};
 
 /// The expanded VRF graph of a physical topology, for a given `K`.
@@ -138,7 +136,17 @@ impl VrfGraph {
     /// (`dead_edge[e]`) left out of its adjacency ([`DiGraph::masked`]):
     /// arc ids, [`VrfGraph::edge_of_arc`] and node ids stay the intact
     /// fabric's.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `dead_edge` does not have one entry per physical edge
+    /// of the topology this graph was built from.
     pub fn masked(&self, dead_edge: &[bool]) -> VrfGraph {
+        assert_eq!(
+            dead_edge.len() as u64 * self.arcs_per_edge as u64,
+            self.graph.num_arcs() as u64,
+            "dead-edge mask belongs to a different topology"
+        );
         VrfGraph {
             graph: self
                 .graph
@@ -162,25 +170,11 @@ impl VrfGraph {
     /// The min-cost forwarding DAG towards `(VRF K, dst)` — the FIBs every
     /// VRF speaker installs for destination prefix `dst` once BGP converges.
     ///
-    /// Nested layout, heap Dijkstra — the bit-exact reference the fast CSR
-    /// path ([`VrfGraph::csr_dag_towards_with`]) is pinned against.
+    /// Nested layout, heap Dijkstra — the reference that the next hops
+    /// [`ForwardingState::next_hops`](crate::ForwardingState::next_hops)
+    /// derives from distance labels are pinned against.
     pub fn dag_towards(&self, dst: NodeId) -> WeightedSpDag {
         WeightedSpDag::towards(&self.graph, self.host_node(dst))
-    }
-
-    /// [`VrfGraph::dag_towards`] in flat CSR form, built with the
-    /// bucket-queue engine. Every VRF arc costs at most `K` (rule 1 pays
-    /// `i ≤ K`, rules 2–3 pay 1), so Dial's ring needs only `K + 1`
-    /// buckets (rounded up to a power of two) — far under [`DialScratch::MAX_BUCKET_COST`] at any `K` the
-    /// paper evaluates. The caller-held `scratch` lets a per-destination
-    /// sweep reuse one bucket ring across all destinations.
-    pub fn csr_dag_towards_with(&self, dst: NodeId, scratch: &mut DialScratch) -> CsrSpDag {
-        CsrSpDag::towards_with(&self.graph, self.host_node(dst), scratch)
-    }
-
-    /// [`VrfGraph::csr_dag_towards_with`] allocating its own scratch.
-    pub fn csr_dag_towards(&self, dst: NodeId) -> CsrSpDag {
-        CsrSpDag::towards(&self.graph, self.host_node(dst))
     }
 
     /// All Shortest-Union(K) *router-level* paths from `src` to `dst`, up
@@ -214,6 +208,7 @@ mod tests {
     use super::*;
     use spineless_graph::bfs;
     use spineless_graph::paths::shortest_union_paths;
+    use spineless_graph::DialScratch;
     use spineless_graph::GraphBuilder;
 
     fn cycle(n: u32) -> Graph {
@@ -347,15 +342,20 @@ mod tests {
 
     #[test]
     fn csr_dag_matches_nested_dag_on_vrf_graphs() {
+        // The next hops derived from Dial labels over the CSR adjacency
+        // equal the nested heap-Dijkstra DAG, entry for entry.
         for (g, kmax) in [(cycle(8), 4u32), (k4(), 3u32)] {
             for k in 1..=kmax {
                 let v = VrfGraph::build(&g, k);
                 let mut scratch = DialScratch::for_graph(&v.graph);
                 for d in 0..g.num_nodes() {
                     let nested = v.dag_towards(d);
-                    let csr = v.csr_dag_towards_with(d, &mut scratch);
-                    assert_eq!(csr, CsrSpDag::from_nested(&nested), "k={k} d={d}");
-                    assert_eq!(csr, v.csr_dag_towards(d));
+                    let dist = v.graph.bucket_dijkstra_to(v.host_node(d), &mut scratch);
+                    assert_eq!(dist, nested.dist, "k={k} d={d}");
+                    for u in 0..v.graph.num_nodes() {
+                        let derived: Vec<_> = v.graph.next_hops(&dist, u).collect();
+                        assert_eq!(derived, nested.next_hops[u as usize], "k={k} d={d} u={u}");
+                    }
                 }
             }
         }

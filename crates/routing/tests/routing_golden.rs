@@ -48,7 +48,7 @@ fn fib_digest(fs: &ForwardingState, topo: &Topology) -> u64 {
     let mut h = FNV_SEED;
     for dst in 0..fs.vrf.routers {
         for vnode in 0..fs.vrf.graph.num_nodes() {
-            let len = fs.next_hops(vnode, dst).len() as u64;
+            let len = fs.next_hops(vnode, dst).count() as u64;
             for hash in 0..len {
                 let (nv, link) = cache.next_hop(vnode, dst, hash);
                 fnv(&mut h, (nv as u64) << 32 | link as u64);

@@ -399,8 +399,8 @@ impl Plant {
 }
 
 /// A reconverged forwarding plane: the intact VRF graph with the dead
-/// cables' arcs masked out (`routing::failures::incremental_rebuild`), so
-/// its vnodes, arcs and edges carry the fabric's own ids — packets in
+/// cables' arcs masked out and fresh labels (`ForwardingState::masked`),
+/// so its vnodes, arcs and edges carry the fabric's own ids — packets in
 /// flight keep valid vnodes and hops name the plant's link queues.
 pub(crate) struct SwapPlane {
     pub(crate) fs: ForwardingState,
@@ -410,14 +410,10 @@ pub(crate) struct SwapPlane {
 
 impl SwapPlane {
     /// The plane's next hop as `(next vnode, edge id)`, or `None` when
-    /// the degraded plane has no route at this vnode.
+    /// the degraded plane has no route at this vnode. Same rule as
+    /// `Forwarding::next_hop`: the `hash % n`-th of the `n` next hops.
     fn try_next_hop(&self, vnode: NodeId, dst: NodeId, hash: u64) -> Option<(NodeId, EdgeId)> {
-        let nh = self.fs.next_hops(vnode, dst);
-        if nh.is_empty() {
-            return None;
-        }
-        let arc = nh[(hash % nh.len() as u64) as usize];
-        Some((self.fs.next_vnode(arc), self.fs.vrf.edge_of_arc(arc)))
+        self.fs.pick_hop(vnode, dst, |n| (hash % n as u64) as usize)
     }
 }
 

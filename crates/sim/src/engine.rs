@@ -488,9 +488,9 @@ impl<F: Forwarding> Simulation<F> {
     /// its time, before every event at that time, and after each fabric
     /// change the control plane reconverges `reconverge_delay_ns` later by
     /// swapping in routing state rebuilt from `baseline` via
-    /// [`incremental_rebuild`](spineless_routing::failures::incremental_rebuild),
-    /// which masks the dead cables out of the intact plane and keeps its
-    /// edge ids, so in-flight packets and link queues need no translation.
+    /// [`ForwardingState::masked`], which masks the dead cables out of the
+    /// intact plane and keeps its edge ids, so in-flight packets and link
+    /// queues need no translation.
     /// Until the swap lands, traffic keeps following the stale plane and
     /// blackholes at cut links — exactly the window the paper's
     /// shortcut-aware failure story is about.

@@ -7,12 +7,12 @@
 //! [`FailureSchedule`] closes that gap: a cable is cut while flows are in
 //! flight, in-flight packets on the cable are lost, the stale plane
 //! blackholes traffic until the reconvergence delay elapses, and then the
-//! engine swaps in routing state rebuilt by
-//! `routing::failures::incremental_rebuild` — TCP recovers through its
-//! ordinary RTO/retransmit machinery. The rebuilt plane is the intact VRF
-//! graph with the dead cables' arcs masked out, so its vnodes, arcs and
-//! edges keep the fabric's ids: its next hops and FIB cache name the
-//! plant's link queues directly, as the baseline's do.
+//! engine swaps in routing state rebuilt by `ForwardingState::masked` —
+//! TCP recovers through its ordinary RTO/retransmit machinery. The rebuilt
+//! plane is the intact VRF graph with the dead cables' arcs masked out and
+//! fresh labels for every destination, so its vnodes, arcs and edges keep
+//! the fabric's ids: its next hops and FIB cache name the plant's link
+//! queues directly, as the baseline's do.
 //!
 //! Every shard count drives one [`Agenda`]: the time-ordered list of
 //! control actions (faults and repairs in `(time, index)` order, each
@@ -35,7 +35,6 @@ use crate::datapath::{Plant, SwapPlane};
 use crate::engine::SimError;
 use crate::types::{Datapath, DirLinkId, Ns, SimConfig};
 use spineless_graph::{EdgeId, NodeId};
-use spineless_routing::failures::{incremental_rebuild, FailurePlan};
 use spineless_routing::{FibCache, Forwarding, ForwardingState};
 use spineless_topo::Topology;
 use std::collections::VecDeque;
@@ -128,8 +127,8 @@ pub(crate) struct Agenda {
     /// (shared with the caller, e.g. a `spineless-core` `RoutingCache`
     /// entry).
     baseline: Arc<ForwardingState>,
-    /// The intact topology (owned clone — failure plans are applied
-    /// against it at every reconvergence).
+    /// The intact topology (owned clone): its cables' endpoints turn the
+    /// fault state into a dead-edge mask at every reconvergence.
     topo: Topology,
     /// Physical edges currently cut by `LinkDown` events.
     edge_cut: Vec<bool>,
@@ -328,18 +327,16 @@ impl Agenda {
     /// state: `None` when nothing is down (the pristine baseline), else
     /// the degraded plane, with its FIB hot-cache on the fast datapath.
     fn rebuild(&self) -> Option<SwapPlane> {
-        let plan = FailurePlan {
-            failed_links: (0..self.edge_cut.len() as u32)
-                .filter(|&e| self.edge_cut[e as usize])
-                .collect(),
-            failed_switches: (0..self.switch_down.len() as u32)
-                .filter(|&s| self.switch_down[s as usize])
-                .collect(),
-        };
-        if plan.failed_links.is_empty() && plan.failed_switches.is_empty() {
+        if !self.edge_cut.contains(&true) && !self.switch_down.contains(&true) {
             return None;
         }
-        let fs = incremental_rebuild(&self.baseline, &self.topo, &plan);
+        // A cable is dead when it is cut or either end is powered off.
+        let dead: Vec<bool> = (self.topo.graph.edges().iter().zip(&self.edge_cut))
+            .map(|(&(a, b), &cut)| {
+                cut || self.switch_down[a as usize] || self.switch_down[b as usize]
+            })
+            .collect();
+        let fs = self.baseline.masked(&dead);
         // The plane keeps the fabric's edge ids, so its cache speaks the
         // plant's directed links, as the baseline's does (`new` checked
         // that the topology's edges are the plant's).

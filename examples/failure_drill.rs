@@ -11,8 +11,8 @@
 //!    (same seed ⇒ same ECMP hash ⇒ same path in every later run).
 //! 2. **Reconvergence run** — cut that cable mid-transfer; after a 100 µs
 //!    reconvergence delay the switches forward over a routing state rebuilt
-//!    for the degraded fabric (`routing::failures::incremental_rebuild`),
-//!    and the flow finishes on the detour.
+//!    for the degraded fabric (`ForwardingState::masked`), and the flow
+//!    finishes on the detour.
 //! 3. **Blackhole run** — the identical cut, but reconvergence never comes
 //!    within the horizon: every retransmission dies on the dead cable and
 //!    the flow burns an RTO (exponentially backed off) each round.

@@ -54,17 +54,12 @@ fn claim_bgp_realizes_shortest_union() {
     assert!(out.converged);
     for dst in 0..topo.num_switches() {
         let pr = &out.prefixes[dst as usize];
-        let dag = &fs.dags[dst as usize];
         for v in 0..fs.vrf.graph.num_nodes() {
             if fs.vrf.router_of(v) == dst && v != fs.vrf.host_node(dst) {
                 continue;
             }
             let mut a = pr.fib[v as usize].clone();
-            let mut b: Vec<_> = dag
-                .next_hops(v)
-                .iter()
-                .map(|&arc| (fs.next_vnode(arc), arc))
-                .collect();
+            let mut b: Vec<_> = fs.next_hops(v, dst).collect();
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "dst {dst} vnode {v}");

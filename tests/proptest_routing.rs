@@ -1,12 +1,11 @@
 //! Property-based tests for the fast routing-state pipeline: the parallel
-//! bucket-queue/CSR build against the serial heap-Dijkstra reference, and
-//! incremental failure recompute against the from-scratch masked build and
-//! the dense rebuild of the degraded topology, on random DRing / RRG /
-//! leaf-spine instances.
+//! bucket-queue label build against the serial heap-Dijkstra reference,
+//! and failure reconvergence from the baseline against the dense rebuild
+//! of the degraded topology, on random DRing / RRG / leaf-spine instances.
 
 use proptest::prelude::*;
 use spineless::prelude::*;
-use spineless::routing::failures::{incremental_rebuild, masked_build, FailurePlan};
+use spineless::routing::failures::FailurePlan;
 
 /// Strategy: one of the paper's three topology families at a small random
 /// size, plus a routing scheme (ECMP on the leaf-spine, Shortest-Union(K)
@@ -30,7 +29,7 @@ fn topo_and_scheme() -> impl Strategy<Value = (Topology, RoutingScheme)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The parallel bucket-queue CSR build is bit-identical to the serial
+    /// The parallel bucket-queue label build is bit-identical to the serial
     /// heap-Dijkstra reference on every topology family.
     #[test]
     fn fast_build_matches_reference((topo, scheme) in topo_and_scheme()) {
@@ -39,10 +38,11 @@ proptest! {
         prop_assert_eq!(fast, reference);
     }
 
-    /// Incremental failure recompute keeps the fabric's arc ids and equals
-    /// both the from-scratch masked build and, under the dense → original
-    /// arc map, `ForwardingState::build` of the degraded topology, for
-    /// random link-cut/switch-kill plans under ECMP, SU(2) and SU(3).
+    /// Failure recompute from the baseline (`ForwardingState::masked`)
+    /// keeps the fabric's arc ids and, under the dense → original arc map,
+    /// equals `ForwardingState::build` of the degraded topology — labels
+    /// and derived next hops — for random link-cut/switch-kill plans under
+    /// ECMP, SU(2) and SU(3).
     #[test]
     fn incremental_recompute_matches_full_rebuild(
         (topo, _) in topo_and_scheme(),
@@ -63,8 +63,7 @@ proptest! {
         plan.failed_switches =
             FailurePlan::random_switches(&topo, kills, &mut rng).failed_switches;
         let baseline = ForwardingState::build(&topo.graph, scheme);
-        let inc = incremental_rebuild(&baseline, &topo, &plan);
-        prop_assert_eq!(&inc, &masked_build(&topo, scheme, &plan));
+        let rebuilt = baseline.masked(&plan.dead_edges(&topo));
 
         // The oracle: a dense rebuild over the degraded topology, whose
         // arcs are the survivors' renumbered in order.
@@ -76,20 +75,21 @@ proptest! {
                 || plan.failed_switches.contains(&a)
                 || plan.failed_switches.contains(&b)
         };
-        let arcs_per_edge = inc.vrf.graph.num_arcs() / g.num_edges();
-        let orig: Vec<u32> = (0..inc.vrf.graph.num_arcs())
+        let arcs_per_edge = rebuilt.vrf.graph.num_arcs() / g.num_edges();
+        let orig: Vec<u32> = (0..rebuilt.vrf.graph.num_arcs())
             .filter(|&a| !dead_edge(a / arcs_per_edge))
             .collect();
         prop_assert_eq!(orig.len() as u32, dense.vrf.graph.num_arcs());
         for (a, &o) in orig.iter().enumerate() {
-            prop_assert_eq!(dense.vrf.graph.arc(a as u32), inc.vrf.graph.arc(o));
+            prop_assert_eq!(dense.vrf.graph.arc(a as u32), rebuilt.vrf.graph.arc(o));
         }
-        for d in 0..g.num_nodes() as usize {
-            let (i, f) = (&inc.dags[d], &dense.dags[d]);
-            prop_assert_eq!(&i.dist, &f.dist, "dst {}", d);
-            for u in 0..f.num_nodes() {
-                let mapped: Vec<u32> = f.next_hops(u).iter().map(|&a| orig[a as usize]).collect();
-                prop_assert_eq!(i.next_hops(u), &mapped[..], "dst {} vnode {}", d, u);
+        prop_assert_eq!(&rebuilt.dist, &dense.dist);
+        for d in 0..g.num_nodes() {
+            for u in 0..dense.vrf.graph.num_nodes() {
+                let mapped: Vec<(u32, u32)> =
+                    dense.next_hops(u, d).map(|(v, a)| (v, orig[a as usize])).collect();
+                let derived: Vec<(u32, u32)> = rebuilt.next_hops(u, d).collect();
+                prop_assert_eq!(derived, mapped, "dst {} vnode {}", d, u);
             }
         }
     }
