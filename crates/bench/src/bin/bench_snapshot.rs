@@ -2,8 +2,9 @@
 //! layer's retained reference path (reference-heap scheduler, full-scan
 //! fluid solver, serial heap-Dijkstra routing builds, reference per-packet
 //! datapath) against the current default (delay-lane scheduler,
-//! link-major solver, pooled bucket-queue label builds, fast datapath: FIB
-//! hot-cache + RTO timer wheel + terminal-TxDone elision).
+//! saturation-ordered and link-major solvers, pooled bucket-queue label
+//! builds, fast datapath: FIB hot-cache + RTO timer wheel + terminal-TxDone
+//! elision).
 //! The Fig. 4 grid runs through `run_fig4` under both schedulers; the
 //! Fig. 5 panel is timed on its own. Writes `BENCH_sim.json` (wall time,
 //! events/sec, pkt-hops/sec, cells/sec, speedups) and prints a summary.
@@ -32,11 +33,16 @@
 //!
 //! `cargo run -p spineless-bench --release --bin bench_snapshot [-- --seed N]`
 
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use spineless_bench::parse_seed;
 use spineless_core::fct::{generate_workload, run_fig4, FctCell, FctConfig, TmKind};
 use spineless_core::throughput::{cs_axis_values, run_fig5_panel};
 use spineless_core::{EvalTopos, Scale};
-use spineless_fluid::{max_min_rates, max_min_rates_reference, LinkSpace};
+use spineless_fluid::{
+    max_min_rates, max_min_rates_reference, max_min_rates_with, FluidScratch, LinkSpace,
+};
 use spineless_graph::par;
 use spineless_routing::{Forwarding, ForwardingState, RoutingScheme};
 use spineless_sim::{Datapath, FailureSchedule, Scheduler, SimConfig, Simulation};
@@ -139,6 +145,121 @@ fn timed_pair<R, F>(mut reference: impl FnMut() -> R, mut fast: impl FnMut() -> 
         fast_wins,
         last: last.expect("RUNS > 0"),
     }
+}
+
+/// The three max-min kernels on one instance: the full-scan reference,
+/// the link-major kernel (`max_min_rates_with`, fresh scratch) and the
+/// saturation-ordered one (`max_min_rates`).
+struct FluidTimes {
+    full_scan: Spread,
+    link_major: Spread,
+    ordered: Spread,
+    /// Runs in which the saturation-ordered kernel beat the link-major one.
+    ordered_wins: usize,
+}
+
+impl FluidTimes {
+    fn json(&self, name: &str, flows: usize, links: usize) -> String {
+        format!(
+            r#"{{
+        "instance": "{name}",
+        "flows": {flows},
+        "links": {links},
+        "full_scan_wall_s": {},
+        "link_major_wall_s": {},
+        "saturation_ordered_wall_s": {},
+        "link_major_speedup": {:.3},
+        "saturation_ordered_speedup": {:.3},
+        "saturation_ordered_vs_link_major": {:.3},
+        "saturation_ordered_wins_vs_link_major": {},
+        "results_identical": true
+      }}"#,
+            self.full_scan.json(),
+            self.link_major.json(),
+            self.ordered.json(),
+            self.full_scan.median / self.link_major.median,
+            self.full_scan.median / self.ordered.median,
+            self.link_major.median / self.ordered.median,
+            self.ordered_wins,
+        )
+    }
+}
+
+/// Times [`RUNS`] solves of `flows` with each of the three kernels,
+/// rotating which kernel runs first, and asserts every run's rates equal
+/// the reference's bit for bit.
+fn time_fluid_kernels(num_links: usize, cap: &[f64], flows: &[Vec<u32>]) -> FluidTimes {
+    let mut walls = [Vec::new(), Vec::new(), Vec::new()];
+    let mut ordered_wins = 0;
+    for run in 0..RUNS {
+        let mut rates: [Vec<f64>; 3] = Default::default();
+        let mut wall = [0.0; 3];
+        for k in 0..3 {
+            let side = (run + k) % 3;
+            let t0 = Instant::now();
+            rates[side] = match side {
+                0 => max_min_rates_reference(num_links, cap, flows),
+                1 => {
+                    let mut r = Vec::new();
+                    max_min_rates_with(num_links, cap, flows, &mut FluidScratch::new(), &mut r);
+                    r
+                }
+                _ => max_min_rates(num_links, cap, flows),
+            };
+            wall[side] = t0.elapsed().as_secs_f64();
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&rates[1]),
+            bits(&rates[0]),
+            "link-major solver diverged"
+        );
+        assert_eq!(
+            bits(&rates[2]),
+            bits(&rates[0]),
+            "saturation-ordered solver diverged"
+        );
+        ordered_wins += usize::from(wall[2] < wall[1]);
+        for (w, t) in walls.iter_mut().zip(wall) {
+            w.push(t);
+        }
+    }
+    let [full_scan, link_major, ordered] = walls.map(Spread::of);
+    FluidTimes {
+        full_scan,
+        link_major,
+        ordered,
+        ordered_wins,
+    }
+}
+
+/// Directed-link lists of one sampled route per server pair, in the fluid
+/// solver's link index space.
+fn fluid_routes(
+    topo: &spineless_topo::Topology,
+    fs: &ForwardingState,
+    pairs: &[(u32, u32)],
+    rng: &mut SmallRng,
+) -> Vec<Vec<u32>> {
+    let space = LinkSpace::new(topo);
+    let mut hops = Vec::new();
+    pairs
+        .iter()
+        .map(|&(s, d)| {
+            let (ssw, dsw) = (topo.switch_of(s), topo.switch_of(d));
+            let mut links = vec![space.uplink(s)];
+            if ssw != dsw {
+                assert!(fs.sample_route_into(ssw, dsw, rng, &mut hops), "reachable");
+                let mut cur = ssw;
+                for &(next, edge) in &hops {
+                    links.push(space.switch_link(edge, cur));
+                    cur = next;
+                }
+            }
+            links.push(space.downlink(d));
+            links
+        })
+        .collect()
 }
 
 fn assert_grids_identical(a: &[FctCell], b: &[FctCell], what: &str) {
@@ -373,51 +494,53 @@ fn main() {
         fig5_cells as f64 / fig5_s
     );
 
-    // --- Fluid solver: link-major vs full-scan on a dense C-S instance. ---
-    let space = LinkSpace::new(&topos.dring);
-    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
+    // --- Fluid solver: the three kernels on a dense C-S instance, and on
+    // an instance shaped like `design_sweep`'s probe: the envelope's
+    // largest DRing (400 switches of radix 52, 6 ToRs per supernode)
+    // under SU(2), with a 2 048-pair server permutation (~700 rounds). ---
+    let mut rng = SmallRng::seed_from_u64(seed);
     let n = topos.dring.num_servers();
-    let mut fl: Vec<Vec<u32>> = Vec::new();
-    for i in 0..4_000u32 {
-        let (s, d) = (i % n, (i * 31 + 17) % n);
+    let pairs: Vec<(u32, u32)> = (0..4_000u32).map(|i| (i % n, (i * 31 + 17) % n)).collect();
+    let mut cs_flows = fluid_routes(&topos.dring, &fs, &pairs, &mut rng);
+    for (f, &(s, d)) in cs_flows.iter_mut().zip(&pairs) {
         if s == d {
-            fl.push(Vec::new());
-            continue;
+            f.clear();
         }
-        let (ssw, dsw) = (topos.dring.switch_of(s), topos.dring.switch_of(d));
-        let mut links = vec![space.uplink(s)];
-        if ssw != dsw {
-            let route = fs
-                .sample_route_generic(ssw, dsw, &mut rng)
-                .expect("reachable");
-            let mut cur = ssw;
-            for &(next, edge) in &route {
-                links.push(space.switch_link(edge, cur));
-                cur = next;
-            }
-        }
-        links.push(space.downlink(d));
-        fl.push(links);
     }
-    let cap = vec![1.0f64; space.num_links() as usize];
-    let num_links = space.num_links() as usize;
-    let fluid = timed_pair(
-        || max_min_rates_reference(num_links, &cap, &fl),
-        || max_min_rates(num_links, &cap, &fl),
+    let cs_links = LinkSpace::new(&topos.dring).num_links() as usize;
+    let cs = time_fluid_kernels(cs_links, &vec![1.0; cs_links], &cs_flows);
+    let probe = DRing::uniform(400 / 6, 6, 52).build();
+    let probe_fs = ForwardingState::build(&probe.graph, RoutingScheme::ShortestUnion(2));
+    let mut servers: Vec<u32> = (0..probe.num_servers()).collect();
+    servers.shuffle(&mut SmallRng::seed_from_u64(seed));
+    let probe_pairs: Vec<(u32, u32)> = servers
+        .iter()
+        .zip(servers.iter().cycle().skip(1))
+        .map(|(&s, &d)| (s, d))
+        .filter(|&(s, d)| probe.switch_of(s) != probe.switch_of(d))
+        .take(2048)
+        .collect();
+    let probe_flows = fluid_routes(
+        &probe,
+        &probe_fs,
+        &probe_pairs,
+        &mut SmallRng::seed_from_u64(seed ^ 0xF1D0),
     );
-    let (slow, fast) = &fluid.last;
-    for (a, b) in fast.iter().zip(slow) {
-        assert_eq!(a.to_bits(), b.to_bits(), "fluid solvers diverged");
+    let probe_links = LinkSpace::new(&probe).num_links() as usize;
+    let sweep = time_fluid_kernels(probe_links, &vec![1.0; probe_links], &probe_flows);
+    for (name, flows, links, t) in [
+        ("dense C-S", cs_flows.len(), cs_links, &cs),
+        ("sweep probe", probe_flows.len(), probe_links, &sweep),
+    ] {
+        eprintln!(
+            "fluid ({name}): {flows} flows / {links} links — full-scan {:.4}s, link-major {:.4}s, saturation-ordered {:.4}s median of {RUNS} ({:.2}x over link-major, {}/{RUNS} won)",
+            t.full_scan.median,
+            t.link_major.median,
+            t.ordered.median,
+            t.link_major.median / t.ordered.median,
+            t.ordered_wins
+        );
     }
-    eprintln!(
-        "fluid: {} flows / {} links — link-major {:.4}s vs full-scan {:.4}s median of {RUNS} ({:.2}x, {}/{RUNS} won)",
-        fl.len(),
-        space.num_links(),
-        fluid.fast.median,
-        fluid.reference.median,
-        fluid.speedup(),
-        fluid.fast_wins
-    );
 
     // --- Routing-state build on the largest Fig. 6 sweep topology:
     // serial heap Dijkstra vs parallel bucket queue, distance labels
@@ -444,7 +567,7 @@ fn main() {
     // dependency, and the document is flat enough that format! suffices.
     let json = format!(
         r#"{{
-  "schema": "bench_snapshot/v13",
+  "schema": "bench_snapshot/v14",
   "seed": {seed},
   "host_threads": {threads},
   "scheduler_microbench": {{
@@ -489,14 +612,11 @@ fn main() {
     "cells_per_sec": {fig5_cps:.3}
   }},
   "fluid_solver": {{
-    "flows": {fluid_flows},
-    "links": {fluid_links},
     "runs": {RUNS},
-    "link_major_wall_s": {fluid_fast},
-    "full_scan_wall_s": {fluid_slow},
-    "speedup": {fluid_speedup:.3},
-    "fast_wins": {fluid_wins},
-    "results_identical": true
+    "instances": [
+      {fluid_cs},
+      {fluid_sweep}
+    ]
   }},
   "routing_build": {{
     "topology": "dring scale_config(15), largest fig6 sweep point",
@@ -527,12 +647,12 @@ fn main() {
         fig4_heap_cps = fig4_cells as f64 / fig4_heap_s,
         fig4_lanes_cps = fig4_cells as f64 / fig4_lanes_s,
         fig5_cps = fig5_cells as f64 / fig5_s,
-        fluid_flows = fl.len(),
-        fluid_links = space.num_links(),
-        fluid_fast = fluid.fast.json(),
-        fluid_slow = fluid.reference.json(),
-        fluid_speedup = fluid.speedup(),
-        fluid_wins = fluid.fast_wins,
+        fluid_cs = cs.json("dense C-S on the small DRing", cs_flows.len(), cs_links),
+        fluid_sweep = sweep.json(
+            "design_sweep probe: DRing(66 x 6, radix 52), SU(2), 2048-pair permutation",
+            probe_flows.len(),
+            probe_links
+        ),
         build_ref = build.reference.json(),
         build_fast = build.fast.json(),
         build_speedup = build.speedup(),

@@ -5,7 +5,19 @@
 //! classic abstraction is fluid max-min fairness: every flow is pinned to
 //! one route (the path its five-tuple hashes onto), link capacities are
 //! normalized to 1, and rates are the unique max-min fair allocation —
-//! computed by progressive filling ([`max_min_rates`]).
+//! computed by progressive filling.
+//!
+//! Two kernels compute the filling, bit-identical to the full-scan
+//! [`max_min_rates_reference`]; the caller picks by what it needs back:
+//!
+//! - [`max_min_rates`] returns rates only. It visits links in the order
+//!   they saturate and replays a link's exact load only near its
+//!   saturation. One-shot solves use it: [`solve`] (Fig. 5, the
+//!   throughput study and the design sweep).
+//! - [`max_min_rates_with`] also reports every link's load
+//!   ([`FluidScratch::link_used`]) and reuses its buffers across calls.
+//!   The hybrid engine's re-solves use it: they hand each link's residual
+//!   capacity to the packet plane.
 //!
 //! [`solve`] glues the pieces: it samples one route per demand exactly the
 //! way per-flow ECMP hashing would (uniform per-hop next-hop choice over the
@@ -21,5 +33,6 @@ pub mod solver;
 
 pub use links::LinkSpace;
 pub use solver::{
-    max_min_rates, max_min_rates_reference, max_min_rates_with, solve, FluidScratch, FluidSolution,
+    max_min_rates, max_min_rates_reference, max_min_rates_with, max_min_reference, solve,
+    FluidScratch, FluidSolution,
 };

@@ -1,30 +1,404 @@
 //! Progressive-filling max-min fair rate allocation.
+//!
+//! Two kernels compute the same allocation, bit for bit, as
+//! [`max_min_rates_reference`]. Which one serves a call follows from what
+//! the caller asks for:
+//!
+//! - [`max_min_rates`] returns rates only. It visits links in the order
+//!   they can saturate and replays a link's exact load only when it might
+//!   be the round's bottleneck or might saturate.
+//! - [`max_min_rates_with`] also returns every link's load
+//!   ([`FluidScratch::link_used`]), so it makes every add the reference
+//!   makes, link-major, on reused buffers.
 
 use crate::links::LinkSpace;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use spineless_routing::Forwarding;
 use spineless_topo::Topology;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// A link counts as saturated once `used + EPS >= cap`, in every kernel.
+const EPS: f64 = 1e-12;
+
+/// Freeze round of a flow that has not frozen.
+const LIVE: u32 = u32::MAX;
 
 /// Computes the max-min fair allocation for `flows` over `num_links`
 /// directed links with capacities `cap`.
 ///
 /// Each flow is a list of link indices it traverses. Progressive filling:
 /// raise all unfrozen flows at the same rate until some link saturates,
-/// freeze the flows crossing it, repeat. Exact for this model; at most `L`
-/// rounds, each costing what [`max_min_rates_with`] states.
+/// freeze the flows crossing it, repeat. Exact for this model.
 ///
 /// Flows with an empty link list (same-server transfers) get `f64::INFINITY`.
+///
+/// The kernel visits links in the order they saturate and returns the
+/// same bits as [`max_min_rates_reference`]. Per round:
+///
+/// - **Levels.** A heap holds each active link's saturation level
+///   `(cap − frozen load) / active`: the common rate of its unfrozen
+///   flows at which it fills, where the frozen load sums the rates of
+///   its frozen route entries. A freeze on the link changes its level, so
+///   its key goes stale and is recomputed, in O(1), when it reaches the
+///   top.
+/// - **Increment.** Every link keyed within δ of the smallest fresh key
+///   is a candidate. Its exact load is replayed: the reference's
+///   `active[l]` sequential `used += inc` per past round, with each
+///   round's `active` recovered from the rounds its flows froze in, so no
+///   per-link log is kept. The increment is the min of `headroom /
+///   active` over the candidates: the reference's quotients on the
+///   reference's loads.
+/// - **Saturation.** After `filled += inc`, every link keyed within
+///   `EPS + δ` of `filled` is replayed through this round and tested with
+///   the reference's `used + EPS >= cap`. The flows on the saturated
+///   links freeze at `rate = filled`.
+///
+/// δ (`tie_window`) bounds the rounding between a key and the exact
+/// quantities the reference compares, so the candidates always hold the
+/// reference's bottleneck and the window every link it saturates. A
+/// wider δ would only add candidates. Each add is replayed at most once,
+/// and only on links that came within δ of a saturation.
 ///
 /// # Panics
 ///
 /// Panics if a flow references a link `>= num_links` or a capacity is
 /// non-positive while used.
 pub fn max_min_rates(num_links: usize, cap: &[f64], flows: &[Vec<u32>]) -> Vec<f64> {
-    let mut scratch = FluidScratch::new();
+    assert_eq!(cap.len(), num_links);
     let mut rate = Vec::new();
-    max_min_rates_with(num_links, cap, flows, &mut scratch, &mut rate);
+    let mut incidence = Incidence::default();
+    let mut live = incidence.build(num_links, flows, &mut rate);
+    let Incidence {
+        mut active,
+        start,
+        crossing,
+    } = incidence;
+    let mut c_max = 0.0f64;
+    let mut entries_max = 0u32;
+    let mut heap = Vec::new();
+    for (l, &a) in active.iter().enumerate() {
+        if a > 0 {
+            assert!(cap[l] > 0.0, "used link {l} has no capacity");
+            c_max = c_max.max(cap[l]);
+            entries_max = entries_max.max(a);
+            heap.push(keyed(level(cap[l], 0.0, a), l));
+        }
+    }
+    let max_rounds = heap.len();
+    let delta = tie_window(c_max, entries_max, max_rounds);
+    let mut levels = Levels {
+        heap: BinaryHeap::from(heap),
+        keyed_at: active.clone(),
+        frozen_load: vec![0.0; num_links],
+    };
+    let mut frozen_at = vec![LIVE; flows.len()];
+    let mut loads = Loads {
+        used: vec![0.0; num_links],
+        replayed: vec![0; num_links],
+        incs: vec![0.0],
+        froze: Vec::new(),
+    };
+    let mut near = Vec::new();
+    let mut saturated = Vec::new();
+    let mut filled = 0.0f64;
+    let mut round = 0u32;
+    while live > 0 {
+        round += 1;
+        check_rounds(round as usize, max_rounds, live);
+        let top = levels.fresh_top(cap, &active);
+        let past = Past {
+            start: &start,
+            crossing: &crossing,
+            frozen_at: &frozen_at,
+        };
+        // Candidates for this round's bottleneck, replayed through the
+        // last round; the increment is the reference's min over them.
+        let mut inc = f64::INFINITY;
+        near.clear();
+        levels.pop_below(top + delta, cap, &active, &mut near);
+        for &l in &near {
+            let l = l as usize;
+            loads.replay(l, round - 1, active[l], &past);
+            inc = inc.min((cap[l] - loads.used[l]).max(0.0) / active[l] as f64);
+        }
+        debug_assert!(inc.is_finite(), "active flows but no constraining link");
+        filled += inc;
+        loads.incs.push(inc);
+        // Every link that can saturate this round, tested exactly.
+        levels.pop_below(filled + EPS + delta, cap, &active, &mut near);
+        saturated.clear();
+        for &l in &near {
+            let l = l as usize;
+            loads.replay(l, round, active[l], &past);
+            if loads.used[l] + EPS >= cap[l] {
+                saturated.push(l);
+            } else {
+                levels.push(l, cap[l], active[l]);
+            }
+        }
+        for &l in &saturated {
+            for &i in &crossing[start[l] as usize..start[l + 1] as usize] {
+                let i = i as usize;
+                if frozen_at[i] == LIVE {
+                    frozen_at[i] = round;
+                    rate[i] = filled;
+                    live -= 1;
+                    for &m in &flows[i] {
+                        active[m as usize] -= 1;
+                        levels.frozen_load[m as usize] += filled;
+                    }
+                }
+            }
+        }
+    }
     rate
+}
+
+/// Saturation level of a link: the rate its `active` unfrozen route
+/// entries reach together when the link fills, given the load its frozen
+/// entries hold. Clamped at 0, so keys never go negative.
+fn level(cap: f64, frozen_load: f64, active: u32) -> f64 {
+    (cap - frozen_load).max(0.0) / active as f64
+}
+
+/// Heap entry for a link at `level`. Levels are never negative or NaN, so
+/// their bit patterns order as the values do.
+fn keyed(level: f64, l: usize) -> Reverse<(u64, u32)> {
+    Reverse((level.to_bits(), l as u32))
+}
+
+/// [`max_min_rates`]'s heap of link levels, keyed lazily: a freeze on a
+/// link leaves its key stale until the key is next looked at.
+struct Levels {
+    /// One entry per link that still carried unfrozen flows when keyed.
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// `active[l]` when `l`'s key was computed: the key is fresh while the
+    /// count still equals it.
+    keyed_at: Vec<u32>,
+    /// Sum of the rates of each link's frozen route entries.
+    frozen_load: Vec<f64>,
+}
+
+impl Levels {
+    /// Keys link `l` at its current level.
+    fn push(&mut self, l: usize, cap: f64, active: u32) {
+        self.keyed_at[l] = active;
+        let key = level(cap, self.frozen_load[l], active);
+        self.heap.push(keyed(key, l));
+    }
+
+    /// Pops the top entry and returns its link if it is fresh. A stale one
+    /// is re-keyed and a link whose flows have all frozen dropped.
+    fn pop_fresh(&mut self, cap: &[f64], active: &[u32]) -> Option<usize> {
+        let Reverse((_, l)) = self.heap.pop()?;
+        let l = l as usize;
+        match active[l] {
+            0 => None,
+            a if a == self.keyed_at[l] => Some(l),
+            a => {
+                self.push(l, cap[l], a);
+                None
+            }
+        }
+    }
+
+    /// The smallest fresh key. Refreshes stale keys on the way.
+    fn fresh_top(&mut self, cap: &[f64], active: &[u32]) -> f64 {
+        loop {
+            let Reverse((bits, l)) = *self.heap.peek().expect("active flows but no active link");
+            if active[l as usize] == self.keyed_at[l as usize] {
+                return f64::from_bits(bits);
+            }
+            self.pop_fresh(cap, active);
+        }
+    }
+
+    /// Pops every link whose fresh key is at most `bound` into `out`.
+    fn pop_below(&mut self, bound: f64, cap: &[f64], active: &[u32], out: &mut Vec<u32>) {
+        while let Some(&Reverse((bits, _))) = self.heap.peek() {
+            if f64::from_bits(bits) > bound {
+                break;
+            }
+            if let Some(l) = self.pop_fresh(cap, active) {
+                out.push(l as u32);
+            }
+        }
+    }
+}
+
+/// Width δ of [`max_min_rates`]'s candidate and saturation windows: a
+/// worst-case bound on how far a heap key can sit from the exact
+/// quantities the reference compares. The solve's used links have
+/// capacities up to `c_max` and at most `E = entries_max` route entries
+/// each, and it takes at most `R = max_rounds` rounds.
+///
+/// Every value the solve computes (loads, `filled`, rates, frozen loads,
+/// quotients, keys, window bounds) stays below `M = 4 (c_max + EPS)`, so
+/// each f64 operation rounds by at most `u = ulp(M) / 2`. A link takes at
+/// most `N = E R` adds. Measured against the same sums of the same
+/// increments taken in exact arithmetic:
+///
+/// - `filled` is off by at most `R u` and a load by `N u`, so the
+///   reference's quantity `filled + (cap − used) / active` is off by
+///   `(R + N + 2) u` from the link's exact level (a link still active has
+///   `used < cap`, so the clamp at 0 never binds there);
+/// - a key sums at most `E` frozen rates, each off by `R u`, so it is off
+///   by `(N + E + 2) u`;
+/// - an exact level holds while `active` does, and a freeze lowers it by
+///   at most `N u` overall (only when its exact load has passed `cap`),
+///   so a stale key is at most that much further above it.
+///
+/// The reference's bottleneck then has a key at most
+/// `(2R + 5N + 2E + 8) u` above the smallest fresh key, and a link that
+/// saturates has one at most `(R + 3N + E + 3) u` above `filled + EPS`.
+/// Rounding a window's bound costs at most `2u` more, so
+/// `δ = (2R + 5N + 2E + 10) u` covers both. An infinite capacity makes δ
+/// infinite, and every active link a candidate.
+fn tie_window(c_max: f64, entries_max: u32, max_rounds: usize) -> f64 {
+    let m = 4.0 * (c_max + EPS);
+    let u = (m.next_up() - m) / 2.0;
+    let (r, e) = (max_rounds as f64, entries_max as f64);
+    let n = e * r;
+    let delta = (2.0 * r + 5.0 * n + 2.0 * e + 10.0) * u;
+    if delta.is_finite() {
+        delta
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// The freezes a replay reads: each link's crossing flows and the round
+/// each flow froze in.
+struct Past<'a> {
+    start: &'a [u32],
+    crossing: &'a [u32],
+    /// Round each flow froze in, or [`LIVE`].
+    frozen_at: &'a [u32],
+}
+
+/// Per-link exact loads of [`max_min_rates`], each brought up to date
+/// only when its link is looked at.
+struct Loads {
+    /// The reference's `used[l]` as of the end of round `replayed[l]`.
+    used: Vec<f64>,
+    replayed: Vec<u32>,
+    /// `incs[r]` is round `r`'s increment; round 0 adds nothing.
+    incs: Vec<f64>,
+    /// Freeze rounds of a link's flows, the replay's working list.
+    froze: Vec<u32>,
+}
+
+impl Loads {
+    /// Brings `used[l]` to the end of round `through`, making the
+    /// reference's adds in its order: round `r` adds `incs[r]` once per
+    /// route entry on `l` whose flow had not frozen before round `r`.
+    /// `active` is the link's count of entries not frozen yet.
+    fn replay(&mut self, l: usize, through: u32, active: u32, past: &Past) {
+        let from = self.replayed[l];
+        debug_assert!(from <= through, "link {l} replayed past round {through}");
+        if from == through {
+            return;
+        }
+        // Entries that froze since the last replay took the adds of every
+        // round up to the one they froze in.
+        self.froze.clear();
+        let lo = past.start[l] as usize;
+        let hi = past.start[l + 1] as usize;
+        self.froze.extend(
+            past.crossing[lo..hi]
+                .iter()
+                .map(|&i| past.frozen_at[i as usize])
+                .filter(|&f| f > from && f != LIVE),
+        );
+        self.froze.sort_unstable();
+        let mut a = active + self.froze.len() as u32;
+        let mut gone = self.froze.iter().peekable();
+        let mut u = self.used[l];
+        for r in from + 1..=through {
+            while gone.next_if(|&&f| f < r).is_some() {
+                a -= 1;
+            }
+            let inc = self.incs[r as usize];
+            for _ in 0..a {
+                u += inc;
+            }
+        }
+        self.used[l] = u;
+        self.replayed[l] = through;
+    }
+}
+
+/// Per-link route-entry counts and link→flow incidence lists, built once
+/// per solve by both kernels.
+#[derive(Debug, Default)]
+struct Incidence {
+    /// Route entries of unfrozen flows per link (a route crossing `l`
+    /// twice counts twice): the number of `+= inc` the link takes each
+    /// round.
+    active: Vec<u32>,
+    /// `crossing[start[l]..start[l + 1]]` lists the flows crossing link
+    /// `l`, once per route entry, in flow order.
+    start: Vec<u32>,
+    crossing: Vec<u32>,
+}
+
+impl Incidence {
+    /// Counts and lists the route entries of `flows` over `num_links`
+    /// links, and sizes `rate` to the flows: `f64::INFINITY` for an empty
+    /// route, 0 otherwise. Returns the number of non-empty routes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a route references a link `>= num_links`.
+    fn build<S: AsRef<[u32]>>(
+        &mut self,
+        num_links: usize,
+        flows: &[S],
+        rate: &mut Vec<f64>,
+    ) -> usize {
+        let Incidence {
+            active,
+            start,
+            crossing,
+        } = self;
+        rate.clear();
+        rate.resize(flows.len(), 0.0);
+        active.clear();
+        active.resize(num_links, 0);
+        let mut live = 0usize;
+        for (i, fl) in flows.iter().enumerate() {
+            let fl = fl.as_ref();
+            if fl.is_empty() {
+                rate[i] = f64::INFINITY;
+                continue;
+            }
+            live += 1;
+            for &l in fl {
+                assert!((l as usize) < num_links, "link {l} out of range");
+                active[l as usize] += 1;
+            }
+        }
+        // `start[l]` begins at the end of `l`'s range and counts down as
+        // the flows are placed back to front.
+        start.clear();
+        let mut end = 0u32;
+        start.extend(active.iter().map(|&a| {
+            end += a;
+            end
+        }));
+        start.push(end);
+        crossing.clear();
+        crossing.resize(end as usize, 0);
+        for (i, fl) in flows.iter().enumerate().rev() {
+            for &l in fl.as_ref() {
+                start[l as usize] -= 1;
+                crossing[start[l as usize] as usize] = i as u32;
+            }
+        }
+        live
+    }
 }
 
 /// Reusable working state for [`max_min_rates_with`].
@@ -41,20 +415,13 @@ pub fn max_min_rates(num_links: usize, cap: &[f64], flows: &[Vec<u32>]) -> Vec<f
 /// the packet engine needs for rate handoff.
 #[derive(Debug, Default)]
 pub struct FluidScratch {
-    /// Route entries of unfrozen flows per link: the number of `+= inc`
-    /// the link takes each round.
-    active: Vec<u32>,
+    incidence: Incidence,
     /// Capacity consumed per link; valid after a solve.
     used: Vec<f64>,
     /// Links with at least one active route entry.
     active_links: Vec<u32>,
     /// Links that saturated this round.
     sat_links: Vec<u32>,
-    /// `crossing[start[l]..start[l + 1]]` lists the flows crossing link
-    /// `l`, once per route entry, in flow order.
-    start: Vec<u32>,
-    /// Link→flow incidence lists, built once per solve.
-    crossing: Vec<u32>,
     /// Per-flow freeze marks.
     frozen: Vec<bool>,
 }
@@ -72,8 +439,10 @@ impl FluidScratch {
     }
 }
 
-/// [`max_min_rates`] with caller-owned scratch and output buffers, generic
-/// over the per-flow route container (`Vec<u32>`, `&[u32]`, …).
+/// The max-min fair allocation of [`max_min_rates`], plus every link's
+/// consumed capacity ([`FluidScratch::link_used`]), with caller-owned
+/// scratch and output buffers, generic over the per-flow route container
+/// (`Vec<u32>`, `&[u32]`, …).
 ///
 /// Progressive filling run link-major. Every unfrozen flow has received
 /// the same increments in the same order, so its rate is the running sum
@@ -86,6 +455,10 @@ impl FluidScratch {
 /// that saturated. The result — rates and `scratch.link_used()` — is
 /// therefore bit-identical to [`max_min_rates_reference`], which tests
 /// pin.
+///
+/// Every link's load is an output here, so every add is made; when only
+/// rates are wanted, [`max_min_rates`] skips the adds no saturation
+/// depends on.
 ///
 /// `O(E + L)` to build the incidence lists (`E` route entries, `L` links),
 /// then per round `O(A + E_r)` for `A` active links and `E_r` route
@@ -105,49 +478,19 @@ pub fn max_min_rates_with<S: AsRef<[u32]>>(
     rate: &mut Vec<f64>,
 ) {
     assert_eq!(cap.len(), num_links);
+    let mut live = scratch.incidence.build(num_links, flows, rate);
     let FluidScratch {
-        active,
+        incidence:
+            Incidence {
+                active,
+                start,
+                crossing,
+            },
         used,
         active_links,
         sat_links,
-        start,
-        crossing,
         frozen,
     } = scratch;
-    rate.clear();
-    rate.resize(flows.len(), 0.0);
-    active.clear();
-    active.resize(num_links, 0);
-    let mut live = 0usize;
-    for (i, fl) in flows.iter().enumerate() {
-        let fl = fl.as_ref();
-        if fl.is_empty() {
-            rate[i] = f64::INFINITY;
-            continue;
-        }
-        live += 1;
-        for &l in fl {
-            assert!((l as usize) < num_links, "link {l} out of range");
-            active[l as usize] += 1;
-        }
-    }
-    // Incidence lists: `start[l]` begins at the end of `l`'s range and
-    // counts down as the flows are placed back to front.
-    start.clear();
-    let mut end = 0u32;
-    start.extend(active.iter().map(|&a| {
-        end += a;
-        end
-    }));
-    start.push(end);
-    crossing.clear();
-    crossing.resize(end as usize, 0);
-    for (i, fl) in flows.iter().enumerate().rev() {
-        for &l in fl.as_ref() {
-            start[l as usize] -= 1;
-            crossing[start[l as usize] as usize] = i as u32;
-        }
-    }
     frozen.clear();
     frozen.resize(flows.len(), false);
     used.clear();
@@ -161,7 +504,6 @@ pub fn max_min_rates_with<S: AsRef<[u32]>>(
     // The rate of every flow still unfrozen: `0.0 + inc₁ + inc₂ + …`, the
     // same adds in the same order as the reference's per-flow `+= inc`.
     let mut filled = 0.0f64;
-    const EPS: f64 = 1e-12;
     let mut rounds = 0;
     while live > 0 {
         rounds += 1;
@@ -240,15 +582,20 @@ fn smallest_increment(cap: &[f64], used: &[f64], active: &[u32], links: &[u32]) 
 
 /// The straightforward full-scan implementation of [`max_min_rates`]:
 /// every round walks all links for the increment and all flows for the
-/// freeze step. Kept as the bit-exactness reference (see the cross-check
-/// test) and as the baseline for the solver benchmarks.
+/// freeze step. Kept as the bit-exactness reference for both kernels (see
+/// the cross-check tests) and as the baseline for the solver benchmarks.
 pub fn max_min_rates_reference(num_links: usize, cap: &[f64], flows: &[Vec<u32>]) -> Vec<f64> {
-    reference_rates_and_used(num_links, cap, flows).0
+    max_min_reference(num_links, cap, flows).0
 }
 
-/// [`max_min_rates_reference`]'s rates and its per-link consumed capacity
-/// (what [`FluidScratch::link_used`] reports for the fast solver).
-fn reference_rates_and_used(
+/// [`max_min_rates_reference`]'s rates and its per-link consumed capacity:
+/// the reference for what [`max_min_rates_with`] reports in
+/// [`FluidScratch::link_used`].
+///
+/// # Panics
+///
+/// Same contract as [`max_min_rates`].
+pub fn max_min_reference(
     num_links: usize,
     cap: &[f64],
     flows: &[Vec<u32>],
@@ -278,7 +625,6 @@ fn reference_rates_and_used(
         })
         .sum();
     let max_rounds = active.iter().filter(|&&a| a > 0).count();
-    const EPS: f64 = 1e-12;
     let mut rounds = 0;
     while remaining > 0 {
         rounds += 1;
@@ -649,9 +995,9 @@ mod tests {
         }
     }
 
-    /// Solves `flows` on a scratch that earlier solves have dirtied and
-    /// checks the rates and `link_used()` bit for bit against the
-    /// reference's.
+    /// Solves `flows` with both kernels, the link-major one on a scratch
+    /// that earlier solves have dirtied, and checks the rates and
+    /// `link_used()` bit for bit against the reference's.
     fn assert_matches_reference(
         scratch: &mut FluidScratch,
         num_links: usize,
@@ -661,14 +1007,20 @@ mod tests {
     ) {
         let mut rate = Vec::new();
         max_min_rates_with(num_links, cap, flows, scratch, &mut rate);
-        let (ref_rate, ref_used) = reference_rates_and_used(num_links, cap, flows);
+        let (ref_rate, ref_used) = max_min_reference(num_links, cap, flows);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&rate), bits(&ref_rate), "{what}: rates");
         assert_eq!(bits(scratch.link_used()), bits(&ref_used), "{what}: used");
+        let ordered = max_min_rates(num_links, cap, flows);
+        assert_eq!(
+            bits(&ordered),
+            bits(&ref_rate),
+            "{what}: saturation-ordered"
+        );
     }
 
     #[test]
-    fn link_major_solver_matches_reference_on_hard_instances() {
+    fn both_kernels_match_reference_on_hard_instances() {
         let mut scratch = FluidScratch::new();
         // A route that crosses the same link twice (and one three times):
         // each crossing is its own `+= inc` and its own active count.
@@ -717,6 +1069,53 @@ mod tests {
         );
         // Only empty routes: no round runs.
         assert_matches_reference(&mut scratch, 2, &[1.0; 2], &[vec![], vec![]], "all empty");
+        // Capacities one ulp apart, and a zero capacity no route uses.
+        let ulp = [1.0, 1.0f64.next_up(), 0.0, 1.0f64.next_down()];
+        let ulp_flows: Vec<Vec<u32>> = (0..12u32).map(|i| vec![i % 4 / 2 * 3, i % 2]).collect();
+        assert_matches_reference(&mut scratch, 4, &ulp, &ulp_flows, "one ulp apart");
+        // Levels that tie in exact arithmetic but are reached through
+        // different f64 sums: link 0 fills at 1/3 under three flows, link 3
+        // at 1 − 1/6 − 1/4 − 1/4 once three of its four flows froze. With
+        // a zero-width candidate window the saturation-ordered kernel
+        // misses the reference's bottleneck here.
+        let tie: Vec<Vec<u32>> = [
+            &[0][..],
+            &[1],
+            &[2],
+            &[2],
+            &[3, 1],
+            &[3],
+            &[2],
+            &[2, 3],
+            &[1],
+            &[2],
+            &[2],
+            &[0],
+            &[1, 3],
+            &[0],
+        ]
+        .iter()
+        .map(|r| r.to_vec())
+        .collect();
+        assert_matches_reference(&mut scratch, 4, &[1.0; 4], &tie, "rational tie");
+        // Capacities closer than the saturation tolerance: the reference
+        // saturates both links in the first round, though only one sets
+        // the increment.
+        assert_matches_reference(
+            &mut scratch,
+            2,
+            &[1.0, 1.0 + 4e-13],
+            &[vec![0], vec![1]],
+            "within tolerance",
+        );
+        // An infinite capacity: every flow also crosses a finite link.
+        assert_matches_reference(
+            &mut scratch,
+            2,
+            &[1.0, f64::INFINITY],
+            &[vec![0, 1], vec![1, 0, 1], vec![0]],
+            "infinite capacity",
+        );
         // Random instances drawing from few links and three capacities, so
         // repeats within a route, ties and empty routes are all common.
         let mut rng = SmallRng::seed_from_u64(0x71E5);
@@ -742,6 +1141,40 @@ mod tests {
                 &format!("case {case}"),
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "link 3 out of range")]
+    fn saturation_ordered_kernel_rejects_out_of_range_link() {
+        max_min_rates(3, &[1.0; 3], &[vec![0], vec![1, 3]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "link 3 out of range")]
+    fn link_major_kernel_rejects_out_of_range_link() {
+        let mut rate = Vec::new();
+        let flows = [vec![0u32], vec![1, 3]];
+        max_min_rates_with(3, &[1.0; 3], &flows, &mut FluidScratch::new(), &mut rate);
+    }
+
+    #[test]
+    #[should_panic(expected = "used link 1 has no capacity")]
+    fn saturation_ordered_kernel_rejects_zero_capacity_on_used_link() {
+        max_min_rates(3, &[1.0, 0.0, 0.0], &[vec![0], vec![0, 1]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "used link 1 has no capacity")]
+    fn link_major_kernel_rejects_zero_capacity_on_used_link() {
+        let mut rate = Vec::new();
+        let flows = [vec![0u32], vec![0, 1]];
+        max_min_rates_with(
+            3,
+            &[1.0, 0.0, 0.0],
+            &flows,
+            &mut FluidScratch::new(),
+            &mut rate,
+        );
     }
 
     #[test]

@@ -689,28 +689,87 @@ proptest! {
         prop_assert!(wheel.is_empty());
     }
 
-    /// The active-list max-min solver is bit-identical to the full-scan
-    /// reference on arbitrary instances.
+    /// Both max-min kernels are bit-identical to the full-scan reference:
+    /// `max_min_rates`, and `max_min_rates_with`'s rates and per-link
+    /// loads. Routes repeat links and may be empty. Three shapes:
+    ///
+    /// - small: two or three copies of a block of up to a dozen links and
+    ///   their flows, each later copy's capacities equal to the block's,
+    ///   one ulp off, or off by less than the saturation tolerance;
+    /// - copied: the same over blocks of up to 150 links, plus up to seven
+    ///   stray flows across the copies: hundreds of links, up to a few
+    ///   thousand flows and hundreds of rounds, with exact ties and
+    ///   near-ties that the strays partly break;
+    /// - sweep-like: hundreds of links of capacity 1, 0.5 or 2 under
+    ///   hundreds of routes of up to two links, where levels tie exactly
+    ///   in rational arithmetic but are reached through different f64
+    ///   sums.
+    ///
+    /// Other capacities come from a small set that holds values one ulp
+    /// apart and residual-like draws in [0.05, 1].
     #[test]
-    fn active_list_fluid_matches_reference(seed in any::<u64>(), nflows in 0usize..40) {
+    fn active_list_fluid_matches_reference(seed in any::<u64>(), shape in 0u8..3) {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
-        use spineless::fluid::max_min_rates_reference;
+        use spineless::fluid::{max_min_rates_with, max_min_reference, FluidScratch};
         let mut rng = SmallRng::seed_from_u64(seed);
-        let links = 12usize;
-        let cap: Vec<f64> = (0..links).map(|_| rng.gen_range(0.05..2.0)).collect();
-        let flows: Vec<Vec<u32>> = (0..nflows)
-            .map(|_| {
-                let len = rng.gen_range(0..5usize);
-                (0..len).map(|_| rng.gen_range(0..links as u32)).collect()
+        let (block, copies, nflows, max_len) = match shape {
+            0 => (rng.gen_range(1..12usize), rng.gen_range(2..4usize), rng.gen_range(0..40usize), 7),
+            1 => (rng.gen_range(50..150), rng.gen_range(2..5), rng.gen_range(100..800), 7),
+            _ => (rng.gen_range(100..300), 1, rng.gen_range(200..800), 3),
+        };
+        let links = block * copies;
+        let residual = rng.gen_range(0.05..1.0);
+        let palette = [
+            1.0,
+            1.0f64.next_up(),
+            1.0f64.next_down(),
+            0.5,
+            0.5f64.next_up(),
+            residual,
+            residual.next_up(),
+        ];
+        let base: Vec<f64> = (0..block)
+            .map(|_| match shape {
+                2 => [1.0, 0.5, 2.0][rng.gen_range(0..3)],
+                _ if rng.gen_bool(0.2) => rng.gen_range(0.05..1.0),
+                _ => palette[rng.gen_range(0..palette.len())],
             })
             .collect();
-        let fast = max_min_rates(links, &cap, &flows);
-        let slow = max_min_rates_reference(links, &cap, &flows);
-        prop_assert_eq!(fast.len(), slow.len());
-        for (a, b) in fast.iter().zip(&slow) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+        let mut cap = Vec::with_capacity(links);
+        for j in 0..copies {
+            let nudge = if j == 0 { 0 } else { rng.gen_range(0..4) };
+            cap.extend(base.iter().map(|&c| match nudge {
+                0 => c,
+                1 => c.next_up(),
+                2 => c.next_down(),
+                _ => c + 4e-13,
+            }));
         }
+        let route = |rng: &mut SmallRng, span: usize| -> Vec<u32> {
+            let len = rng.gen_range(0..max_len);
+            (0..len).map(|_| rng.gen_range(0..span as u32)).collect()
+        };
+        let mut flows: Vec<Vec<u32>> = Vec::new();
+        for _ in 0..nflows {
+            let r = route(&mut rng, block);
+            for j in 0..copies {
+                flows.push(r.iter().map(|&l| l + (j * block) as u32).collect());
+            }
+        }
+        if shape == 1 {
+            for _ in 0..rng.gen_range(0..8) {
+                flows.push(route(&mut rng, links));
+            }
+        }
+        let (ref_rates, ref_used) = max_min_reference(links, &cap, &flows);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&max_min_rates(links, &cap, &flows)), bits(&ref_rates));
+        let mut scratch = FluidScratch::new();
+        let mut rates = Vec::new();
+        max_min_rates_with(links, &cap, &flows, &mut scratch, &mut rates);
+        prop_assert_eq!(bits(&rates), bits(&ref_rates));
+        prop_assert_eq!(bits(scratch.link_used()), bits(&ref_used));
     }
 
     /// Raw max-min kernel: rates are invariant under flow permutation.
